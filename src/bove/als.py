@@ -8,15 +8,13 @@ left-to-right (row-major), token pairs are enumerated row-major over
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .encoding import reconstruct_x
+from .encoding import reconstruction_loss
 from .errors import DimensionMismatch, DivergenceError, SingularSystemError
-
-_JITTER_FREE = 0.0
 
 
 def _spd_solve_right(gram, rhs, ridge, what):
@@ -33,43 +31,6 @@ def _spd_solve_right(gram, rhs, ridge, what):
             "%s system is singular; set its regularizer > 0" % what
         ) from None
     return cho_solve(factor, rhs.T).T
-
-
-@dataclass
-class GramAccumulators:
-    """Streaming normal-equation sums over the corpus.
-
-    ete = sum E_s^T E_s (r x r); we = sum W_s E_s (c x r);
-    ktk = sum (E_s kron E_s)^T (E_s kron E_s) = sum (E_s^T E_s) kron (E_s^T E_s)
-    (r^2 x r^2); xk = sum X'_s (E_s kron E_s) (d x r^2).
-    """
-
-    r: int
-    c: int
-    d: int
-    ete: np.ndarray = field(default=None)
-    we: np.ndarray = field(default=None)
-    ktk: np.ndarray = field(default=None)
-    xk: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.ete is None:
-            self.ete = np.zeros((self.r, self.r))
-        if self.we is None:
-            self.we = np.zeros((self.c, self.r))
-        if self.ktk is None:
-            self.ktk = np.zeros((self.r * self.r, self.r * self.r))
-        if self.xk is None:
-            self.xk = np.zeros((self.d, self.r * self.r))
-
-    def add(self, w, x, e):
-        gram = e.T @ e
-        self.ete += gram
-        self.we += w.to_dense() @ e
-        self.ktk += np.kron(gram, gram)
-        # row k of X'_s (E kron E) is vec(E^T X_sk E)
-        proj = np.einsum("ia,kij,jb->kab", e, x.to_dense(), e)
-        self.xk += proj.reshape(self.d, self.r * self.r)
 
 
 def update_P(ws, es, lambda_p, p_current=None, frozen=None):
@@ -100,7 +61,9 @@ def update_R(xs, es, lambda_r, alpha=1.0, r_cap=100):
     Solved through the Kronecker reformulation: each relation slice is the
     row-major matricization of one row of R' = alpha X'E' (alpha E'^T E' +
     lambda_r I)^-1 with E'_s = E_s kron E_s.  Requires an r^2 x r^2 solve,
-    hence the soft cap on r.
+    hence the soft cap on r.  The normal equations are streamed over the
+    corpus: ktk = sum (E_s^T E_s) kron (E_s^T E_s) (r^2 x r^2) and
+    xk = sum X'_s (E_s kron E_s) (d x r^2).
     """
     r = es[0].shape[1]
     if r > r_cap:
@@ -109,13 +72,15 @@ def update_R(xs, es, lambda_r, alpha=1.0, r_cap=100):
             % (r, r_cap)
         )
     d = xs[0].d
-    grams = GramAccumulators(r=r, c=1, d=d)
+    ktk = np.zeros((r * r, r * r))
+    xk = np.zeros((d, r * r))
     for x, e in zip(xs, es):
         gram = e.T @ e
-        grams.ktk += np.kron(gram, gram)
+        ktk += np.kron(gram, gram)
+        # row k of X'_s (E kron E) is vec(E^T X_sk E)
         proj = np.einsum("ia,kij,jb->kab", e, x.to_dense(), e)
-        grams.xk += proj.reshape(d, r * r)
-    r_flat = _spd_solve_right(alpha * grams.ktk, alpha * grams.xk, lambda_r, "R update")
+        xk += proj.reshape(d, r * r)
+    r_flat = _spd_solve_right(alpha * ktk, alpha * xk, lambda_r, "R update")
     return r_flat.reshape(d, r, r)
 
 
@@ -200,21 +165,23 @@ def r_penalty(r_tensor, hyper):
     return hyper.lambda_r * total
 
 
+def _regularizers(model, es, hyper):
+    """Sum of the P, R and E regularizer terms of the training objective."""
+    return (
+        hyper.lambda_p * float(np.sum(model.P ** 2))
+        + r_penalty(model.R, hyper)
+        + hyper.lambda_e * sum(float(np.sum(e ** 2)) for e in es)
+    )
+
+
 def corpus_objective(ws, xs, es, model, hyper, data_fit_only=False):
     """Regularized (or pure data-fit) objective over the whole corpus."""
     data_fit = 0.0
     for w, x, e in zip(ws, xs, es):
-        data_fit += float(np.sum((w.to_dense() - model.P @ e.T) ** 2))
-        data_fit += hyper.alpha * float(
-            np.sum((x.to_dense() - reconstruct_x(e, model.R)) ** 2)
-        )
+        data_fit += reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha)
     if data_fit_only:
         return data_fit
-    total = data_fit
-    total += hyper.lambda_p * float(np.sum(model.P ** 2))
-    total += r_penalty(model.R, hyper)
-    total += hyper.lambda_e * sum(float(np.sum(e ** 2)) for e in es)
-    return total
+    return data_fit + _regularizers(model, es, hyper)
 
 
 @dataclass
@@ -237,12 +204,8 @@ def train(ws, xs, model, hyper, log=None):
     """
     model = model.copy()
     es = [np.zeros((w.n, hyper.r)) for w in ws]
-
-    def objective():
-        return corpus_objective(ws, xs, es, model, hyper)
-
-    trace = [objective()]
     data_fit_trace = [corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)]
+    trace = [data_fit_trace[0] + _regularizers(model, es, hyper)]
     stopped = False
     for round_no in range(1, hyper.max_rounds + 1):
         t0 = time.perf_counter()
@@ -263,15 +226,14 @@ def train(ws, xs, model, hyper, log=None):
             model.R = regularize_R_nuclear(model.R, hyper.lambda_r)
         elif hyper.r_regularizer == "l1":
             model.R = regularize_R_l1(model.R, hyper.lambda_r)
-        obj = objective()
+        data_fit = corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)
+        obj = data_fit + _regularizers(model, es, hyper)
         if not np.isfinite(obj):
             raise DivergenceError("non-finite objective at round %d" % round_no)
         prev = trace[-1]
         rel = (prev - obj) / prev if prev > 0 else 0.0
         trace.append(obj)
-        data_fit_trace.append(
-            corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)
-        )
+        data_fit_trace.append(data_fit)
         if log is not None:
             log(
                 "round=%d objective=%.10g rel_improvement=%.6g seconds=%.3f"

@@ -6,7 +6,9 @@ global flags override config entries.
 """
 
 import argparse
+import os
 import sys
+import types
 
 from . import als, conll, encoding, inference, model as model_io, scoring, sgd, synth
 from .config import load_config
@@ -97,35 +99,27 @@ def cmd_train(cfg):
     hyper = cfg.hyper
     ws = [w for _, w, _ in sentences]
     xs = [x for _, _, x in sentences]
-
-    class _Dims:
-        pass
-
-    dims = _Dims()
-    dims.c, dims.d = c, d
-    trained = model_io.init_for_training(dims, hyper, cfg.seed)
+    trained = model_io.init_for_training(types.SimpleNamespace(c=c, d=d), hyper, cfg.seed)
     if cfg.vectors is not None:
         if vocab is None:
             raise ConfigError("pretrained vectors require a vocabulary, not tensors")
         trained = model_io.load_pretrained(trained, cfg.vectors, vocab)
-
-    log_lines = []
-    if cfg.trainer == "als":
-        if hyper.r > hyper.als_r_cap:
-            raise DimensionMismatch(
-                "r=%d exceeds the ALS cap %d; set trainer=sgd"
-                % (hyper.r, hyper.als_r_cap)
-            )
-        result = als.train(ws, xs, trained, hyper, log=log_lines.append)
-        trained = result.model
-    else:
-        trained, _, _ = sgd.train_sgd(
-            ws, xs, trained, hyper, cfg.sgd, log=log_lines.append
+    if cfg.trainer == "als" and hyper.r > hyper.als_r_cap:
+        raise DimensionMismatch(
+            "r=%d exceeds the ALS cap %d; set trainer=sgd" % (hyper.r, hyper.als_r_cap)
         )
+
+    with open(cfg.log or os.devnull, "w", encoding="utf-8") as log_file:
+        def log(line):
+            # flushed per line, so a run that fails keeps the rounds before it
+            log_file.write(line + "\n")
+            log_file.flush()
+
+        if cfg.trainer == "als":
+            trained = als.train(ws, xs, trained, hyper, log=log).model
+        else:
+            trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd, log=log)
     model_io.save_model(trained, cfg.model)
-    if cfg.log is not None:
-        with open(cfg.log, "w", encoding="utf-8") as f:
-            f.write("\n".join(log_lines) + ("\n" if log_lines else ""))
     print("wrote %s" % cfg.model)
     return EXIT_OK
 
@@ -190,14 +184,21 @@ def cmd_eval(cfg, mode):
     _require(cfg, "scores", "report")
     scored = []
     with open(cfg.scores, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            pid, score, gold, subset = line.split("\t")
-            gold = float(gold) if mode == "sts" else gold
+            try:
+                pid, score, gold, subset = line.split("\t")
+                gold = float(gold) if mode == "sts" else gold
+                score = float(score)
+            except ValueError:
+                raise BoveError(
+                    "scores file line %d: expected id, score, gold, subset "
+                    "separated by tabs, got %r" % (line_no, line)
+                ) from None
             scored.append(
-                scoring.ScoredPair(id=pid, score=float(score), gold=gold, subset=subset)
+                scoring.ScoredPair(id=pid, score=score, gold=gold, subset=subset)
             )
     _write_report(cfg, scored, mode)
     print("wrote %s" % cfg.report)
@@ -233,8 +234,6 @@ def build_parser():
     )
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (1 = bit-reproducible)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first per-sentence error")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,8 +255,6 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.fail_fast:
             cfg.fail_fast = True
         if args.command == "build-vocab":

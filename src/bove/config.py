@@ -40,7 +40,6 @@ class PipelineConfig:
     sgd: SgdConfig = field(default_factory=SgdConfig)
     trainer: str = "als"
     seed: int = 0
-    threads: int = 1
     fail_fast: bool = False
     # synth
     synth_sentences: int = 10
@@ -58,7 +57,7 @@ _COLUMN_KEYS = ("id", "form", "pos", "head", "deprel")
 _THRESHOLD_KEYS = ("word", "pos", "relation")
 _SYNTH_KEYS = ("sentences", "tokens", "predicates", "relations", "mode",
                "threshold", "noise")
-_TOP_KEYS = ("trainer", "seed", "threads", "fail_fast")
+_TOP_KEYS = ("trainer", "seed", "fail_fast")
 _HYPER_KEYS = tuple(f.name for f in dc_fields(Hyperparams))
 _SGD_KEYS = tuple(f.name for f in dc_fields(SgdConfig))
 
@@ -150,7 +149,7 @@ def parse_config(lines):
             elif key == "fail_fast":
                 cfg.fail_fast = _coerce(value, bool)
             else:
-                setattr(cfg, key, _coerce(value, int))
+                cfg.seed = _coerce(value, int)
         else:
             raise ConfigError("unknown config key %r" % key)
     if column_kwargs:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import BoveError, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -209,23 +209,35 @@ def read_tensor_file(path):
         sentences.append((sid, w, x))
 
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "dims":
-                c, d = int(parts[1]), int(parts[2])
-            elif parts[0] == "sentence":
-                flush()
-                current = (parts[1], int(parts[2]), [], [], [], [], [], [], [])
-            elif parts[0] == "W":
-                current[2].append(int(parts[1]))
-                current[3].append(int(parts[2]))
-                current[4].append(float(parts[3]) if len(parts) > 3 else 1.0)
-            elif parts[0] == "X":
-                current[5].append(int(parts[1]))
-                current[6].append(int(parts[2]))
-                current[7].append(int(parts[3]))
-                current[8].append(float(parts[4]) if len(parts) > 4 else 1.0)
+            if parts[0] != "dims" and c is None:
+                raise BoveError("%s line %d: %r before the 'dims c d' header"
+                                % (path, line_no, parts[0]))
+            if parts[0] in ("W", "X") and current is None:
+                raise BoveError("%s line %d: %s entry before the first 'sentence' line"
+                                % (path, line_no, parts[0]))
+            try:
+                if parts[0] == "dims":
+                    c, d = int(parts[1]), int(parts[2])
+                elif parts[0] == "sentence":
+                    flush()
+                    current = (parts[1], int(parts[2]), [], [], [], [], [], [], [])
+                elif parts[0] == "W":
+                    current[2].append(int(parts[1]))
+                    current[3].append(int(parts[2]))
+                    current[4].append(float(parts[3]) if len(parts) > 3 else 1.0)
+                elif parts[0] == "X":
+                    current[5].append(int(parts[1]))
+                    current[6].append(int(parts[2]))
+                    current[7].append(int(parts[3]))
+                    current[8].append(float(parts[4]) if len(parts) > 4 else 1.0)
+            except (IndexError, ValueError):
+                raise BoveError("%s line %d: malformed %r line"
+                                % (path, line_no, parts[0])) from None
+    if c is None:
+        raise BoveError("%s: missing the 'dims c d' header" % path)
     flush()
     return c, d, sentences

@@ -16,10 +16,8 @@ def infer_bove(w, x, model, hyper=None, iters=None):
     """Token embeddings (n x r) for one encoded sentence, P and R fixed.
 
     The first refresh is never averaged; afterwards each iteration solves
-    once from the running average and keeps the midpoint.  By default
-    hyper.inference_iters counts raw solves; with
-    iters_count_raw_solves=False it counts the averaged updates after the
-    first solve instead.
+    once from the running average and keeps the midpoint.  The iteration
+    count (hyper.inference_iters unless iters is given) counts raw solves.
     """
     if hyper is None:
         hyper = model.hyper
@@ -33,8 +31,7 @@ def infer_bove(w, x, model, hyper=None, iters=None):
         w, x, model.P, model.R, np.zeros((w.n, hyper.r)),
         hyper.alpha, hyper.lambda_e,
     )
-    remaining = total - 1 if hyper.iters_count_raw_solves else total
-    for _ in range(remaining):
+    for _ in range(total - 1):
         e_next = update_E_sentence(
             w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e
         )

@@ -47,9 +47,6 @@ class Hyperparams:
     e_reinit_period: int = 10
     e_reinit_burst: int = 5
     als_r_cap: int = 100
-    # True: inference_iters counts raw least-squares solves (default);
-    # False: it counts averaged updates after the unaveraged first solve.
-    iters_count_raw_solves: bool = True
 
     def __post_init__(self):
         if self.r < 1:
@@ -245,6 +242,8 @@ def load_model(path):
     r_tensor = np.frombuffer(take(d * r * r * 8), dtype="<f8").reshape(d, r, r).copy()
     if off != len(payload):
         raise ModelFormatError("%d trailing payload bytes" % (len(payload) - off))
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r_tensor))):
+        raise ModelFormatError("P or R holds a non-finite value")
     return TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=frozen, hyper=hyper)
 
 
@@ -271,8 +270,14 @@ def read_bags(path):
             header = f.readline()
             if not header:
                 break
-            sid, n, r = header.decode("utf-8").split()
-            n, r = int(n), int(r)
+            try:
+                sid, n, r = header.decode("utf-8").split()
+                n, r = int(n), int(r)
+            except ValueError:
+                raise ModelFormatError(
+                    "bag record %d: header must be 'id n r', got %r"
+                    % (len(bags) + 1, header)
+                ) from None
             raw = f.read(n * r * 8)
             if len(raw) != n * r * 8:
                 raise ModelTruncatedError("bag record for %s ended early" % sid)

@@ -7,6 +7,7 @@ importance-weighted so the sampled loss is an unbiased estimate of the
 full-tensor objective.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,7 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
     n = len(ws)
     trace = []
     for epoch in range(config.epochs):
+        t0 = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -187,7 +189,7 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
                     ((trace[-2] - epoch_loss) / trace[-2])
                     if len(trace) > 1 and trace[-2] > 0
                     else 0.0,
-                    0.0,
+                    time.perf_counter() - t0,
                 )
             )
     return model, e_store, trace

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from bove import synth
+from bove import als, synth
 from bove.als import (
-    GramAccumulators,
     averaged_E_step,
     corpus_objective,
     regularize_R_l1,
@@ -249,19 +248,6 @@ class TestRRegularizers:
         np.testing.assert_allclose(out, [[[0.4, -1.9], [0.0, 0.0]]], atol=1e-12)
 
 
-class TestGramAccumulators:
-    def test_symmetry(self):
-        rng = np.random.default_rng(12)
-        grams = GramAccumulators(r=3, c=4, d=2)
-        for _ in range(3):
-            w, x = sparse_sentence(rng.normal(size=(4, 5)), rng.normal(size=(2, 5, 5)))
-            grams.add(w, x, rng.normal(size=(5, 3)))
-        np.testing.assert_allclose(grams.ete, grams.ete.T, atol=1e-8)
-        np.testing.assert_allclose(grams.ktk, grams.ktk.T, atol=1e-8)
-        assert np.linalg.eigvalsh(grams.ete).min() >= -1e-8
-        assert np.linalg.eigvalsh(grams.ktk).min() >= -1e-8
-
-
 class TestTrain:
     def make_corpus(self, seed=0):
         data = synth.generate(seed, n_sentences=6, n_tokens=4, c=8, d=2, r=3)
@@ -344,6 +330,26 @@ class TestTrain:
             parts = dict(kv.split("=") for kv in line.split())
             assert set(parts) == {"round", "objective", "rel_improvement", "seconds"}
             float(parts["objective"])
+
+    def test_one_objective_pass_per_round(self, monkeypatch):
+        ws, xs = self.make_corpus()
+        hyper = Hyperparams(r=3, max_rounds=4, rel_improvement_stop=0.0)
+        model = init_for_training(Dims(8, 2), hyper, seed=7)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return corpus_objective(*args, **kwargs)
+
+        monkeypatch.setattr(als, "corpus_objective", counted)
+        result = train(ws, xs, model, hyper)
+        assert len(calls) == hyper.max_rounds + 1
+        assert len(result.trace) == hyper.max_rounds + 1
+        full = corpus_objective(ws, xs, result.e_store, result.model, hyper)
+        fit = corpus_objective(ws, xs, result.e_store, result.model, hyper,
+                               data_fit_only=True)
+        assert result.trace[-1] == pytest.approx(full, rel=1e-12)
+        assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
 
     def test_nuclear_regularizer_low_rank(self):
         ws, xs = self.make_corpus()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bove import encoding
+from bove import als, encoding
 from bove.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
-from bove.model import load_model, read_bags
+from bove.errors import DivergenceError, ModelFormatError
+from bove.model import load_model, read_bags, save_model
 
 
 def conll_line(idx, form, pos, head, deprel):
@@ -133,6 +134,20 @@ class TestTrain:
         log = (workspace / "train.log").read_text()
         assert log.startswith("round=1 objective=")
 
+    def test_log_streamed_before_divergence(self, workspace, monkeypatch):
+        line = "round=1 objective=2.5 rel_improvement=0 seconds=0.010"
+
+        def diverging_train(ws, xs, model, hyper, log=None):
+            log(line)
+            raise DivergenceError("non-finite objective at round 2")
+
+        monkeypatch.setattr(als, "train", diverging_train)
+        config = write_config(workspace,
+                              **{"paths.log": str(workspace / "train.log")})
+        run(config, "build-vocab")
+        assert run(config, "train") == EXIT_DIVERGED
+        assert (workspace / "train.log").read_text() == line + "\n"
+
     def test_train_from_tensor_file(self, workspace):
         base = write_config(workspace)
         run(base, "build-vocab")
@@ -164,6 +179,16 @@ class TestInfer:
         assert run(config, "infer") == EXIT_OK
         bags = read_bags(str(workspace / "bags.bin"))
         assert len(bags) == 1 and np.all(np.isfinite(bags[0][1]))
+
+    def test_non_finite_model_rejected(self, workspace, capsys):
+        config = trained_workspace(workspace)
+        model = load_model(str(workspace / "model.bin"))
+        model.R[0, 0, 0] = np.nan
+        save_model(model, str(workspace / "model.bin"))
+        with pytest.raises(ModelFormatError):
+            load_model(str(workspace / "model.bin"))
+        assert run(config, "infer") == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
 
     def test_identical_sentences_identical_bags(self, workspace):
         config = trained_workspace(workspace)
@@ -262,6 +287,28 @@ class TestSynth:
         first = (workspace / "tensors.txt").read_bytes()
         main(["--config", config, "--seed", "5", "synth"])
         assert (workspace / "tensors.txt").read_bytes() != first
+
+
+MALFORMED_INPUTS = {
+    "tensor entry before sentence": (
+        "tensors.txt", "dims 3 2\nW 0 0 1\n", ("train",), "line 2"),
+    "tensor file without dims": (
+        "tensors.txt", "sentence s0 1\nW 0 0 1\n", ("train",), "line 1"),
+    "short scores line": (
+        "scores.tsv", "p1\t0.5\t4.0\n", ("eval", "--mode", "sts"), "line 1"),
+    "bag header without r": (
+        "bags.bin", "a b\n", ("score", "--mode", "sts"), "record 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_a_data_error(workspace, capsys, name):
+    filename, text, command, where = MALFORMED_INPUTS[name]
+    (workspace / filename).write_text(text)
+    (workspace / "pairs.tsv").write_text("p1\ta\tb\t4.0\n")
+    config = tensors_config(workspace)
+    assert run(config, *command) == EXIT_DATA
+    assert where in capsys.readouterr().err
 
 
 class TestConfigAndUsage:

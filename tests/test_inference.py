@@ -88,19 +88,6 @@ class TestInferBove:
         eb = infer_bove(w, xb, model)
         assert np.max(np.abs(ea - eb)) > 1e-6
 
-    def test_iteration_count_conventions(self):
-        data = synth.generate(5, n_sentences=1, n_tokens=4, c=6, d=2, r=3,
-                              mode="discrete")
-        _, w, x = data.sentences[0]
-        raw = data.model.hyper
-        hyper_raw = Hyperparams(r=raw.r, iters_count_raw_solves=True)
-        hyper_avg = Hyperparams(r=raw.r, iters_count_raw_solves=False)
-        # counting raw solves: t total solves; counting averaged updates:
-        # t averaged updates after the first solve, i.e. t+1 raw solves
-        a = infer_bove(w, x, data.model, hyper=hyper_raw, iters=4)
-        b = infer_bove(w, x, data.model, hyper=hyper_avg, iters=3)
-        np.testing.assert_array_equal(a, b)
-
     def test_objective_monotone_after_first_average(self):
         data = synth.generate(6, n_sentences=100, n_tokens=5, c=10, d=3, r=4,
                               mode="discrete")

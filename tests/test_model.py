@@ -12,6 +12,8 @@ from bove.errors import (
 from bove.model import (
     Hyperparams,
     TypeEmbeddings,
+    _hyper_from_bytes,
+    _hyper_to_bytes,
     frozen_rows_digest,
     init_for_training,
     load_model,
@@ -177,6 +179,12 @@ class TestPersistence:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_unknown_hyper_keys_ignored(self):
+        # files written before iters_count_raw_solves was removed hold the key
+        hyper = Hyperparams(r=3, inference_iters=7)
+        blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True"
+        assert _hyper_from_bytes(blob) == hyper
 
     def test_checksum_failure(self, tmp_path):
         path = tmp_path / "model.bove"

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from bove import synth
+from bove import sgd, synth
 from bove.als import corpus_objective
 from bove.model import Hyperparams, init_for_training
 from bove.sgd import (
@@ -212,6 +214,19 @@ class TestTrainSgd:
         train_sgd(ws, xs, model, hyper, SgdConfig(epochs=2), log=lines.append)
         assert len(lines) == 2
         assert all("sampled=true" in line for line in lines)
+
+    def test_log_records_epoch_wall_time(self, monkeypatch):
+        ws, xs = micro_corpus()
+        hyper = Hyperparams(r=2)
+        model = init_for_training(Dims(4, 2), hyper, seed=9)
+        ticks = iter([10.0, 11.5, 20.0, 20.25])
+        monkeypatch.setattr(sgd, "time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks)))
+        lines = []
+        train_sgd(ws, xs, model, hyper, SgdConfig(epochs=2), log=lines.append)
+        seconds = [dict(kv.split("=") for kv in line.split())["seconds"]
+                   for line in lines]
+        assert seconds == ["1.500", "0.250"]
 
 
 def test_config_validation():
