@@ -1,4 +1,4 @@
-"""Command-line pipeline: build-vocab, encode, train, infer, score, eval, synth.
+"""Command-line pipeline: one subcommand per stage, declared in build_parser.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 divergence.  All subcommands are driven by a key=value config file; a few
@@ -95,6 +95,8 @@ def cmd_encode(cfg):
 
 def cmd_train(cfg):
     c, d, sentences, vocab = _training_tensors(cfg)
+    if not sentences:
+        raise BoveError("no sentences to train on")
     _require(cfg, "model")
     hyper = cfg.hyper
     ws = [w for _, w, _ in sentences]
@@ -237,11 +239,18 @@ def build_parser():
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort on the first per-sentence error")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("build-vocab", "encode", "train", "infer", "synth"):
-        sub.add_parser(name)
-    for name in ("score", "eval"):
-        p = sub.add_parser(name)
-        p.add_argument("--mode", choices=("sts", "snli"), required=True)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=("sts", "snli"), required=True)
+    for name, handler, parents in (
+        ("build-vocab", cmd_build_vocab, []),
+        ("encode", cmd_encode, []),
+        ("train", cmd_train, []),
+        ("infer", cmd_infer, []),
+        ("score", cmd_score, [mode]),
+        ("eval", cmd_eval, [mode]),
+        ("synth", cmd_synth, []),
+    ):
+        sub.add_parser(name, parents=parents).set_defaults(handler=handler)
     return parser
 
 
@@ -257,21 +266,9 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.fail_fast:
             cfg.fail_fast = True
-        if args.command == "build-vocab":
-            return cmd_build_vocab(cfg)
-        if args.command == "encode":
-            return cmd_encode(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "infer":
-            return cmd_infer(cfg)
-        if args.command == "score":
-            return cmd_score(cfg, args.mode)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.mode)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        return EXIT_USAGE
+        if "mode" in args:
+            return args.handler(cfg, args.mode)
+        return args.handler(cfg)
     except (ConfigError,) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,15 @@
 """Pipeline configuration: flat key=value text with dotted section prefixes.
 
 Unknown keys are rejected so a typo never silently falls back to a default.
-All randomness flows from the single top-level seed; stages derive sub-seeds
-deterministically.
+Two seeds drive all randomness: the top-level ``seed`` (which ``--seed``
+overrides) draws the initial P for ``train`` and the data of ``synth``, and
+``sgd.seed`` drives the SGD trainer's batch order and cell sampling.  ALS
+training and inference draw no random numbers.
 """
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
+from . import synth
 from .conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from .errors import ConfigError
 from .model import Hyperparams
@@ -51,22 +54,28 @@ class PipelineConfig:
     synth_noise: float = 0.0
 
 
-_PATH_KEYS = ("corpus", "vectors", "vocab", "model", "embeddings", "pairs",
-              "scores", "report", "tensors", "log")
-_COLUMN_KEYS = ("id", "form", "pos", "head", "deprel")
-_THRESHOLD_KEYS = ("word", "pos", "relation")
-_SYNTH_KEYS = ("sentences", "tokens", "predicates", "relations", "mode",
-               "threshold", "noise")
-_TOP_KEYS = ("trainer", "seed", "fail_fast")
-_HYPER_KEYS = tuple(f.name for f in dc_fields(Hyperparams))
-_SGD_KEYS = tuple(f.name for f in dc_fields(SgdConfig))
-
-
-def _field_type(annotation):
-    """Concrete coercion type for a dataclass field annotation."""
-    if annotation in (int, float, bool, str):
-        return annotation
-    return {"int": int, "float": float, "bool": bool}.get(annotation, str)
+# Flat keys: each names one PipelineConfig field and is coerced by its annotation.
+_FLAT_KEYS = {
+    **{"paths." + name: name for name in (
+        "corpus", "vectors", "vocab", "model", "embeddings", "pairs", "scores",
+        "report", "tensors", "log")},
+    **{"thresholds." + name: name + "_threshold" for name in ("word", "pos", "relation")},
+    **{"synth." + name: "synth_" + name for name in (
+        "sentences", "tokens", "predicates", "relations", "mode", "threshold", "noise")},
+    **{name: name for name in ("trainer", "seed", "fail_fast")},
+}
+# Dataclass sections: "<section>.<field>" overrides one field of the
+# PipelineConfig field of that name; each section is built once, in this order.
+_SECTIONS = ("columns", "hyper", "sgd")
+_FIELDS = {f.name: f for f in dc_fields(PipelineConfig)}
+# config key -> (its section, or None for a flat key; the field it sets)
+_KEYS = {
+    **{key: (None, _FIELDS[name]) for key, name in _FLAT_KEYS.items()},
+    **{"%s.%s" % (section, f.name): (section, f)
+       for section in _SECTIONS for f in dc_fields(_FIELDS[section].type)},
+}
+_LAYOUTS = {"conll09": CONLL09_COLUMNS, "conll06": CONLL06_COLUMNS}
+_CHOICES = {"trainer": ("als", "sgd"), "synth.mode": synth.MODES}
 
 
 def _coerce(raw, target_type):
@@ -84,92 +93,32 @@ def _coerce(raw, target_type):
 def parse_config(lines):
     """Build a PipelineConfig from an iterable of "section.key=value" lines."""
     cfg = PipelineConfig()
-    hyper_kwargs = {}
-    sgd_kwargs = {}
-    column_kwargs = {}
+    overrides = {section: {} for section in _SECTIONS}
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError("line %d: expected key=value, got %r" % (line_no, line))
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key.startswith("paths."):
-            name = key[len("paths."):]
-            if name not in _PATH_KEYS:
-                raise ConfigError("unknown config key %r" % key)
-            setattr(cfg, name, value)
-        elif key.startswith("columns."):
-            name = key[len("columns."):]
-            if name == "layout":
-                if value == "conll09":
-                    cfg.columns = CONLL09_COLUMNS
-                elif value == "conll06":
-                    cfg.columns = CONLL06_COLUMNS
-                else:
-                    raise ConfigError("unknown column layout %r" % value)
-            elif name in _COLUMN_KEYS:
-                column_kwargs[name] = _coerce(value, int)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError("%s must be %s" % (key, " or ".join(map(repr, _CHOICES[key]))))
+        if key == "columns.layout":
+            if value not in _LAYOUTS:
+                raise ConfigError("unknown column layout %r" % value)
+            cfg.columns = _LAYOUTS[value]
+        elif key in _KEYS:
+            section, target = _KEYS[key]
+            value = _coerce(value, target.type)
+            if section is None:
+                setattr(cfg, target.name, value)
             else:
-                raise ConfigError("unknown config key %r" % key)
-        elif key.startswith("thresholds."):
-            name = key[len("thresholds."):]
-            if name not in _THRESHOLD_KEYS:
-                raise ConfigError("unknown config key %r" % key)
-            setattr(cfg, name + "_threshold", _coerce(value, int))
-        elif key.startswith("hyper."):
-            name = key[len("hyper."):]
-            if name not in _HYPER_KEYS:
-                raise ConfigError("unknown config key %r" % key)
-            target = _field_type(Hyperparams.__dataclass_fields__[name].type)
-            hyper_kwargs[name] = _coerce(value, target)
-        elif key.startswith("sgd."):
-            name = key[len("sgd."):]
-            if name not in _SGD_KEYS:
-                raise ConfigError("unknown config key %r" % key)
-            target = _field_type(SgdConfig.__dataclass_fields__[name].type)
-            sgd_kwargs[name] = _coerce(value, target)
-        elif key.startswith("synth."):
-            name = key[len("synth."):]
-            if name not in _SYNTH_KEYS:
-                raise ConfigError("unknown config key %r" % key)
-            if name in ("mode",):
-                setattr(cfg, "synth_" + name, value)
-            elif name in ("threshold", "noise"):
-                setattr(cfg, "synth_" + name, _coerce(value, float))
-            else:
-                setattr(cfg, "synth_" + name, _coerce(value, int))
-        elif key in _TOP_KEYS:
-            if key == "trainer":
-                if value not in ("als", "sgd"):
-                    raise ConfigError("trainer must be 'als' or 'sgd'")
-                cfg.trainer = value
-            elif key == "fail_fast":
-                cfg.fail_fast = _coerce(value, bool)
-            else:
-                cfg.seed = _coerce(value, int)
+                overrides[section][target.name] = value
         else:
             raise ConfigError("unknown config key %r" % key)
-    if column_kwargs:
-        base = {f.name: getattr(cfg.columns, f.name) for f in dc_fields(ColumnMap)}
-        base.update(column_kwargs)
-        cfg.columns = ColumnMap(**base)
-    if hyper_kwargs:
+    for section, changes in overrides.items():
         try:
-            cfg.hyper = Hyperparams(**{
-                **{f.name: getattr(cfg.hyper, f.name) for f in dc_fields(Hyperparams)},
-                **hyper_kwargs,
-            })
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if sgd_kwargs:
-        try:
-            cfg.sgd = SgdConfig(**{
-                **{f.name: getattr(cfg.sgd, f.name) for f in dc_fields(SgdConfig)},
-                **sgd_kwargs,
-            })
+            setattr(cfg, section, replace(getattr(cfg, section), **changes))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return cfg

@@ -260,30 +260,38 @@ class Vocabulary:
     def load(cls, path):
         vocab = cls()
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for line_no, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                if line.startswith("#thresholds"):
-                    for part in line.split("\t")[1:]:
-                        key, val = part.split("=")
-                        setattr(vocab, key + "_threshold", int(val))
-                    continue
-                ns, label, sid, cnt = line.split("\t")
+                try:
+                    if line.startswith("#thresholds"):
+                        for part in line.split("\t")[1:]:
+                            key, val = part.split("=")
+                            setattr(vocab, key + "_threshold", int(val))
+                        continue
+                    ns, label, sid, cnt = line.split("\t")
+                    sid, cnt = int(sid), int(cnt)
+                except ValueError:
+                    raise VocabularyError(
+                        "%s line %d: malformed vocabulary line %r" % (path, line_no, line)
+                    ) from None
                 if ns in ("w", "p"):
-                    vocab.predicate_ids[ns + ":" + label] = int(sid)
-                    vocab.counts[ns + ":" + label] = int(cnt)
+                    vocab.predicate_ids[ns + ":" + label] = sid
+                    vocab.counts[ns + ":" + label] = cnt
                 elif ns == "r":
-                    vocab.relation_ids[label] = int(sid)
-                    vocab.counts["r:" + label] = int(cnt)
+                    vocab.relation_ids[label] = sid
+                    vocab.counts["r:" + label] = cnt
                 elif ns == "rawW":
-                    vocab.raw_word_counts[label] = int(cnt)
+                    vocab.raw_word_counts[label] = cnt
                 elif ns == "rawP":
-                    vocab.raw_pos_counts[label] = int(cnt)
+                    vocab.raw_pos_counts[label] = cnt
                 elif ns == "rawR":
-                    vocab.raw_relation_counts[label] = int(cnt)
+                    vocab.raw_relation_counts[label] = cnt
                 else:
-                    raise VocabularyError("unknown namespace %r in vocabulary file" % ns)
+                    raise VocabularyError(
+                        "%s line %d: unknown namespace %r" % (path, line_no, ns)
+                    )
         return vocab
 
 

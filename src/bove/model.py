@@ -7,7 +7,7 @@ pretrained word vectors can be pinned for an entire training run.
 
 import struct
 import zlib
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -166,24 +166,15 @@ def _hyper_to_bytes(hyper):
 
 
 def _hyper_from_bytes(blob):
-    fields = {}
-    for line in blob.decode("utf-8").splitlines():
-        key, val = line.split("=", 1)
-        fields[key] = val
-    kwargs = {}
-    for f_ in Hyperparams.__dataclass_fields__.values():
-        if f_.name not in fields:
-            continue
-        raw = fields[f_.name]
-        if f_.type in ("int", int):
-            kwargs[f_.name] = int(raw)
-        elif f_.type in ("float", float):
-            kwargs[f_.name] = float(raw)
-        elif f_.type in ("bool", bool):
-            kwargs[f_.name] = raw == "True"
-        else:
-            kwargs[f_.name] = raw
-    return Hyperparams(**kwargs)
+    """Parse a hyperparameter block; keys that are not Hyperparams fields are
+    ignored, so files written by older versions still load."""
+    try:
+        stored = dict(line.split("=", 1) for line in blob.decode("utf-8").splitlines())
+        return Hyperparams(**{
+            f.name: f.type(stored[f.name]) for f in fields(Hyperparams) if f.name in stored
+        })
+    except (ValueError, TypeError) as exc:
+        raise ModelFormatError("bad hyperparameter block: %s" % exc) from None
 
 
 def save_model(model, path):

@@ -164,7 +164,15 @@ def read_pairs(path, mode):
                 raise BoveError(
                     "pair file line %d: expected >= 4 tab-separated columns" % line_no
                 )
-            gold = float(cols[3]) if mode == "sts" else cols[3]
+            gold = cols[3]
+            if mode == "sts":
+                try:
+                    gold = float(gold)
+                except ValueError:
+                    raise BoveError(
+                        "pair file line %d: STS gold must be a number, got %r"
+                        % (line_no, gold)
+                    ) from None
             subset = cols[4] if len(cols) > 4 else "all"
             out.append((cols[0], cols[1], cols[2], gold, subset))
     return out

@@ -14,6 +14,9 @@ from .encoding import from_dense, reconstruct_x
 from .model import Hyperparams, TypeEmbeddings
 
 
+MODES = ("exact", "discrete")
+
+
 @dataclass
 class SynthData:
     model: TypeEmbeddings
@@ -54,7 +57,7 @@ def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
             w_dense = _binarize(w_dense, threshold)
             x_dense = _binarize(x_dense, threshold)
         elif mode != "exact":
-            raise ValueError("mode must be 'exact' or 'discrete'")
+            raise ValueError("mode must be one of %s" % (MODES,))
         w, x = from_dense(w_dense, x_dense)
         sentences.append((str(idx), w, x))
     return SynthData(model=model, e_true=es, sentences=sentences)

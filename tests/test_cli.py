@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bove import als, encoding
+from bove import als, encoding, model as model_io
 from bove.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from bove.errors import DivergenceError, ModelFormatError
 from bove.model import load_model, read_bags, save_model
@@ -102,6 +102,12 @@ class TestEncode:
             assert w.c == c and x.d == d
             assert w.nnz == 2 * w.n  # one word and one PoS predicate per token
 
+    def test_malformed_vocabulary_line(self, workspace, capsys):
+        vocab = workspace / "vocab.txt"
+        vocab.write_text("w\tcat\t0\t3\nw\tdog\t1\n")
+        assert run(tensors_config(workspace), "encode") == EXIT_DATA
+        assert "%s line 2" % vocab in capsys.readouterr().err
+
 
 class TestTrain:
     def test_als_deterministic(self, workspace):
@@ -155,6 +161,14 @@ class TestTrain:
         run(config, "encode")
         assert run(config, "train") == EXIT_OK
 
+    @pytest.mark.parametrize("trainer", ["als", "sgd"])
+    def test_no_sentences_is_a_data_error(self, workspace, capsys, trainer):
+        (workspace / "tensors.txt").write_text("dims 3 2\n")
+        config = tensors_config(workspace, trainer=trainer)
+        assert run(config, "train") == EXIT_DATA
+        assert "no sentences" in capsys.readouterr().err
+        assert not (workspace / "model.bin").exists()
+
 
 def trained_workspace(workspace):
     config = write_config(workspace)
@@ -189,6 +203,16 @@ class TestInfer:
             load_model(str(workspace / "model.bin"))
         assert run(config, "infer") == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage"])
+    def test_bad_hyperparameter_block_rejected(self, workspace, capsys,
+                                               monkeypatch, block):
+        config = trained_workspace(workspace)
+        model = load_model(str(workspace / "model.bin"))
+        monkeypatch.setattr(model_io, "_hyper_to_bytes", lambda hyper: block)
+        save_model(model, str(workspace / "model.bin"))
+        assert run(config, "infer") == EXIT_DATA
+        assert "bad hyperparameter block" in capsys.readouterr().err
 
     def test_identical_sentences_identical_bags(self, workspace):
         config = trained_workspace(workspace)
@@ -248,6 +272,13 @@ class TestScoreAndEval:
         (workspace / "pairs.tsv").write_text("p1\t0\t99\t4.0\n")
         assert run(config, "score", "--mode", "sts") == EXIT_DATA
         assert "missing sentence id" in capsys.readouterr().err
+
+    def test_non_numeric_sts_gold(self, workspace, capsys):
+        config = write_config(workspace)
+        (workspace / "bags.bin").write_bytes(b"")
+        (workspace / "pairs.tsv").write_text("p0\t0\t1\t4.0\np1\ta\tb\thigh\n")
+        assert run(config, "score", "--mode", "sts") == EXIT_DATA
+        assert "pair file line 2" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -328,6 +359,12 @@ class TestConfigAndUsage:
     def test_missing_subcommand(self, workspace, capsys):
         config = write_config(workspace)
         assert main(["--config", config]) == EXIT_USAGE
+
+    def test_unknown_synth_mode_rejected(self, workspace, capsys):
+        config = tensors_config(workspace, **{"synth.mode": "foo"})
+        assert run(config, "synth") == EXIT_USAGE
+        assert "synth.mode must be 'exact' or 'discrete'" in capsys.readouterr().err
+        assert not (workspace / "tensors.txt").exists()
 
     def test_missing_required_path(self, workspace, capsys):
         config = write_config(workspace)

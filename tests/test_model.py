@@ -186,6 +186,11 @@ class TestPersistence:
         blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True"
         assert _hyper_from_bytes(blob) == hyper
 
+    @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage", b"alpha=1.0", b""])
+    def test_bad_hyper_block(self, block):
+        with pytest.raises(ModelFormatError, match="bad hyperparameter block"):
+            _hyper_from_bytes(block)
+
     def test_checksum_failure(self, tmp_path):
         path = tmp_path / "model.bove"
         save_model(random_model(), path)
