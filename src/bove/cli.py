@@ -18,7 +18,6 @@ from .errors import (
     ConllParseError,
     DimensionMismatch,
     DivergenceError,
-    ModelFormatError,
     SingularSystemError,
     VocabularyError,
 )
@@ -269,7 +268,7 @@ def main(argv=None):
         if "mode" in args:
             return args.handler(cfg, args.mode)
         return args.handler(cfg)
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
@@ -278,8 +277,7 @@ def main(argv=None):
     except (DivergenceError, SingularSystemError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConllParseError, VocabularyError, ModelFormatError,
-            DimensionMismatch, BoveError) as exc:
+    except BoveError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 

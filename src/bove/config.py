@@ -76,6 +76,8 @@ _KEYS = {
 }
 _LAYOUTS = {"conll09": CONLL09_COLUMNS, "conll06": CONLL06_COLUMNS}
 _CHOICES = {"trainer": ("als", "sgd"), "synth.mode": synth.MODES}
+_AT_LEAST_ONE = {"synth." + name
+                 for name in ("sentences", "tokens", "predicates", "relations")}
 
 
 def _coerce(raw, target_type):
@@ -110,6 +112,8 @@ def parse_config(lines):
         elif key in _KEYS:
             section, target = _KEYS[key]
             value = _coerce(value, target.type)
+            if key in _AT_LEAST_ONE and value < 1:
+                raise ConfigError("%s must be at least 1, got %d" % (key, value))
             if section is None:
                 setattr(cfg, target.name, value)
             else:

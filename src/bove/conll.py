@@ -175,12 +175,6 @@ class Vocabulary:
     def d(self):
         return len(self.relation_ids)
 
-    def predicate_label(self, pid):
-        for label, i in self.predicate_ids.items():
-            if i == pid:
-                return label
-        raise VocabularyError("no predicate with id %d" % pid)
-
     # -- normalization ----------------------------------------------------
 
     def normalized_pos(self, pos):

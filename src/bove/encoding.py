@@ -14,9 +14,74 @@ import numpy as np
 from .errors import BoveError, DimensionMismatch
 
 
+class _CoordinateTensor:
+    """Coordinate form shared by W and X: one index array per axis and one
+    value per entry; unlisted cells are 0 and duplicate coordinates add up.
+
+    Each subclass is a frozen dataclass that declares AXES, one
+    (index field, size field, what the index counts) triple per axis.
+    """
+
+    AXES = ()
+
+    def __post_init__(self):
+        coords = [np.asarray(getattr(self, name), dtype=np.int64)
+                  for name, _, _ in self.AXES]
+        values = np.ones(len(coords[0])) if self.values is None else self.values
+        values = np.asarray(values, dtype=np.float64)
+        if any(len(index) != len(values) for index in coords):
+            raise DimensionMismatch("coordinate arrays must have equal length")
+        for index, size, (name, _, counts) in zip(coords, self.shape, self.AXES):
+            if len(index) and (index.min() < 0 or index.max() >= size):
+                raise DimensionMismatch("%s index out of range" % counts)
+            object.__setattr__(self, name, index)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _build(cls, sizes, columns):
+        """Instance from a {size field: size} map and one index column per
+        axis followed by the values column."""
+        *coords, values = columns
+        kwargs = {size: sizes[size] for _, size, _ in cls.AXES}
+        kwargs.update((name, index) for (name, _, _), index in zip(cls.AXES, coords))
+        return cls(values=values, **kwargs)
+
+    @classmethod
+    def from_dense(cls, dense):
+        """Coordinate form of the nonzero cells of a dense array."""
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != len(cls.AXES):
+            raise DimensionMismatch("%s needs a %d-axis array, got shape %s"
+                                    % (cls.__name__, len(cls.AXES), dense.shape))
+        sizes = {}
+        for (_, size, _), dim in zip(cls.AXES, dense.shape):
+            sizes.setdefault(size, dim)
+        coords = np.nonzero(dense)
+        return cls._build(sizes, (*coords, dense[coords]))
+
+    @property
+    def shape(self):
+        return tuple(getattr(self, size) for _, size, _ in self.AXES)
+
+    @property
+    def coords(self):
+        return tuple(getattr(self, name) for name, _, _ in self.AXES)
+
+    @property
+    def nnz(self):
+        return len(self.values)
+
+    def to_dense(self):
+        dense = np.zeros(self.shape)
+        np.add.at(dense, self.coords, self.values)
+        return dense
+
+
 @dataclass(frozen=True)
-class SparsePropertyMatrix:
+class SparsePropertyMatrix(_CoordinateTensor):
     """Coordinate-form property matrix, shape c x n, unlisted cells are 0."""
+
+    AXES = (("rows", "c", "predicate"), ("cols", "n", "token"))
 
     c: int
     n: int
@@ -24,36 +89,12 @@ class SparsePropertyMatrix:
     cols: np.ndarray
     values: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        values = self.values
-        if values is None:
-            values = np.ones(len(rows), dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(values)):
-            raise DimensionMismatch("coordinate arrays must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= self.c):
-            raise DimensionMismatch("predicate index out of range")
-        if len(cols) and (cols.min() < 0 or cols.max() >= self.n):
-            raise DimensionMismatch("token index out of range")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def nnz(self):
-        return len(self.rows)
-
-    def to_dense(self):
-        dense = np.zeros((self.c, self.n))
-        np.add.at(dense, (self.rows, self.cols), self.values)
-        return dense
-
 
 @dataclass(frozen=True)
-class SparseRelationTensor:
+class SparseRelationTensor(_CoordinateTensor):
     """Coordinate-form relation tensor, shape d x n x n, unlisted cells are 0."""
+
+    AXES = (("rels", "d", "relation"), ("heads", "n", "token"), ("deps", "n", "token"))
 
     d: int
     n: int
@@ -62,51 +103,11 @@ class SparseRelationTensor:
     deps: np.ndarray
     values: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        rels = np.asarray(self.rels, dtype=np.int64)
-        heads = np.asarray(self.heads, dtype=np.int64)
-        deps = np.asarray(self.deps, dtype=np.int64)
-        values = self.values
-        if values is None:
-            values = np.ones(len(rels), dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(rels) == len(heads) == len(deps) == len(values)):
-            raise DimensionMismatch("coordinate arrays must have equal length")
-        if len(rels) and (rels.min() < 0 or rels.max() >= self.d):
-            raise DimensionMismatch("relation index out of range")
-        for arr in (heads, deps):
-            if len(arr) and (arr.min() < 0 or arr.max() >= self.n):
-                raise DimensionMismatch("token index out of range")
-        object.__setattr__(self, "rels", rels)
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "deps", deps)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def nnz(self):
-        return len(self.rels)
-
-    def to_dense(self):
-        dense = np.zeros((self.d, self.n, self.n))
-        np.add.at(dense, (self.rels, self.heads, self.deps), self.values)
-        return dense
-
 
 def from_dense(w_dense, x_dense):
     """Coordinate forms of dense W (c x n) and X (d x n x n) arrays."""
-    w_dense = np.asarray(w_dense, dtype=np.float64)
-    x_dense = np.asarray(x_dense, dtype=np.float64)
-    wr, wc = np.nonzero(w_dense)
-    xr, xh, xd = np.nonzero(x_dense)
-    w = SparsePropertyMatrix(
-        c=w_dense.shape[0], n=w_dense.shape[1], rows=wr, cols=wc,
-        values=w_dense[wr, wc],
-    )
-    x = SparseRelationTensor(
-        d=x_dense.shape[0], n=x_dense.shape[1], rels=xr, heads=xh, deps=xd,
-        values=x_dense[xr, xh, xd],
-    )
-    return w, x
+    return (SparsePropertyMatrix.from_dense(w_dense),
+            SparseRelationTensor.from_dense(x_dense))
 
 
 def encode(graph, c, d):
@@ -133,13 +134,11 @@ def reconstruct_x(e, r_tensor):
     return np.einsum("ia,kab,jb->kij", e, r_tensor, e)
 
 
-def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0,
-                        lambda_p=0.0, lambda_r=0.0, lambda_e=0.0,
-                        include_regularizers=False):
+def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     """Full squared reconstruction loss over every cell of W and X.
 
-    ||W - P E^T||^2 + alpha ||X - E R E^T||^2, optionally plus the L2
-    regularizer terms.  All n^2 d relation cells participate, zeros included.
+    ||W - P E^T||^2 + alpha ||X - E R E^T||^2.  All n^2 d relation cells
+    participate, zeros included.
     """
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
@@ -157,28 +156,12 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0,
         raise DimensionMismatch("token counts of W, X and E disagree")
     loss = float(np.sum((w.to_dense() - p @ e.T) ** 2))
     loss += alpha * float(np.sum((x.to_dense() - reconstruct_x(e, r_tensor)) ** 2))
-    if include_regularizers:
-        loss += lambda_p * float(np.sum(p ** 2))
-        loss += lambda_r * float(np.sum(r_tensor ** 2))
-        loss += lambda_e * float(np.sum(e ** 2))
     return loss
 
 
-def dump_coordinates(w, x, stream, sentence_id=None, with_values=False):
-    """Write W/X as coordinate text lines ("W <pred> <tok>", "X <rel> <h> <d>")."""
-    if sentence_id is not None:
-        stream.write("sentence %s %d\n" % (sentence_id, w.n))
-    for i in range(w.nnz):
-        if with_values:
-            stream.write("W %d %d %.17g\n" % (w.rows[i], w.cols[i], w.values[i]))
-        else:
-            stream.write("W %d %d\n" % (w.rows[i], w.cols[i]))
-    for i in range(x.nnz):
-        if with_values:
-            stream.write("X %d %d %d %.17g\n"
-                         % (x.rels[i], x.heads[i], x.deps[i], x.values[i]))
-        else:
-            stream.write("X %d %d %d\n" % (x.rels[i], x.heads[i], x.deps[i]))
+# Tensor dump: "dims c d", then per sentence "sentence <id> <n>" followed by
+# one "<tag> <index per axis> <value>" line per entry of W and of X.
+_TAGS = {"W": SparsePropertyMatrix, "X": SparseRelationTensor}
 
 
 def write_tensor_file(path, sentences, c, d):
@@ -186,57 +169,62 @@ def write_tensor_file(path, sentences, c, d):
     with open(path, "w", encoding="utf-8") as f:
         f.write("dims %d %d\n" % (c, d))
         for sid, w, x in sentences:
-            dump_coordinates(w, x, f, sentence_id=sid, with_values=True)
+            f.write("sentence %s %d\n" % (sid, w.n))
+            for tag, tensor in zip(_TAGS, (w, x)):
+                line = tag + " %d" * len(tensor.AXES) + " %.17g\n"
+                for entry in zip(*tensor.coords, tensor.values):
+                    f.write(line % entry)
+
+
+def _size(raw):
+    size = int(raw)
+    if size < 0:
+        raise ValueError("negative size %d" % size)
+    return size
 
 
 def read_tensor_file(path):
     """Read a coordinate text corpus back; returns (c, d, [(id, W, X), ...])."""
     sentences = []
     c = d = None
-    current = None
+    current = None  # (id, n, {tag: one index list per axis, then the values})
 
     def flush():
-        if current is None:
-            return
-        sid, n, wrows, wcols, wvals, xr, xh, xd, xv = current
-        w = SparsePropertyMatrix(c=c, n=n, rows=np.array(wrows, dtype=np.int64),
-                                 cols=np.array(wcols, dtype=np.int64),
-                                 values=np.array(wvals))
-        x = SparseRelationTensor(d=d, n=n, rels=np.array(xr, dtype=np.int64),
-                                 heads=np.array(xh, dtype=np.int64),
-                                 deps=np.array(xd, dtype=np.int64),
-                                 values=np.array(xv))
-        sentences.append((sid, w, x))
+        if current is not None:
+            sid, n, columns = current
+            sizes = {"c": c, "d": d, "n": n}
+            sentences.append((sid, *(cls._build(sizes, columns[tag])
+                                     for tag, cls in _TAGS.items())))
 
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] != "dims" and c is None:
+            tag = parts[0]
+            if tag != "dims" and c is None:
                 raise BoveError("%s line %d: %r before the 'dims c d' header"
-                                % (path, line_no, parts[0]))
-            if parts[0] in ("W", "X") and current is None:
+                                % (path, line_no, tag))
+            if tag in _TAGS and current is None:
                 raise BoveError("%s line %d: %s entry before the first 'sentence' line"
-                                % (path, line_no, parts[0]))
+                                % (path, line_no, tag))
             try:
-                if parts[0] == "dims":
-                    c, d = int(parts[1]), int(parts[2])
-                elif parts[0] == "sentence":
+                if tag == "dims":
+                    c, d = _size(parts[1]), _size(parts[2])
+                elif tag == "sentence":
                     flush()
-                    current = (parts[1], int(parts[2]), [], [], [], [], [], [], [])
-                elif parts[0] == "W":
-                    current[2].append(int(parts[1]))
-                    current[3].append(int(parts[2]))
-                    current[4].append(float(parts[3]) if len(parts) > 3 else 1.0)
-                elif parts[0] == "X":
-                    current[5].append(int(parts[1]))
-                    current[6].append(int(parts[2]))
-                    current[7].append(int(parts[3]))
-                    current[8].append(float(parts[4]) if len(parts) > 4 else 1.0)
+                    current = (parts[1], _size(parts[2]),
+                               {t: [[] for _ in range(len(cls.AXES) + 1)]
+                                for t, cls in _TAGS.items()})
+                elif tag in _TAGS:
+                    *indices, values = current[2][tag]
+                    for axis, index in enumerate(indices, start=1):
+                        index.append(int(parts[axis]))
+                    value_at = len(indices) + 1
+                    values.append(float(parts[value_at]) if len(parts) > value_at else 1.0)
             except (IndexError, ValueError):
                 raise BoveError("%s line %d: malformed %r line"
-                                % (path, line_no, parts[0])) from None
+                                % (path, line_no, tag)) from None
     if c is None:
         raise BoveError("%s: missing the 'dims c d' header" % path)
     flush()

@@ -269,6 +269,11 @@ def read_bags(path):
                     "bag record %d: header must be 'id n r', got %r"
                     % (len(bags) + 1, header)
                 ) from None
+            if min(n, r) < 1:
+                raise ModelFormatError(
+                    "bag record %d: n and r must be at least 1, got %r"
+                    % (len(bags) + 1, header)
+                )
             raw = f.read(n * r * 8)
             if len(raw) != n * r * 8:
                 raise ModelTruncatedError("bag record for %s ended early" % sid)

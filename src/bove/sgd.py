@@ -7,6 +7,7 @@ importance-weighted so the sampled loss is an unbiased estimate of the
 full-tensor objective.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,32 @@ class SgdState:
         )
 
 
+def _sample(tensor, k, rng):
+    """Cells of one coordinate tensor: each entry (target its value, weight
+    1), then k * nnz uniform draws over its zero cells (target 0).
+
+    A cell takes one rng.integers draw per axis, in axis order.  Cells are
+    drawn in batches that read the same random stream as one-at-a-time
+    draws, and a batch never holds more cells than are still wanted, so
+    rejecting a positive cell leaves the stream where a draw-until-accepted
+    loop would.
+    """
+    shape = tensor.shape
+    coords = list(zip(*(index.tolist() for index in tensor.coords)))
+    cells = [cell + (value, 1.0) for cell, value in zip(coords, tensor.values.tolist())]
+    positives = set(coords)
+    n_zero = math.prod(shape) - len(positives)
+    wanted = k * tensor.nnz if n_zero else 0
+    weight = n_zero / wanted if wanted else 0.0
+    while wanted > 0:
+        batch = rng.integers(np.tile(shape, wanted)).reshape(wanted, len(shape))
+        for cell in map(tuple, batch.tolist()):
+            if cell not in positives:
+                cells.append(cell + (0.0, weight))
+                wanted -= 1
+    return cells
+
+
 def sample_cells(w, x, k, rng):
     """Sampled cells of one sentence: positives plus weighted negatives.
 
@@ -56,40 +83,7 @@ def sample_cells(w, x, k, rng):
     uniform over zero cells, with weight n_zero / (k * n_pos) so the
     expected sampled zero-cell loss equals the full zero-cell loss.
     """
-    w_cells = []
-    pos_w = set(zip(w.rows.tolist(), w.cols.tolist()))
-    for i in range(w.nnz):
-        w_cells.append((int(w.rows[i]), int(w.cols[i]), float(w.values[i]), 1.0))
-    n_zero_w = w.c * w.n - len(pos_w)
-    if w.nnz and k and n_zero_w:
-        weight = n_zero_w / (k * w.nnz)
-        for _ in range(k * w.nnz):
-            while True:
-                cell = (int(rng.integers(w.c)), int(rng.integers(w.n)))
-                if cell not in pos_w:
-                    break
-            w_cells.append((cell[0], cell[1], 0.0, weight))
-
-    x_cells = []
-    pos_x = set(zip(x.rels.tolist(), x.heads.tolist(), x.deps.tolist()))
-    for i in range(x.nnz):
-        x_cells.append(
-            (int(x.rels[i]), int(x.heads[i]), int(x.deps[i]), float(x.values[i]), 1.0)
-        )
-    n_zero_x = x.d * x.n * x.n - len(pos_x)
-    if x.nnz and k and n_zero_x:
-        weight = n_zero_x / (k * x.nnz)
-        for _ in range(k * x.nnz):
-            while True:
-                cell = (
-                    int(rng.integers(x.d)),
-                    int(rng.integers(x.n)),
-                    int(rng.integers(x.n)),
-                )
-                if cell not in pos_x:
-                    break
-            x_cells.append((cell[0], cell[1], cell[2], 0.0, weight))
-    return w_cells, x_cells
+    return _sample(w, k, rng), _sample(x, k, rng)
 
 
 def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_scale):

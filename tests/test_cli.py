@@ -329,6 +329,14 @@ MALFORMED_INPUTS = {
         "scores.tsv", "p1\t0.5\t4.0\n", ("eval", "--mode", "sts"), "line 1"),
     "bag header without r": (
         "bags.bin", "a b\n", ("score", "--mode", "sts"), "record 1"),
+    "negative tensor dims": (
+        "tensors.txt", "dims -3 2\n", ("train",), "line 1"),
+    "negative sentence length": (
+        "tensors.txt", "dims 3 2\nsentence s0 -1\n", ("train",), "line 2"),
+    "negative bag shape": (
+        "bags.bin", "a -1 -1\n", ("score", "--mode", "sts"), "record 1"),
+    "negative bag r": (
+        "bags.bin", "a 2 -4\n", ("score", "--mode", "sts"), "record 1"),
 }
 
 
@@ -365,6 +373,16 @@ class TestConfigAndUsage:
         assert run(config, "synth") == EXIT_USAGE
         assert "synth.mode must be 'exact' or 'discrete'" in capsys.readouterr().err
         assert not (workspace / "tensors.txt").exists()
+
+    @pytest.mark.parametrize("key", ["synth.sentences", "synth.tokens",
+                                     "synth.predicates", "synth.relations"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_synth_count_below_one_rejected(self, workspace, capsys, key, value):
+        config = tensors_config(workspace, **{key: value})
+        assert run(config, "synth") == EXIT_USAGE
+        assert "%s must be at least 1" % key in capsys.readouterr().err
+        assert not (workspace / "tensors.txt").exists()
+        assert not (workspace / "model.bin").exists()
 
     def test_missing_required_path(self, workspace, capsys):
         config = write_config(workspace)

@@ -1,13 +1,11 @@
-import io
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bove.conll import SentenceGraph
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
-    dump_coordinates,
     encode,
     from_dense,
     read_tensor_file,
@@ -50,15 +48,6 @@ class TestReconstructionLoss:
         loss = reconstruction_loss(w, x, np.zeros((2, 3)), np.zeros((1, 3, 3)),
                                    np.zeros((2, 3)))
         assert loss == 0.0
-
-    def test_regularizer_only(self):
-        w, x = from_dense(np.zeros((2, 2)), np.zeros((1, 2, 2)))
-        e = np.array([[1.0, 2.0], [3.0, 4.0]])
-        loss = reconstruction_loss(
-            w, x, np.zeros((2, 2)), np.zeros((1, 2, 2)), e,
-            lambda_e=1.0, include_regularizers=True,
-        )
-        assert loss == pytest.approx(30.0)
 
     def test_scalar_exact_fit(self):
         # c=1, n=1, r=1: W=[[1]], P=[[0.5]], E=[[2]] reconstructs exactly
@@ -120,11 +109,11 @@ class TestReconstructionLoss:
 
 
 class TestCoordinateText:
-    def test_dump_format(self):
-        w, x = from_dense(np.array([[1.0, 0.0]]), np.array([[[0.0, 1.0], [0.0, 0.0]]]))
-        buf = io.StringIO()
-        dump_coordinates(w, x, buf)
-        assert buf.getvalue() == "W 0 0\nX 0 0 1\n"
+    def test_dump_format(self, tmp_path):
+        w, x = from_dense(np.array([[1.0, 0.0]]), np.array([[[0.0, 0.25], [0.0, 0.0]]]))
+        path = tmp_path / "tensors.txt"
+        write_tensor_file(path, [("s0", w, x)], c=1, d=1)
+        assert path.read_text() == "dims 1 1\nsentence s0 2\nW 0 0 1\nX 0 0 1 0.25\n"
 
     def test_tensor_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -139,3 +128,97 @@ class TestCoordinateText:
         assert sid == "s0"
         np.testing.assert_array_equal(w2.to_dense(), wd)
         np.testing.assert_array_equal(x2.to_dense(), xd)
+
+
+@st.composite
+def coordinate_tensors(draw):
+    """A (W, X) pair on random shapes, n = 1 included, with possibly no
+    entries and possibly repeated coordinates."""
+    c, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = st.floats(-4, 4, allow_nan=False)
+
+    def entries(shape):
+        cell = st.tuples(*(st.integers(0, size - 1) for size in shape))
+        return draw(st.lists(st.tuples(cell, value), max_size=8))
+
+    def columns(listed, arity):
+        coords = [[cell[axis] for cell, _ in listed] for axis in range(arity)]
+        return coords, [v for _, v in listed]
+
+    (rows, cols), w_values = columns(entries((c, n)), 2)
+    (rels, heads, deps), x_values = columns(entries((d, n, n)), 3)
+    return (SparsePropertyMatrix(c=c, n=n, rows=rows, cols=cols, values=w_values),
+            SparseRelationTensor(d=d, n=n, rels=rels, heads=heads, deps=deps,
+                                 values=x_values))
+
+
+def summed_dense(tensor):
+    """Dense oracle: a Python loop adding every entry into its cell."""
+    dense = np.zeros(tensor.shape)
+    for i in range(tensor.nnz):
+        dense[tuple(int(index[i]) for index in tensor.coords)] += tensor.values[i]
+    return dense
+
+
+class TestCoordinateCore:
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_tensors())
+    def test_to_dense_sums_duplicates(self, pair):
+        for tensor in pair:
+            np.testing.assert_array_equal(tensor.to_dense(), summed_dense(tensor))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_tensors())
+    def test_from_dense_round_trip(self, pair):
+        for tensor in pair:
+            dense = tensor.to_dense()
+            again = type(tensor).from_dense(dense)
+            assert again.shape == tensor.shape
+            np.testing.assert_array_equal(again.to_dense(), dense)
+        w, x = pair
+        w2, x2 = from_dense(w.to_dense(), x.to_dense())
+        np.testing.assert_array_equal(w2.to_dense(), w.to_dense())
+        np.testing.assert_array_equal(x2.to_dense(), x.to_dense())
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_tensors())
+    def test_tensor_file_round_trip(self, tmp_path_factory, pair):
+        w, x = pair
+        path = tmp_path_factory.mktemp("dump") / "tensors.txt"
+        write_tensor_file(path, [("s0", w, x), ("s1", w, x)], c=w.c, d=x.d)
+        c, d, sentences = read_tensor_file(path)
+        assert (c, d) == (w.c, x.d)
+        assert [sid for sid, _, _ in sentences] == ["s0", "s1"]
+        for _, w2, x2 in sentences:
+            assert (w2.shape, x2.shape) == (w.shape, x.shape)
+            np.testing.assert_array_equal(w2.to_dense(), w.to_dense())
+            np.testing.assert_array_equal(x2.to_dense(), x.to_dense())
+
+    def test_shape_and_coords(self):
+        x = SparseRelationTensor(d=2, n=3, rels=[1], heads=[2], deps=[0])
+        assert x.shape == (2, 3, 3) and x.nnz == 1
+        assert [index.tolist() for index in x.coords] == [[1], [2], [0]]
+        assert x.values.tolist() == [1.0]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SparsePropertyMatrix(c=2, n=2, rows=[0, 1], cols=[0]),
+         "coordinate arrays must have equal length"),
+        (lambda: SparsePropertyMatrix(c=2, n=2, rows=[2], cols=[0]),
+         "predicate index out of range"),
+        (lambda: SparsePropertyMatrix(c=2, n=2, rows=[0], cols=[-1]),
+         "token index out of range"),
+        (lambda: SparseRelationTensor(d=1, n=2, rels=[1], heads=[0], deps=[0]),
+         "relation index out of range"),
+        (lambda: SparseRelationTensor(d=1, n=2, rels=[0], heads=[2], deps=[0]),
+         "token index out of range"),
+        (lambda: SparseRelationTensor(d=1, n=2, rels=[0], heads=[0], deps=[0],
+                                      values=[1.0, 2.0]),
+         "coordinate arrays must have equal length"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            build()
+
+    def test_from_dense_needs_the_axis_count(self):
+        with pytest.raises(DimensionMismatch):
+            SparsePropertyMatrix.from_dense(np.zeros((2, 2, 2)))

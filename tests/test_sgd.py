@@ -2,9 +2,11 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bove import sgd, synth
 from bove.als import corpus_objective
+from bove.encoding import from_dense
 from bove.model import Hyperparams, init_for_training
 from bove.sgd import (
     SgdConfig,
@@ -163,6 +165,55 @@ class TestSampling:
         for kk, h, t in zero_x:
             full += hyper.alpha * float(e[h] @ model.R[kk] @ e[t]) ** 2
         assert expected == pytest.approx(full, rel=1e-12)
+
+
+def one_at_a_time(tensor, k, rng):
+    """Reference sampler: draw each negative cell one axis at a time with
+    scalar draws, redrawing until the cell is not a positive."""
+    coords = [tuple(int(index[i]) for index in tensor.coords) for i in range(tensor.nnz)]
+    cells = [cell + (float(value), 1.0) for cell, value in zip(coords, tensor.values)]
+    n_zero = int(np.prod(tensor.shape)) - len(set(coords))
+    if tensor.nnz and k and n_zero:
+        for _ in range(k * tensor.nnz):
+            while True:
+                cell = tuple(int(rng.integers(size)) for size in tensor.shape)
+                if cell not in coords:
+                    break
+            cells.append(cell + (0.0, n_zero / (k * tensor.nnz)))
+    return cells
+
+
+class TestSamplingStream:
+    def test_golden_draws(self):
+        # Recorded with the per-axis scalar sampler: W has as many zero cells
+        # as positives, so several draws are rejected.
+        w, x = from_dense(
+            np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0]]),
+            np.array([[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                      [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 0.0, 0.0]]]))
+        rng = np.random.default_rng(7)
+        w_cells, x_cells = sample_cells(w, x, 2, rng)
+        assert w_cells == [
+            (0, 0, 1.0, 1.0), (0, 2, 0.5, 1.0), (1, 1, 2.0, 1.0),
+            (1, 2, 0.0, 0.5), (1, 2, 0.0, 0.5), (1, 0, 0.0, 0.5),
+            (1, 0, 0.0, 0.5), (0, 1, 0.0, 0.5), (1, 0, 0.0, 0.5)]
+        assert x_cells == [
+            (0, 0, 1, 1.0, 1.0), (0, 2, 0, 1.0, 1.0), (1, 1, 2, 1.5, 1.0),
+            (0, 0, 2, 0.0, 2.5), (0, 2, 1, 0.0, 2.5), (0, 1, 1, 0.0, 2.5),
+            (1, 2, 2, 0.0, 2.5), (0, 0, 2, 0.0, 2.5), (0, 2, 1, 0.0, 2.5)]
+        assert rng.integers(1000) == 114
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=st.integers(1, 5), d=st.integers(1, 3), n=st.integers(1, 4),
+           density=st.floats(0, 1), k=st.integers(0, 4), seed=st.integers(0, 2 ** 32))
+    def test_matches_one_at_a_time_draws(self, c, d, n, density, k, seed):
+        data = np.random.default_rng(seed)
+        w, x = from_dense((data.random((c, n)) < density) * data.normal(size=(c, n)),
+                          (data.random((d, n, n)) < density).astype(float))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_cells(w, x, k, rng) == (one_at_a_time(w, k, ref),
+                                              one_at_a_time(x, k, ref))
+        assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
 
 
 class TestTrainSgd:
