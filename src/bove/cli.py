@@ -10,6 +10,8 @@ import os
 import sys
 import types
 
+import numpy as np
+
 from . import als, conll, encoding, inference, model as model_io, scoring, sgd, synth
 from .config import load_config
 from .errors import (
@@ -116,10 +118,17 @@ def cmd_train(cfg):
             log_file.write(line + "\n")
             log_file.flush()
 
-        if cfg.trainer == "als":
-            trained = als.train(ws, xs, trained, hyper, log=log).model
-        else:
-            trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd, log=log)
+        # an overflow or an invalid operation (inf - inf) is a divergence:
+        # stop at the first one, before an inf reaches a solver
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if cfg.trainer == "als":
+                    trained = als.train(ws, xs, trained, hyper, log=log).model
+                else:
+                    trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd,
+                                                  log=log)
+        except FloatingPointError as exc:
+            raise DivergenceError("training diverged: %s" % exc) from None
     model_io.save_model(trained, cfg.model)
     print("wrote %s" % cfg.model)
     return EXIT_OK
@@ -273,6 +282,9 @@ def main(argv=None):
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print("error: file not found: %s" % exc.filename, file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print("error: input is not UTF-8 text: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, SingularSystemError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -125,6 +125,10 @@ def parse_config(lines):
             setattr(cfg, section, replace(getattr(cfg, section), **changes))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    if cfg.trainer == "sgd" and cfg.hyper.r_regularizer != "l2":
+        # the SGD trainer always applies the L2 penalty to R
+        raise ConfigError("trainer=sgd supports only hyper.r_regularizer=l2, got %r"
+                          % cfg.hyper.r_regularizer)
     return cfg
 
 

@@ -7,7 +7,9 @@ adjacency relation) get their own id space.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ConllParseError, VocabularyError
 
@@ -59,15 +61,19 @@ def is_number(form):
     return bool(_NUMBER_RE.fullmatch(form))
 
 
-def is_punctuation_tag(pos, punct_tags=None):
-    """True when the PoS tag marks punctuation.
-
-    Default trigger: the tag is nonempty and consists solely of
-    non-alphanumeric characters.  An explicit tag set overrides this.
-    """
-    if punct_tags is not None:
-        return pos in punct_tags
+def is_punctuation_tag(pos):
+    """True when the PoS tag is nonempty and has no alphanumeric character."""
     return bool(pos) and not any(ch.isalnum() for ch in pos)
+
+
+def _word_class(form, pos):
+    """NB for a number, PUNCT for a punctuation tag, else None: a plain word,
+    even when its form is literally "NB" or "PUNCT"."""
+    if is_number(form):
+        return NB
+    if is_punctuation_tag(pos):
+        return PUNCT
+    return None
 
 
 def read_conll(stream, columns=CONLL09_COLUMNS):
@@ -79,15 +85,14 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
     """
     need = columns.max_column() + 1
     tokens = []
-    start_line = None
-    for line_no, line in enumerate(stream, start=1):
+    # the blank line chained after the stream ends its last sentence
+    for line_no, line in enumerate(chain(stream, [""]), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             if tokens:
                 _check_sentence(tokens, start_line)
                 yield tokens
                 tokens = []
-                start_line = None
             continue
         if line.startswith("#"):
             continue
@@ -113,7 +118,7 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
             raise ConllParseError("head must be >= 0, got %d" % head, line_no)
         if head == index:
             raise ConllParseError("token %d heads itself" % index, line_no)
-        if start_line is None:
+        if not tokens:
             start_line = line_no
         tokens.append(
             RawToken(
@@ -124,9 +129,6 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
                 deprel=cols[columns.deprel],
             )
         )
-    if tokens:
-        _check_sentence(tokens, start_line)
-        yield tokens
 
 
 def _check_sentence(tokens, start_line):
@@ -136,13 +138,39 @@ def _check_sentence(tokens, start_line):
             raise ConllParseError(
                 "token ids not consecutive from 1 (found %d at position %d)"
                 % (tok.index, offset + 1),
-                (start_line or 0) + offset,
+                start_line + offset,
             )
         if tok.head > n:
             raise ConllParseError(
                 "head %d out of range for %d-token sentence" % (tok.head, n),
-                (start_line or 0) + offset,
+                start_line + offset,
             )
+
+
+def _frequent(label, raw_counts, threshold, unknown):
+    """label when its raw count reaches threshold, else the unknown label."""
+    return label if raw_counts.get(label, 0) >= threshold else unknown
+
+
+def _lookup(ids, label, fallback):
+    """Id of label, else of its fallback; VocabularyError when neither exists."""
+    found = ids.get(label, ids.get(fallback))
+    if found is None:
+        raise VocabularyError("label %r missing and no fallback %r" % (label, fallback))
+    return found
+
+
+# Vocabulary file namespace -> (Vocabulary field, key prefix there; None for the
+# raw counts, whose lines carry id 0).  An id line's count is in counts["ns:label"].
+_NAMESPACES = {
+    "w": ("predicate_ids", "w:"),
+    "p": ("predicate_ids", "p:"),
+    "r": ("relation_ids", ""),
+    "rawW": ("raw_word_counts", None),
+    "rawP": ("raw_pos_counts", None),
+    "rawR": ("raw_relation_counts", None),
+}
+_FILE_ORDER = list(dict.fromkeys(name for name, _ in _NAMESPACES.values()))
 
 
 @dataclass
@@ -165,7 +193,6 @@ class Vocabulary:
     word_threshold: int = 2
     pos_threshold: int = 2
     relation_threshold: int = 1000
-    punct_tags: frozenset | None = None
 
     @property
     def c(self):
@@ -178,77 +205,53 @@ class Vocabulary:
     # -- normalization ----------------------------------------------------
 
     def normalized_pos(self, pos):
-        if self.raw_pos_counts.get(pos, 0) < self.pos_threshold:
-            return UNKNOWN_POSTAG
-        return pos
+        return _frequent(pos, self.raw_pos_counts, self.pos_threshold, UNKNOWN_POSTAG)
 
     def normalized_word(self, form, pos):
-        if is_number(form):
-            return NB
-        if is_punctuation_tag(pos, self.punct_tags):
-            return PUNCT
-        if self.raw_word_counts.get(form, 0) < self.word_threshold:
-            return "UNKNOWN_" + self.normalized_pos(pos)
-        return form
+        return _word_class(form, pos) or _frequent(
+            form, self.raw_word_counts, self.word_threshold,
+            "UNKNOWN_" + self.normalized_pos(pos))
 
     def normalized_relation(self, deprel):
-        if self.raw_relation_counts.get(deprel, 0) < self.relation_threshold:
-            return UNKNOWN_RELATION
-        return deprel
+        return _frequent(deprel, self.raw_relation_counts, self.relation_threshold,
+                         UNKNOWN_RELATION)
 
     # -- id lookups with inference fallback --------------------------------
 
     def word_predicate_id(self, form, pos):
-        label = "w:" + self.normalized_word(form, pos)
-        pid = self.predicate_ids.get(label)
-        if pid is None:
-            # unseen-at-inference word whose UNKNOWN_<POS> variant was never
-            # created during training: fall back to the generic unknown word.
-            pid = self.predicate_ids.get("w:" + GENERIC_UNKNOWN_WORD)
-        if pid is None:
-            raise VocabularyError(
-                "predicate %r missing and no generic unknown-word fallback" % label
-            )
-        return pid
+        return _lookup(self.predicate_ids, "w:" + self.normalized_word(form, pos),
+                       "w:" + GENERIC_UNKNOWN_WORD)
 
     def pos_predicate_id(self, pos):
-        label = "p:" + self.normalized_pos(pos)
-        pid = self.predicate_ids.get(label)
-        if pid is None:
-            pid = self.predicate_ids.get("p:" + UNKNOWN_POSTAG)
-        if pid is None:
-            raise VocabularyError("predicate %r missing and no UNKNOWN_POSTAG" % label)
-        return pid
+        return _lookup(self.predicate_ids, "p:" + self.normalized_pos(pos),
+                       "p:" + UNKNOWN_POSTAG)
 
     def relation_id(self, deprel):
-        label = self.normalized_relation(deprel)
-        rid = self.relation_ids.get(label)
-        if rid is None:
-            rid = self.relation_ids.get(UNKNOWN_RELATION)
-        if rid is None:
-            raise VocabularyError("relation %r missing and no UNKNOWN_RELATION" % label)
-        return rid
+        return _lookup(self.relation_ids, self.normalized_relation(deprel),
+                       UNKNOWN_RELATION)
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        """Write as UTF-8 text, one "namespace\\tlabel\\tid\\tcount" line per label."""
+        """Write as UTF-8 text, one "namespace\\tlabel\\tid\\tcount" line per label;
+        field by field, ids in id order, raw counts in label order."""
+        lines = []
+        for ns, (name, prefix) in _NAMESPACES.items():
+            order = _FILE_ORDER.index(name)
+            for key, value in getattr(self, name).items():
+                if prefix is None:
+                    lines.append((order, 0, key, ns, value))
+                elif key.startswith(prefix):
+                    label = key[len(prefix):]
+                    lines.append((order, value, label, ns,
+                                  self.counts.get(ns + ":" + label, 0)))
         with open(path, "w", encoding="utf-8") as f:
             f.write(
                 "#thresholds\tword=%d\tpos=%d\trelation=%d\n"
                 % (self.word_threshold, self.pos_threshold, self.relation_threshold)
             )
-            for label, pid in sorted(self.predicate_ids.items(), key=lambda kv: kv[1]):
-                ns, bare = label.split(":", 1)
-                f.write("%s\t%s\t%d\t%d\n" % (ns, bare, pid, self.counts.get(label, 0)))
-            for label, rid in sorted(self.relation_ids.items(), key=lambda kv: kv[1]):
-                f.write("r\t%s\t%d\t%d\n" % (label, rid, self.counts.get("r:" + label, 0)))
-            for form, cnt in sorted(self.raw_word_counts.items()):
-                f.write("rawW\t%s\t0\t%d\n" % (form, cnt))
-            for pos, cnt in sorted(self.raw_pos_counts.items()):
-                f.write("rawP\t%s\t0\t%d\n" % (pos, cnt))
-            for rel, cnt in sorted(self.raw_relation_counts.items()):
-                f.write("rawR\t%s\t0\t%d\n" % (rel, cnt))
+            for _, sid, label, ns, cnt in sorted(lines):
+                f.write("%s\t%s\t%d\t%d\n" % (ns, label, sid, cnt))
 
     @classmethod
     def load(cls, path):
@@ -266,26 +269,20 @@ class Vocabulary:
                         continue
                     ns, label, sid, cnt = line.split("\t")
                     sid, cnt = int(sid), int(cnt)
+                    name, prefix = _NAMESPACES[ns]
                 except ValueError:
                     raise VocabularyError(
                         "%s line %d: malformed vocabulary line %r" % (path, line_no, line)
                     ) from None
-                if ns in ("w", "p"):
-                    vocab.predicate_ids[ns + ":" + label] = sid
-                    vocab.counts[ns + ":" + label] = cnt
-                elif ns == "r":
-                    vocab.relation_ids[label] = sid
-                    vocab.counts["r:" + label] = cnt
-                elif ns == "rawW":
-                    vocab.raw_word_counts[label] = cnt
-                elif ns == "rawP":
-                    vocab.raw_pos_counts[label] = cnt
-                elif ns == "rawR":
-                    vocab.raw_relation_counts[label] = cnt
-                else:
+                except KeyError:
                     raise VocabularyError(
                         "%s line %d: unknown namespace %r" % (path, line_no, ns)
-                    )
+                    ) from None
+                if prefix is None:
+                    getattr(vocab, name)[label] = cnt
+                else:
+                    getattr(vocab, name)[prefix + label] = sid
+                    vocab.counts[ns + ":" + label] = cnt
         return vocab
 
 
@@ -299,77 +296,45 @@ def normalize_relation(deprel, vocab):
     return vocab.normalized_relation(deprel)
 
 
-def build_vocabulary(
-    corpus,
-    word_threshold=2,
-    pos_threshold=2,
-    relation_threshold=1000,
-    punct_tags=None,
-):
+def build_vocabulary(corpus, word_threshold=2, pos_threshold=2, relation_threshold=1000):
     """Build a Vocabulary from an iterable of RawToken lists.
 
     Ids are dense and deterministic: descending final-label frequency, ties
     broken lexicographically.  Always creates NB, PUNCT, the generic
     unknown-word predicate, UNKNOWN_POSTAG, UNKNOWN_RELATION and ADJ.
     """
+    sentences = list(corpus)
+    tokens = [tok for sentence in sentences for tok in sentence]
+    if not tokens:
+        raise VocabularyError("empty corpus")
+    adjacent = sum(max(len(sentence) - 1, 0) for sentence in sentences)
+    dependencies = [tok for tok in tokens if tok.head != 0]
+
+    # raw counts: numbers and punctuation are counted as their class, so NB
+    # and PUNCT are word types that are never thresholded away
     vocab = Vocabulary(
+        raw_word_counts=Counter(_word_class(t.form, t.pos) or t.form for t in tokens),
+        raw_pos_counts=Counter(t.pos for t in tokens),
+        raw_relation_counts=Counter([t.deprel for t in dependencies] + [ADJ] * adjacent),
         word_threshold=word_threshold,
         pos_threshold=pos_threshold,
         relation_threshold=relation_threshold,
-        punct_tags=frozenset(punct_tags) if punct_tags is not None else None,
     )
-    sentences = list(corpus)
-    if not sentences or all(not s for s in sentences):
-        raise VocabularyError("empty corpus")
 
-    # pass 1: raw counts (numbers and punctuation folded before counting,
-    # so NB / PUNCT are counted as word types and never thresholded away)
-    for sentence in sentences:
-        for tok in sentence:
-            if is_number(tok.form):
-                word = NB
-            elif is_punctuation_tag(tok.pos, vocab.punct_tags):
-                word = PUNCT
-            else:
-                word = tok.form
-            vocab.raw_word_counts[word] = vocab.raw_word_counts.get(word, 0) + 1
-            vocab.raw_pos_counts[tok.pos] = vocab.raw_pos_counts.get(tok.pos, 0) + 1
-            if tok.head != 0:
-                vocab.raw_relation_counts[tok.deprel] = (
-                    vocab.raw_relation_counts.get(tok.deprel, 0) + 1
-                )
-        if len(sentence) >= 2:
-            vocab.raw_relation_counts[ADJ] = (
-                vocab.raw_relation_counts.get(ADJ, 0) + len(sentence) - 1
-            )
+    # final-label counts after thresholding; the labels listed always get an id
+    counts = vocab.counts = Counter(dict.fromkeys(
+        ("w:" + NB, "w:" + PUNCT, "w:" + GENERIC_UNKNOWN_WORD, "p:" + UNKNOWN_POSTAG,
+         "r:" + UNKNOWN_RELATION), 0))
+    counts.update("w:" + vocab.normalized_word(t.form, t.pos) for t in tokens)
+    counts.update("p:" + vocab.normalized_pos(t.pos) for t in tokens)
+    counts.update("r:" + vocab.normalized_relation(t.deprel) for t in dependencies)
+    counts["r:" + ADJ] += adjacent
 
-    # pass 2: final-label counts after thresholding
-    counts = vocab.counts
-    for sentence in sentences:
-        for tok in sentence:
-            wl, pl = normalize_token(tok.form, tok.pos, vocab)
-            counts["w:" + wl] = counts.get("w:" + wl, 0) + 1
-            counts["p:" + pl] = counts.get("p:" + pl, 0) + 1
-            if tok.head != 0:
-                rl = normalize_relation(tok.deprel, vocab)
-                counts["r:" + rl] = counts.get("r:" + rl, 0) + 1
-        if len(sentence) >= 2:
-            counts["r:" + ADJ] = counts.get("r:" + ADJ, 0) + len(sentence) - 1
-
-    for always in ("w:" + NB, "w:" + PUNCT, "w:" + GENERIC_UNKNOWN_WORD,
-                   "p:" + UNKNOWN_POSTAG, "r:" + UNKNOWN_RELATION, "r:" + ADJ):
-        counts.setdefault(always, 0)
-
-    predicates = sorted(
-        (label for label in counts if label[0] in "wp"),
-        key=lambda lab: (-counts[lab], lab),
-    )
-    vocab.predicate_ids = {label: i for i, label in enumerate(predicates)}
-    relations = sorted(
-        (label[2:] for label in counts if label.startswith("r:")),
-        key=lambda lab: (-counts["r:" + lab], lab),
-    )
-    vocab.relation_ids = {label: i for i, label in enumerate(relations)}
+    ranked = sorted(counts, key=lambda label: (-counts[label], label))
+    vocab.predicate_ids = {label: i for i, label in
+                           enumerate(lab for lab in ranked if lab[0] in "wp")}
+    vocab.relation_ids = {label[2:]: i for i, label in
+                          enumerate(lab for lab in ranked if lab[0] == "r")}
     return vocab
 
 

@@ -7,6 +7,7 @@ in coordinate form; real-valued entries are allowed so the loss evaluator
 also works on synthetic tensors.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +184,13 @@ def _size(raw):
     return size
 
 
+def _value(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value %r" % raw)
+    return value
+
+
 def read_tensor_file(path):
     """Read a coordinate text corpus back; returns (c, d, [(id, W, X), ...])."""
     sentences = []
@@ -218,10 +226,15 @@ def read_tensor_file(path):
                                 for t, cls in _TAGS.items()})
                 elif tag in _TAGS:
                     *indices, values = current[2][tag]
+                    value_at = len(indices) + 1
+                    if len(parts) > value_at + 1:
+                        raise ValueError("too many fields")
                     for axis, index in enumerate(indices, start=1):
                         index.append(int(parts[axis]))
-                    value_at = len(indices) + 1
-                    values.append(float(parts[value_at]) if len(parts) > value_at else 1.0)
+                    values.append(_value(parts[value_at]) if len(parts) > value_at else 1.0)
+                else:
+                    raise BoveError("%s line %d: unknown line tag %r"
+                                    % (path, line_no, tag))
             except (IndexError, ValueError):
                 raise BoveError("%s line %d: malformed %r line"
                                 % (path, line_no, tag)) from None

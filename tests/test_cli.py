@@ -162,6 +162,15 @@ class TestTrain:
         assert run(config, "train") == EXIT_OK
 
     @pytest.mark.parametrize("trainer", ["als", "sgd"])
+    def test_overflow_is_a_divergence(self, workspace, capsys, trainer):
+        (workspace / "tensors.txt").write_text(
+            "dims 3 2\nsentence s0 2\nW 0 0 1e308\nW 1 1 1\nX 0 0 1 1\n")
+        config = tensors_config(workspace, trainer=trainer)
+        assert run(config, "train") == EXIT_DIVERGED
+        assert "training diverged" in capsys.readouterr().err
+        assert not (workspace / "model.bin").exists()
+
+    @pytest.mark.parametrize("trainer", ["als", "sgd"])
     def test_no_sentences_is_a_data_error(self, workspace, capsys, trainer):
         (workspace / "tensors.txt").write_text("dims 3 2\n")
         config = tensors_config(workspace, trainer=trainer)
@@ -337,6 +346,12 @@ MALFORMED_INPUTS = {
         "bags.bin", "a -1 -1\n", ("score", "--mode", "sts"), "record 1"),
     "negative bag r": (
         "bags.bin", "a 2 -4\n", ("score", "--mode", "sts"), "record 1"),
+    "non-finite tensor value": (
+        "tensors.txt", "dims 3 2\nsentence s0 1\nW 0 0 nan\n", ("train",), "line 3"),
+    "tensor entry with an extra field": (
+        "tensors.txt", "dims 3 2\nsentence s0 2\nX 0 0 1 1 1\n", ("train",), "line 3"),
+    "unknown tensor line tag": (
+        "tensors.txt", "dims 3 2\nsentence s0 1\nw 0 0 1\n", ("train",), "line 3"),
 }
 
 
@@ -373,6 +388,15 @@ class TestConfigAndUsage:
         assert run(config, "synth") == EXIT_USAGE
         assert "synth.mode must be 'exact' or 'discrete'" in capsys.readouterr().err
         assert not (workspace / "tensors.txt").exists()
+
+    @pytest.mark.parametrize("regularizer", ["l1", "nuclear"])
+    def test_sgd_rejects_non_l2_r_regularizer(self, workspace, capsys, regularizer):
+        config = write_config(workspace, trainer="sgd",
+                              **{"hyper.r_regularizer": regularizer})
+        assert run(config, "train") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "trainer=sgd" in err and "hyper.r_regularizer" in err
+        assert not (workspace / "model.bin").exists()
 
     @pytest.mark.parametrize("key", ["synth.sentences", "synth.tokens",
                                      "synth.predicates", "synth.relations"])

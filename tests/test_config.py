@@ -189,6 +189,18 @@ def test_section_values_are_checked_after_every_line_is_read():
     assert str(info.value) == "expected int, got 'x'"
 
 
+@pytest.mark.parametrize("lines", [
+    ["trainer=sgd", "hyper.r_regularizer=l1"],
+    ["hyper.r_regularizer=l1", "trainer=sgd"],
+])
+def test_sgd_trainer_takes_only_the_l2_r_regularizer(lines):
+    with pytest.raises(ConfigError) as info:
+        parse_config(lines)
+    assert str(info.value) == "trainer=sgd supports only hyper.r_regularizer=l2, got 'l1'"
+    assert parse_config(["trainer=sgd", "hyper.r_regularizer=l2"]).trainer == "sgd"
+    assert parse_config(["hyper.r_regularizer=l1"]).hyper.r_regularizer == "l1"
+
+
 # The configs perfbench/run.py writes for its three workloads at seed 1,
 # verbatim but for the work directory.
 W = "/work"

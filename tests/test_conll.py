@@ -99,7 +99,6 @@ class TestNormalization:
         assert is_punctuation_tag("``")
         assert not is_punctuation_tag("NN")
         assert not is_punctuation_tag("")
-        assert is_punctuation_tag("NN", punct_tags={"NN"})
 
 
 class TestReadConll:
@@ -210,6 +209,111 @@ class TestBuildVocabulary:
         assert loaded.counts == vocab.counts
         assert loaded.word_threshold == vocab.word_threshold
         assert loaded.raw_word_counts == vocab.raw_word_counts
+
+
+# Vocabulary.save output for small_vocab(), recorded before the namespace
+# table drove save and load; the file format must not drift.
+GOLDEN_VOCAB_TEXT = (
+    "#thresholds\tword=2\tpos=2\trelation=1\n"
+    "p\tNN\t0\t4\n"
+    "p\t.\t1\t2\n"
+    "p\tDT\t2\t2\n"
+    "p\tVBZ\t3\t2\n"
+    "w\tPUNCT\t4\t2\n"
+    "w\tUNKNOWN_NN\t5\t2\n"
+    "w\tbank\t6\t2\n"
+    "w\tholds\t7\t2\n"
+    "w\tthe\t8\t2\n"
+    "p\tUNKNOWN_POSTAG\t9\t1\n"
+    "w\tNB\t10\t1\n"
+    "w\tUNKNOWN_UNKNOWN_POSTAG\t11\t0\n"
+    "r\tADJ\t0\t8\n"
+    "r\tNMOD\t1\t2\n"
+    "r\tOBJ\t2\t2\n"
+    "r\tP\t3\t2\n"
+    "r\tSBJ\t4\t2\n"
+    "r\tUNKNOWN_RELATION\t5\t0\n"
+    "rawW\tNB\t0\t1\n"
+    "rawW\tPUNCT\t0\t2\n"
+    "rawW\tbank\t0\t2\n"
+    "rawW\tholds\t0\t2\n"
+    "rawW\tmoney\t0\t1\n"
+    "rawW\tthe\t0\t2\n"
+    "rawW\txylophone\t0\t1\n"
+    "rawP\t.\t0\t2\n"
+    "rawP\tCD\t0\t1\n"
+    "rawP\tDT\t0\t2\n"
+    "rawP\tNN\t0\t4\n"
+    "rawP\tVBZ\t0\t2\n"
+    "rawR\tADJ\t0\t8\n"
+    "rawR\tNMOD\t0\t2\n"
+    "rawR\tOBJ\t0\t2\n"
+    "rawR\tP\t0\t2\n"
+    "rawR\tSBJ\t0\t2\n"
+)
+
+
+def test_save_matches_recorded_text(tmp_path):
+    path = tmp_path / "vocab.txt"
+    small_vocab().save(path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_VOCAB_TEXT
+
+
+class TestWordFoldCollisions:
+    """Forms that collide with the folded classes NB and PUNCT."""
+
+    # NB and PUNCT each have raw count 1 here (one literal "NB", one literal
+    # "PUNCT" tagged as punctuation), below the word threshold 2.
+    CORPUS = [
+        [tok(1, "NB", "NN"), tok(2, "PUNCT", ".", 1, "P"), tok(3, "bank", "NN", 1, "NMOD")],
+        [tok(1, "bank", "NN")],
+    ]
+    TAGS = ("NN", ".", "CD", "")
+    # normalized_word per tag in TAGS, recorded before the word fold was shared
+    RECORDED = {
+        "NB": ("UNKNOWN_NN", "PUNCT", "UNKNOWN_UNKNOWN_POSTAG", "UNKNOWN_UNKNOWN_POSTAG"),
+        "PUNCT": ("UNKNOWN_NN", "PUNCT", "UNKNOWN_UNKNOWN_POSTAG", "UNKNOWN_UNKNOWN_POSTAG"),
+        "7": ("NB", "NB", "NB", "NB"),
+        "bank": ("bank", "PUNCT", "bank", "bank"),
+        "zzz": ("UNKNOWN_NN", "PUNCT", "UNKNOWN_UNKNOWN_POSTAG", "UNKNOWN_UNKNOWN_POSTAG"),
+    }
+
+    def test_recorded_table(self):
+        vocab = build_vocabulary(self.CORPUS, relation_threshold=1)
+        assert vocab.raw_word_counts == {"NB": 1, "PUNCT": 1, "bank": 2}
+        for form, expected in self.RECORDED.items():
+            assert tuple(vocab.normalized_word(form, pos) for pos in self.TAGS) == expected
+
+
+def reference_normalized_word(vocab, form, pos):
+    """The word rule spelled out: a number is NB, then a punctuation tag is
+    PUNCT, then a form seen fewer than word_threshold times is UNKNOWN_<tag>."""
+    if is_number(form):
+        return "NB"
+    if pos and not any(ch.isalnum() for ch in pos):
+        return "PUNCT"
+    if vocab.raw_word_counts.get(form, 0) < vocab.word_threshold:
+        return "UNKNOWN_" + vocab.normalized_pos(pos)
+    return form
+
+
+colliding_forms = st.sampled_from(["NB", "PUNCT", "7", "-1,5", ".", "bank", "UNKNOWN_NN"])
+colliding_tags = st.sampled_from(["NN", "CD", ".", ",", "``", "NB", "PUNCT", ""])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(colliding_forms, colliding_tags), min_size=1, max_size=5),
+             min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(colliding_forms, colliding_tags), min_size=1, max_size=8),
+)
+def test_normalized_word_on_colliding_forms(corpus, word_threshold, probes):
+    sentences = [[tok(i, form, pos) for i, (form, pos) in enumerate(sentence, start=1)]
+                 for sentence in corpus]
+    vocab = build_vocabulary(sentences, word_threshold=word_threshold)
+    for form, pos in probes:
+        assert vocab.normalized_word(form, pos) == reference_normalized_word(vocab, form, pos)
 
 
 class TestSentenceGraph:
