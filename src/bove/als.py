@@ -8,6 +8,7 @@ left-to-right (row-major), token pairs are enumerated row-major over
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,20 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .encoding import reconstruction_loss
 from .errors import DimensionMismatch, DivergenceError, SingularSystemError
+
+ALS_R_CAP = 100
+
+
+@contextmanager
+def numeric_errors_as(error, what):
+    """Raise error("<what>: ...") at the first numpy overflow or invalid
+    operation (inf - inf).  In a trainer this is a divergence, stopped
+    before an inf reaches a solver."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise error("%s: %s" % (what, exc)) from None
 
 
 def _spd_solve_right(gram, rhs, ridge, what):
@@ -24,13 +39,17 @@ def _spd_solve_right(gram, rhs, ridge, what):
     (deterministic behavior, no pseudo-inverse).
     """
     a = gram + ridge * np.eye(gram.shape[0])
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise DivergenceError("%s system has a non-finite entry" % what)
     try:
-        factor = cho_factor(a, lower=True)
+        factor = cho_factor(a, lower=True, check_finite=False)
     except LinAlgError:
+        if ridge > 0:
+            raise DivergenceError("%s system is not positive definite" % what) from None
         raise SingularSystemError(
             "%s system is singular; set its regularizer > 0" % what
         ) from None
-    return cho_solve(factor, rhs.T).T
+    return cho_solve(factor, rhs.T, check_finite=False).T
 
 
 def update_P(ws, es, lambda_p, p_current=None, frozen=None):
@@ -55,21 +74,21 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     return p_new
 
 
-def update_R(xs, es, lambda_r, alpha=1.0, r_cap=100):
+def update_R(xs, es, lambda_r, alpha=1.0):
     """Exact minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
 
     Solved through the Kronecker reformulation: each relation slice is the
     row-major matricization of one row of R' = alpha X'E' (alpha E'^T E' +
     lambda_r I)^-1 with E'_s = E_s kron E_s.  Requires an r^2 x r^2 solve,
-    hence the soft cap on r.  The normal equations are streamed over the
+    hence the cap ALS_R_CAP on r.  The normal equations are streamed over the
     corpus: ktk = sum (E_s^T E_s) kron (E_s^T E_s) (r^2 x r^2) and
     xk = sum X'_s (E_s kron E_s) (d x r^2).
     """
     r = es[0].shape[1]
-    if r > r_cap:
+    if r > ALS_R_CAP:
         raise DimensionMismatch(
             "r=%d exceeds the ALS cap of %d (r^2 x r^2 solve); use the SGD trainer"
-            % (r, r_cap)
+            % (r, ALS_R_CAP)
         )
     d = xs[0].d
     ktk = np.zeros((r * r, r * r))
@@ -119,16 +138,20 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 
-def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
-    """Two consecutive E refreshes with P, R fixed, then their average.
+def damped_refreshes(refresh, e_start, steps):
+    """One raw refresh of e_start, then `steps` moves to the midpoint of E and
+    its refresh, which damps the raw iteration's overcompensation.  Callers
+    pass a refresh over their own module's update_E_sentence, counted apart."""
+    e = refresh(e_start)
+    for _ in range(steps):
+        e = 0.5 * (e + refresh(e))
+    return e
 
-    Damps the oscillation of the raw iteration: the new value would
-    overcompensate for errors in the old one, so the midpoint of E_t and
-    E_{t+1} is used instead.
-    """
-    e_t = update_E_sentence(w, x, p, r_tensor, e_current, alpha, lambda_e)
-    e_t1 = update_E_sentence(w, x, p, r_tensor, e_t, alpha, lambda_e)
-    return 0.5 * (e_t + e_t1)
+
+def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
+    """Two consecutive E refreshes with P, R fixed, then their average."""
+    return damped_refreshes(
+        lambda e: update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e), e_current, 1)
 
 
 def regularize_R_nuclear(r_tensor, tau):
@@ -184,6 +207,18 @@ def corpus_objective(ws, xs, es, model, hyper, data_fit_only=False):
     return data_fit + _regularizers(model, es, hyper)
 
 
+def log_round(log, round_no, trace, seconds, suffix=""):
+    """Log one round's line unless log is None; return the trace's relative
+    improvement, (previous - last) / previous, or 0 without a positive
+    previous entry."""
+    prev = trace[-2] if len(trace) > 1 else 0.0
+    rel = (prev - trace[-1]) / prev if prev > 0 else 0.0
+    if log is not None:
+        log("round=%d objective=%.10g rel_improvement=%.6g seconds=%.3f%s"
+            % (round_no, trace[-1], rel, seconds, suffix))
+    return rel
+
+
 @dataclass
 class TrainResult:
     model: "TypeEmbeddings"
@@ -193,6 +228,7 @@ class TrainResult:
     stopped_by_rule: bool
 
 
+@numeric_errors_as(DivergenceError, "training diverged")
 def train(ws, xs, model, hyper, log=None):
     """Full ALS loop: E sweeps, closed-form P and R updates, stopping rule.
 
@@ -200,7 +236,7 @@ def train(ws, xs, model, hyper, log=None):
     e_reinit_period rounds E is reset to zeros and e_reinit_burst E-only
     averaged sweeps run instead of that round's single sweep.  Training
     stops when the relative objective improvement over one round drops to
-    rel_improvement_stop, or at max_rounds.
+    rel_improvement_stop, or at max_rounds; it diverges on overflow.
     """
     model = model.copy()
     es = [np.zeros((w.n, hyper.r)) for w in ws]
@@ -221,7 +257,7 @@ def train(ws, xs, model, hyper, log=None):
                 for w, x, e in zip(ws, xs, es)
             ]
         model.P = update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows)
-        model.R = update_R(xs, es, hyper.lambda_r, hyper.alpha, hyper.als_r_cap)
+        model.R = update_R(xs, es, hyper.lambda_r, hyper.alpha)
         if hyper.r_regularizer == "nuclear":
             model.R = regularize_R_nuclear(model.R, hyper.lambda_r)
         elif hyper.r_regularizer == "l1":
@@ -230,15 +266,9 @@ def train(ws, xs, model, hyper, log=None):
         obj = data_fit + _regularizers(model, es, hyper)
         if not np.isfinite(obj):
             raise DivergenceError("non-finite objective at round %d" % round_no)
-        prev = trace[-1]
-        rel = (prev - obj) / prev if prev > 0 else 0.0
         trace.append(obj)
         data_fit_trace.append(data_fit)
-        if log is not None:
-            log(
-                "round=%d objective=%.10g rel_improvement=%.6g seconds=%.3f"
-                % (round_no, obj, rel, time.perf_counter() - t0)
-            )
+        rel = log_round(log, round_no, trace, time.perf_counter() - t0)
         if rel <= hyper.rel_improvement_stop:
             stopped = True
             break

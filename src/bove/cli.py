@@ -10,8 +10,6 @@ import os
 import sys
 import types
 
-import numpy as np
-
 from . import als, conll, encoding, inference, model as model_io, scoring, sgd, synth
 from .config import load_config
 from .errors import (
@@ -107,9 +105,9 @@ def cmd_train(cfg):
         if vocab is None:
             raise ConfigError("pretrained vectors require a vocabulary, not tensors")
         trained = model_io.load_pretrained(trained, cfg.vectors, vocab)
-    if cfg.trainer == "als" and hyper.r > hyper.als_r_cap:
+    if cfg.trainer == "als" and hyper.r > als.ALS_R_CAP:
         raise DimensionMismatch(
-            "r=%d exceeds the ALS cap %d; set trainer=sgd" % (hyper.r, hyper.als_r_cap)
+            "r=%d exceeds the ALS cap %d; set trainer=sgd" % (hyper.r, als.ALS_R_CAP)
         )
 
     with open(cfg.log or os.devnull, "w", encoding="utf-8") as log_file:
@@ -118,17 +116,10 @@ def cmd_train(cfg):
             log_file.write(line + "\n")
             log_file.flush()
 
-        # an overflow or an invalid operation (inf - inf) is a divergence:
-        # stop at the first one, before an inf reaches a solver
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if cfg.trainer == "als":
-                    trained = als.train(ws, xs, trained, hyper, log=log).model
-                else:
-                    trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd,
-                                                  log=log)
-        except FloatingPointError as exc:
-            raise DivergenceError("training diverged: %s" % exc) from None
+        if cfg.trainer == "als":
+            trained = als.train(ws, xs, trained, hyper, log=log).model
+        else:
+            trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd, log=log)
     model_io.save_model(trained, cfg.model)
     print("wrote %s" % cfg.model)
     return EXIT_OK
@@ -155,19 +146,19 @@ def cmd_infer(cfg):
     return EXIT_DATA if failures else EXIT_OK
 
 
+# a bag or gold value too large to square is a data error, not a NaN score
+@als.numeric_errors_as(BoveError, "scoring failed on out-of-range values")
 def cmd_score(cfg, mode):
     _require(cfg, "embeddings", "pairs", "scores")
     bags = dict(model_io.read_bags(cfg.embeddings))
     raw_pairs = scoring.read_pairs(cfg.pairs, mode)
+    score = scoring.score_similarity if mode == "sts" else scoring.score_entailment
     scored = []
     for pid, sid1, sid2, gold, subset in raw_pairs:
         for sid in (sid1, sid2):
             if sid not in bags:
                 raise BoveError("pair %s references missing sentence id %r" % (pid, sid))
-        if mode == "sts":
-            value = scoring.score_similarity(bags[sid1], bags[sid2])
-        else:
-            value = scoring.score_entailment(bags[sid1], bags[sid2])
+        value = score(bags[sid1], bags[sid2])
         scored.append(scoring.ScoredPair(id=pid, score=value, gold=gold, subset=subset))
     with open(cfg.scores, "w", encoding="utf-8") as f:
         for pair in scored:

@@ -84,15 +84,15 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
     and out-of-range heads.
     """
     need = columns.max_column() + 1
-    tokens = []
+    tokens, token_lines = [], []
     # the blank line chained after the stream ends its last sentence
     for line_no, line in enumerate(chain(stream, [""]), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             if tokens:
-                _check_sentence(tokens, start_line)
+                _check_sentence(tokens, token_lines)
                 yield tokens
-                tokens = []
+                tokens, token_lines = [], []
             continue
         if line.startswith("#"):
             continue
@@ -118,8 +118,7 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
             raise ConllParseError("head must be >= 0, got %d" % head, line_no)
         if head == index:
             raise ConllParseError("token %d heads itself" % index, line_no)
-        if not tokens:
-            start_line = line_no
+        token_lines.append(line_no)
         tokens.append(
             RawToken(
                 index=index,
@@ -131,19 +130,19 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
         )
 
 
-def _check_sentence(tokens, start_line):
+def _check_sentence(tokens, token_lines):
     n = len(tokens)
-    for offset, tok in enumerate(tokens):
-        if tok.index != offset + 1:
+    for position, (tok, line_no) in enumerate(zip(tokens, token_lines), start=1):
+        if tok.index != position:
             raise ConllParseError(
                 "token ids not consecutive from 1 (found %d at position %d)"
-                % (tok.index, offset + 1),
-                start_line + offset,
+                % (tok.index, position),
+                line_no,
             )
         if tok.head > n:
             raise ConllParseError(
                 "head %d out of range for %d-token sentence" % (tok.head, n),
-                start_line + offset,
+                line_no,
             )
 
 

@@ -8,7 +8,7 @@ oscillating.
 
 import numpy as np
 
-from .als import update_E_sentence
+from .als import damped_refreshes, update_E_sentence
 from .errors import DimensionMismatch
 
 
@@ -27,19 +27,14 @@ def infer_bove(w, x, model, hyper=None, iters=None):
             % (w.c, x.d, model.c, model.d)
         )
     total = iters if iters is not None else hyper.inference_iters
-    e = update_E_sentence(
-        w, x, model.P, model.R, np.zeros((w.n, hyper.r)),
-        hyper.alpha, hyper.lambda_e,
-    )
-    for _ in range(total - 1):
-        e_next = update_E_sentence(
-            w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e
-        )
-        e = 0.5 * (e + e_next)
-    return e
+
+    def refresh(e):
+        return update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)
+
+    return damped_refreshes(refresh, np.zeros((w.n, hyper.r)), total - 1)
 
 
-def infer_corpus(sentences, model, hyper=None, fail_fast=False):
+def infer_corpus(sentences, model, fail_fast=False):
     """Infer embeddings for (sentence_id, W, X) triples, order preserved.
 
     Returns (results, failures): results is a list of (sentence_id, E or
@@ -50,7 +45,7 @@ def infer_corpus(sentences, model, hyper=None, fail_fast=False):
     failures = []
     for sid, w, x in sentences:
         try:
-            results.append((sid, infer_bove(w, x, model, hyper)))
+            results.append((sid, infer_bove(w, x, model)))
         except Exception as exc:  # noqa: BLE001 - reported per sentence
             if fail_fast:
                 raise

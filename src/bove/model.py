@@ -46,7 +46,6 @@ class Hyperparams:
     max_rounds: int = 200
     e_reinit_period: int = 10
     e_reinit_burst: int = 5
-    als_r_cap: int = 100
 
     def __post_init__(self):
         if self.r < 1:

@@ -117,6 +117,8 @@ def rank_descending(pairs):
 def evaluate_sts(pairs):
     """Per-subset Pearson between gold and predicted scores, plus the
     unweighted mean across subsets.  Returns (dict subset -> (r, n), mean)."""
+    if not pairs:
+        raise BoveError("no pairs to evaluate")
     by_subset = {}
     for pair in pairs:
         by_subset.setdefault(pair.subset, []).append(pair)

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .als import log_round, numeric_errors_as
 from .errors import DivergenceError
+
+# keeps the adaptive step finite for a parameter with no gradient yet
+ADAPT_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -23,13 +27,12 @@ class SgdConfig:
     negatives_per_positive: int = 5
     epochs: int = 100
     seed: int = 0
-    adapt_eps: float = 1e-8
 
     def __post_init__(self):
         if min(self.batch_size, self.epochs + 1, self.negatives_per_positive) < 1:
             raise ValueError("batch_size, negatives_per_positive must be >= 1")
-        if self.learning_rate <= 0 or self.adapt_eps <= 0:
-            raise ValueError("learning_rate and adapt_eps must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -39,14 +42,6 @@ class SgdState:
     acc_p: np.ndarray
     acc_r: np.ndarray
     acc_e: list
-
-    @classmethod
-    def fresh(cls, model, e_store):
-        return cls(
-            acc_p=np.zeros_like(model.P),
-            acc_r=np.zeros_like(model.R),
-            acc_e=[np.zeros_like(e) for e in e_store],
-        )
 
 
 def _sample(tensor, k, rng):
@@ -138,29 +133,29 @@ def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
     )
     if not np.isfinite(loss):
         raise DivergenceError("non-finite sampled loss in SGD step")
-    lr, eps = config.learning_rate, config.adapt_eps
-    state.acc_p += g_p ** 2
-    model.P -= lr * g_p / (np.sqrt(state.acc_p) + eps)
-    state.acc_r += g_r ** 2
-    model.R -= lr * g_r / (np.sqrt(state.acc_r) + eps)
-    for s in batch:
-        state.acc_e[s] += g_e[s] ** 2
-        e_store[s] -= lr * g_e[s] / (np.sqrt(state.acc_e[s]) + eps)
+    # += and -= act in place, so each step updates the model, state and e_store
+    steps = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
+    steps += [(e_store[s], state.acc_e[s], g_e[s]) for s in batch]
+    for param, acc, grad in steps:
+        acc += grad ** 2
+        param -= config.learning_rate * grad / (np.sqrt(acc) + ADAPT_EPS)
     if not (np.all(np.isfinite(model.P)) and np.all(np.isfinite(model.R))):
         raise DivergenceError("non-finite parameters after SGD step")
     return loss
 
 
+@numeric_errors_as(DivergenceError, "training diverged")
 def train_sgd(ws, xs, model, hyper, config, log=None):
     """Epoch loop over shuffled sentences; returns (model, e_store, trace).
 
     Single-threaded and fully deterministic given config.seed.  The trace
-    records the summed sampled batch losses per epoch.
+    records the summed sampled batch losses per epoch; diverges on overflow.
     """
     model = model.copy()
     rng = np.random.default_rng(config.seed)
     e_store = [np.zeros((w.n, hyper.r)) for w in ws]
-    state = SgdState.fresh(model, e_store)
+    state = SgdState(np.zeros_like(model.P), np.zeros_like(model.R),
+                     [np.zeros_like(e) for e in e_store])
     n = len(ws)
     trace = []
     for epoch in range(config.epochs):
@@ -174,16 +169,5 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
                 batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
             )
         trace.append(epoch_loss)
-        if log is not None:
-            log(
-                "round=%d objective=%.10g rel_improvement=%.6g seconds=%.3f sampled=true"
-                % (
-                    epoch + 1,
-                    epoch_loss,
-                    ((trace[-2] - epoch_loss) / trace[-2])
-                    if len(trace) > 1 and trace[-2] > 0
-                    else 0.0,
-                    time.perf_counter() - t0,
-                )
-            )
+        log_round(log, epoch + 1, trace, time.perf_counter() - t0, " sampled=true")
     return model, e_store, trace

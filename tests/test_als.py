@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bove import als, synth
 from bove.als import (
+    ALS_R_CAP,
     averaged_E_step,
     corpus_objective,
     regularize_R_l1,
@@ -13,7 +16,7 @@ from bove.als import (
     update_R,
 )
 from bove.encoding import from_dense
-from bove.errors import DimensionMismatch, SingularSystemError
+from bove.errors import DimensionMismatch, DivergenceError, SingularSystemError
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
 from oracles import minimize_e_quadratic
@@ -116,7 +119,7 @@ class TestUpdateR:
     def test_r_cap(self):
         _, x = sparse_sentence(np.zeros((1, 2)), np.zeros((1, 2, 2)))
         with pytest.raises(DimensionMismatch, match="cap"):
-            update_R([x], [np.zeros((2, 3))], lambda_r=0.1, r_cap=2)
+            update_R([x], [np.zeros((2, ALS_R_CAP + 1))], lambda_r=0.1)
 
     def test_kronecker_vec_identity(self):
         rng = np.random.default_rng(3)
@@ -197,6 +200,16 @@ class TestAveragedStep:
                                   np.zeros((3, 2)), 1.0, lam)
         expected = wd.T @ p @ np.linalg.inv(p.T @ p + lam * np.eye(2))
         np.testing.assert_allclose(stepped, expected, rtol=1e-10)
+
+    def test_equals_two_refreshes_and_their_midpoint(self):
+        rng = np.random.default_rng(15)
+        ws, xs, es = random_instance(rng)
+        p, r_tensor = rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3))
+        for w, x, e in zip(ws, xs, es):
+            e_t = update_E_sentence(w, x, p, r_tensor, e, 0.5, 0.2)
+            e_t1 = update_E_sentence(w, x, p, r_tensor, e_t, 0.5, 0.2)
+            np.testing.assert_array_equal(
+                averaged_E_step(w, x, p, r_tensor, e, 0.5, 0.2), 0.5 * (e_t + e_t1))
 
     def test_oscillator_midpoint(self):
         # scalar instance where the raw refresh alternates +/- e; the
@@ -350,6 +363,18 @@ class TestTrain:
                                data_fit_only=True)
         assert result.trace[-1] == pytest.approx(full, rel=1e-12)
         assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [1e100, 1e140, 1e200, np.inf])
+    def test_overflowing_corpus_diverges(self, value):
+        # no errstate set here: train itself turns overflow, a non-finite
+        # system and a failed factorization despite a ridge into divergence
+        ws, xs = self.make_corpus()
+        values = ws[0].values.copy()
+        values[0] = value
+        ws[0] = replace(ws[0], values=values)
+        hyper = Hyperparams(r=3, lambda_p=0.1, max_rounds=5)
+        with pytest.raises(DivergenceError):
+            train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper)
 
     def test_nuclear_regularizer_low_rank(self):
         ws, xs = self.make_corpus()

@@ -2,14 +2,20 @@
 
 A rename or an inlined function would otherwise surface only when the
 benchmark runs; this test reads the benchmark's WRAPPED list without
-importing the harness and checks that every entry still resolves.
+importing the harness and checks that every entry still resolves.  The
+benchmark also splits the E solves by the module binding they go through
+(als.update_E_sentence in training, inference.update_E_sentence in
+inference), so each schedule must call its own module's binding.
 """
 
 import ast
 import importlib
 import pathlib
 
+import numpy as np
 import pytest
+
+from bove import als, inference, synth
 
 RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -27,3 +33,28 @@ def wrapped_names():
 def test_wrapped_function_resolves(module, attr):
     target = getattr(importlib.import_module("bove." + module), attr, None)
     assert callable(target), "bove.%s.%s is not a callable" % (module, attr)
+
+
+def count_calls(monkeypatch, module):
+    """Calls made through module.update_E_sentence from now on."""
+    calls = []
+    original = module.update_E_sentence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "update_E_sentence", counted)
+    return calls
+
+
+@pytest.mark.parametrize("iters", [1, 2, 5])
+def test_each_E_schedule_solves_through_its_own_module(monkeypatch, iters):
+    data = synth.generate(0, n_sentences=1, n_tokens=3, c=5, d=2, r=2)
+    _, w, x = data.sentences[0]
+    via_als = count_calls(monkeypatch, als)
+    via_inference = count_calls(monkeypatch, inference)
+    inference.infer_bove(w, x, data.model, iters=iters)
+    assert (len(via_inference), len(via_als)) == (iters, 0)
+    als.averaged_E_step(w, x, data.model.P, data.model.R, np.zeros((w.n, 2)))
+    assert (len(via_inference), len(via_als)) == (iters, 2)

@@ -282,6 +282,22 @@ class TestScoreAndEval:
         assert run(config, "score", "--mode", "sts") == EXIT_DATA
         assert "missing sentence id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, gold", [("sts", "4.0"), ("snli", "entailment")])
+    def test_bag_value_too_large_to_score(self, workspace, capsys, mode, gold):
+        config = write_config(workspace)
+        model_io.write_bags(workspace / "bags.bin", [("a", np.full((2, 2), 1e200)),
+                                                     ("b", np.ones((1, 2)))])
+        (workspace / "pairs.tsv").write_text("p1\ta\tb\t%s\n" % gold)
+        assert run(config, "score", "--mode", mode) == EXIT_DATA
+        assert "scoring failed on out-of-range values" in capsys.readouterr().err
+
+    def test_empty_sts_pairs_file(self, workspace, capsys):
+        config = write_config(workspace)
+        (workspace / "bags.bin").write_bytes(b"")
+        (workspace / "pairs.tsv").write_text("")
+        assert run(config, "score", "--mode", "sts") == EXIT_DATA
+        assert "no pairs to evaluate" in capsys.readouterr().err
+
     def test_non_numeric_sts_gold(self, workspace, capsys):
         config = write_config(workspace)
         (workspace / "bags.bin").write_bytes(b"")
@@ -370,6 +386,13 @@ class TestConfigAndUsage:
         config = write_config(workspace, **{"paths.banana": "x"})
         assert run(config, "build-vocab") == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("hyper.als_r_cap", "50"),
+                                            ("sgd.adapt_eps", "1e-6")])
+    def test_removed_knob_rejected(self, workspace, capsys, key, value):
+        config = write_config(workspace, **{key: value})
+        assert run(config, "build-vocab") == EXIT_USAGE
+        assert "unknown config key %r" % key in capsys.readouterr().err
 
     def test_bad_hyper_rejected(self, workspace):
         config = write_config(workspace, **{"hyper.r": "0"})

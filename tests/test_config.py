@@ -40,13 +40,11 @@ KEY_CASES = (
         ("hyper.max_rounds=2", "hyper.max_rounds", 2),
         ("hyper.e_reinit_period=3", "hyper.e_reinit_period", 3),
         ("hyper.e_reinit_burst=1", "hyper.e_reinit_burst", 1),
-        ("hyper.als_r_cap=50", "hyper.als_r_cap", 50),
         ("sgd.batch_size=16", "sgd.batch_size", 16),
         ("sgd.learning_rate=0.1", "sgd.learning_rate", 0.1),
         ("sgd.negatives_per_positive=2", "sgd.negatives_per_positive", 2),
         ("sgd.epochs=20", "sgd.epochs", 20),
         ("sgd.seed=7", "sgd.seed", 7),
-        ("sgd.adapt_eps=1e-6", "sgd.adapt_eps", 1e-6),
         ("synth.sentences=4", "synth_sentences", 4),
         ("synth.tokens=3", "synth_tokens", 3),
         ("synth.predicates=9", "synth_predicates", 9),
@@ -136,6 +134,8 @@ ERROR_CASES = [
     ("synth.banana=1", "unknown config key 'synth.banana'"),
     ("banana=1", "unknown config key 'banana'"),
     ("threads=2", "unknown config key 'threads'"),
+    ("hyper.als_r_cap=50", "unknown config key 'hyper.als_r_cap'"),
+    ("sgd.adapt_eps=1e-6", "unknown config key 'sgd.adapt_eps'"),
     ("hyper=1", "unknown config key 'hyper'"),
     ("columns=1", "unknown config key 'columns'"),
     ("paths.corpus", "line 1: expected key=value, got 'paths.corpus'"),
@@ -159,7 +159,7 @@ ERROR_CASES = [
     ("hyper.r_regularizer=l3",
      "r_regularizer must be one of ('l2', 'l1', 'nuclear')"),
     ("sgd.batch_size=0", "batch_size, negatives_per_positive must be >= 1"),
-    ("sgd.adapt_eps=0", "learning_rate and adapt_eps must be positive"),
+    ("sgd.learning_rate=0", "learning_rate must be positive"),
 ]
 
 

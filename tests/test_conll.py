@@ -135,6 +135,19 @@ class TestReadConll:
         with pytest.raises(ConllParseError, match="line"):
             list(read_conll(io.StringIO(text)))
 
+    @pytest.mark.parametrize("before, between, bad_line", [
+        ([], [], 2),
+        (["# comment"], [], 3),
+        ([], ["# comment"], 3),
+        ([], ["# one", "# two"], 4),
+    ])
+    def test_bad_token_reports_its_own_line(self, before, between, bad_line):
+        # head 9 on token 2, after comment lines before or between the tokens
+        lines = (before + [self.make_line(1, "a", "DT", 0, "ROOT")] + between
+                 + [self.make_line(2, "b", "NN", 9, "OBJ")])
+        with pytest.raises(ConllParseError, match="^line %d: head 9" % bad_line):
+            list(read_conll(io.StringIO("\n".join(lines) + "\n")))
+
     def test_non_numeric_head(self):
         text = self.make_line(1, "a", "DT", 0, "ROOT").replace("\t0\t", "\tx\t")
         with pytest.raises(ConllParseError, match="line 1"):

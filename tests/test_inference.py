@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bove import synth
+from bove.als import update_E_sentence
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
@@ -45,6 +46,19 @@ class TestInferBove:
         for iters in (1, 2, 7, 30):
             got = infer_bove(w, x, model, iters=iters)
             np.testing.assert_allclose(got, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("iters", [1, 2, 30])
+    def test_one_raw_refresh_then_midpoints(self, iters):
+        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, r=3)
+        model, hyper = data.model, data.model.hyper
+        for _, w, x in data.sentences:
+            e = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
+                                  hyper.alpha, hyper.lambda_e)
+            for _ in range(iters - 1):
+                e_next = update_E_sentence(w, x, model.P, model.R, e,
+                                           hyper.alpha, hyper.lambda_e)
+                e = 0.5 * (e + e_next)
+            np.testing.assert_array_equal(infer_bove(w, x, model, iters=iters), e)
 
     def test_orthonormal_p_no_ridge(self):
         # orthonormal columns and lambda_e=0: E = W^T P exactly

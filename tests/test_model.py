@@ -181,9 +181,10 @@ class TestPersistence:
             load_model(path)
 
     def test_unknown_hyper_keys_ignored(self):
-        # files written before iters_count_raw_solves was removed hold the key
+        # files written before iters_count_raw_solves and als_r_cap were
+        # removed hold those keys
         hyper = Hyperparams(r=3, inference_iters=7)
-        blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True"
+        blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True\nals_r_cap=100"
         assert _hyper_from_bytes(blob) == hyper
 
     @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage", b"alpha=1.0", b""])

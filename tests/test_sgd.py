@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bove import sgd, synth
 from bove.als import corpus_objective
 from bove.encoding import from_dense
+from bove.errors import DivergenceError
 from bove.model import Hyperparams, init_for_training
 from bove.sgd import (
     SgdConfig,
@@ -256,6 +258,18 @@ class TestTrainSgd:
         start = corpus_objective(ws, xs, [np.zeros((3, 2))] * 4, model, hyper)
         end = corpus_objective(ws, xs, e_store, out, hyper)
         assert end < start
+
+    @pytest.mark.parametrize("value", [1e200, np.inf])
+    def test_overflowing_corpus_diverges(self, value):
+        # no errstate set here: train_sgd itself turns overflow into divergence
+        ws, xs = micro_corpus()
+        values = ws[0].values.copy()
+        values[0] = value
+        ws[0] = replace(ws[0], values=values)
+        hyper = Hyperparams(r=2)
+        model = init_for_training(Dims(4, 2), hyper, seed=5)
+        with pytest.raises(DivergenceError):
+            train_sgd(ws, xs, model, hyper, SgdConfig(epochs=3))
 
     def test_log_marks_sampled(self):
         ws, xs = micro_corpus()
