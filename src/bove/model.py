@@ -276,7 +276,11 @@ def read_bags(path):
             raw = f.read(n * r * 8)
             if len(raw) != n * r * 8:
                 raise ModelTruncatedError("bag record for %s ended early" % sid)
-            bags.append((sid, np.frombuffer(raw, dtype="<f8").reshape(n, r).copy()))
+            e = np.frombuffer(raw, dtype="<f8").reshape(n, r).copy()
+            if not np.all(np.isfinite(e)):
+                raise ModelFormatError("bag record %d (%s) holds a non-finite value"
+                                       % (len(bags) + 1, sid))
+            bags.append((sid, e))
     return bags
 
 

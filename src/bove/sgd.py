@@ -29,8 +29,9 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.batch_size, self.epochs + 1, self.negatives_per_positive) < 1:
-            raise ValueError("batch_size, negatives_per_positive must be >= 1")
+        for name, low in (("batch_size", 1), ("negatives_per_positive", 1), ("epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be >= %d" % (name, low))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -54,29 +55,33 @@ def _sample(tensor, k, rng):
     rejecting a positive cell leaves the stream where a draw-until-accepted
     loop would.
     """
-    shape = tensor.shape
-    coords = list(zip(*(index.tolist() for index in tensor.coords)))
-    cells = [cell + (value, 1.0) for cell, value in zip(coords, tensor.values.tolist())]
-    positives = set(coords)
+    shape, coords, nnz = tensor.shape, tensor.coords, tensor.nnz
+    positives = np.unique(np.ravel_multi_index(coords, shape))
     n_zero = math.prod(shape) - len(positives)
-    wanted = k * tensor.nnz if n_zero else 0
-    weight = n_zero / wanted if wanted else 0.0
-    while wanted > 0:
-        batch = rng.integers(np.tile(shape, wanted)).reshape(wanted, len(shape))
-        for cell in map(tuple, batch.tolist()):
-            if cell not in positives:
-                cells.append(cell + (0.0, weight))
-                wanted -= 1
+    wanted = k * nnz if n_zero else 0
+    cells = np.zeros((nnz + wanted, len(shape) + 2))
+    cells[:nnz, :-1] = np.transpose((*coords, tensor.values))
+    cells[:nnz, -1] = 1.0
+    cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
+    filled = nnz
+    while filled < len(cells):
+        batch = rng.integers(np.broadcast_to(shape, (len(cells) - filled, len(shape))))
+        flat = np.ravel_multi_index(batch.T, shape)
+        # positives is sorted: a draw is one when the first not below it equals it
+        batch = batch[positives[np.searchsorted(positives, flat) % len(positives)] != flat]
+        cells[filled:filled + len(batch), :-2] = batch
+        filled += len(batch)
     return cells
 
 
 def sample_cells(w, x, k, rng):
     """Sampled cells of one sentence: positives plus weighted negatives.
 
-    Returns (w_cells, x_cells); w_cells rows are (pred, tok, target, weight),
-    x_cells rows are (rel, head, dep, target, weight).  Negatives are
-    uniform over zero cells, with weight n_zero / (k * n_pos) so the
-    expected sampled zero-cell loss equals the full zero-cell loss.
+    Returns (w_cells, x_cells), float arrays with one row per cell; w_cells
+    rows are (pred, tok, target, weight), x_cells rows are (rel, head, dep,
+    target, weight).  Negatives are uniform over zero cells, with weight
+    n_zero / (k * n_pos) so the expected sampled zero-cell loss equals the
+    full zero-cell loss.
     """
     return _sample(w, k, rng), _sample(x, k, rng)
 
@@ -90,34 +95,42 @@ def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_sc
     terms of batch sentences enter at full strength.
     """
     p, r_tensor = model.P, model.R
-    alpha = hyper.alpha
-    loss = 0.0
-    g_p = np.zeros_like(p)
-    g_r = np.zeros_like(r_tensor)
-    g_e = {s: np.zeros_like(e_store[s]) for s in batch}
-    for s in batch:
-        e = e_store[s]
-        w_cells, x_cells = samples[s]
-        for i, t, target, weight in w_cells:
-            resid = float(p[i] @ e[t]) - target
-            loss += weight * resid * resid
-            coef = 2.0 * weight * resid
-            g_p[i] += coef * e[t]
-            g_e[s][t] += coef * p[i]
-        for k, h, t, target, weight in x_cells:
-            resid = float(e[h] @ r_tensor[k] @ e[t]) - target
-            loss += alpha * weight * resid * resid
-            coef = 2.0 * alpha * weight * resid
-            g_r[k] += coef * np.outer(e[h], e[t])
-            g_e[s][h] += coef * (r_tensor[k] @ e[t])
-            g_e[s][t] += coef * (r_tensor[k].T @ e[h])
-    loss += reg_scale * hyper.lambda_p * float(np.sum(p ** 2))
-    loss += reg_scale * hyper.lambda_r * float(np.sum(r_tensor ** 2))
-    g_p += 2.0 * reg_scale * hyper.lambda_p * p
-    g_r += 2.0 * reg_scale * hyper.lambda_r * r_tensor
-    for s in batch:
-        loss += hyper.lambda_e * float(np.sum(e_store[s] ** 2))
-        g_e[s] += 2.0 * hyper.lambda_e * e_store[s]
+    # the batch sentences' E rows stacked: sentence s owns rows a..b
+    e_all = np.concatenate([e_store[s] for s in batch])
+    # the regularizer terms; each cell's terms are added to them
+    loss = (reg_scale * (hyper.lambda_p * float(np.sum(p ** 2))
+                         + hyper.lambda_r * float(np.sum(r_tensor ** 2)))
+            + hyper.lambda_e * float(np.sum(e_all ** 2)))
+    g_p = 2.0 * reg_scale * hyper.lambda_p * p
+    g_r = 2.0 * reg_scale * hyper.lambda_r * r_tensor
+    g_all = 2.0 * hyper.lambda_e * e_all
+    offsets = np.cumsum([0] + [len(e_store[s]) for s in batch])
+    g_e = {s: g_all[a:b] for s, a, b in zip(batch, offsets, offsets[1:])}
+    for s, a in zip(batch, offsets):
+        i, t, target, weight = samples[s][0].T
+        i, t = i.astype(np.intp), t.astype(np.intp) + a
+        resid = np.einsum("ij,ij->i", p[i], e_all[t]) - target
+        loss += float(weight @ resid ** 2)
+        coef = (2.0 * weight * resid)[:, None]
+        np.add.at(g_p, i, coef * e_all[t])
+        np.add.at(g_all, t, coef * p[i])
+    # X cells of the whole batch with head and dep as rows of e_all, taken
+    # one relation at a time so no temporary holds a row per batch cell
+    x_cells = np.concatenate([samples[s][1] + [0, a, a, 0, 0]
+                              for s, a in zip(batch, offsets)])
+    x_cells = x_cells[np.argsort(x_cells[:, 0], kind="stable")]
+    rels, starts = np.unique(x_cells[:, 0], return_index=True)
+    for k, segment in zip(rels.astype(np.intp), np.split(x_cells, starts[1:])):
+        _, h, t, target, weight = segment.T
+        h, t = h.astype(np.intp), t.astype(np.intp)
+        e_h_r, e_t = e_all[h] @ r_tensor[k], e_all[t]
+        resid = np.einsum("ij,ij->i", e_h_r, e_t) - target
+        loss += hyper.alpha * float(weight @ resid ** 2)
+        coef = (2.0 * hyper.alpha * weight * resid)[:, None]
+        np.add.at(g_all, t, coef * e_h_r)
+        e_t *= coef  # in place: one row-per-cell temporary fewer
+        g_r[k] += e_all[h].T @ e_t
+        np.add.at(g_all, h, e_t @ r_tensor[k].T)
     g_p[model.frozen_p_rows] = 0.0
     return loss, g_p, g_r, g_e
 

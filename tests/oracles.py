@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's closed-form solvers:
 block objectives are minimized by plain gradient descent with a parabolic
-line search, alignment scores by exhaustive enumeration of mappings.
+line search, alignment scores by exhaustive enumeration of mappings, and
+the sampled SGD loss and gradients by a loop over single cells.
 """
 
 import itertools
@@ -132,3 +133,44 @@ def entailment_by_enumeration(s1, s2):
         score = np.mean([cos(s1[i], s2[j]) for j, i in enumerate(mapping)])
         best = max(best, score)
     return best
+
+
+def sampled_loss_and_grads_by_cell(batch, samples, model, e_store, hyper, reg_scale):
+    """The sampled SGD objective and its gradients, one cell at a time.
+
+    Reads the same array rows as sgd.sampled_loss_and_grads: W rows
+    (pred, tok, target, weight), X rows (rel, head, dep, target, weight).
+    """
+    p, r_tensor = model.P, model.R
+    alpha = hyper.alpha
+    loss = 0.0
+    g_p = np.zeros_like(p)
+    g_r = np.zeros_like(r_tensor)
+    g_e = {s: np.zeros_like(e_store[s]) for s in batch}
+    for s in batch:
+        e = e_store[s]
+        w_cells, x_cells = samples[s]
+        for i, t, target, weight in w_cells.tolist():
+            i, t = int(i), int(t)
+            resid = float(p[i] @ e[t]) - target
+            loss += weight * resid * resid
+            coef = 2.0 * weight * resid
+            g_p[i] += coef * e[t]
+            g_e[s][t] += coef * p[i]
+        for k, h, t, target, weight in x_cells.tolist():
+            k, h, t = int(k), int(h), int(t)
+            resid = float(e[h] @ r_tensor[k] @ e[t]) - target
+            loss += alpha * weight * resid * resid
+            coef = 2.0 * alpha * weight * resid
+            g_r[k] += coef * np.outer(e[h], e[t])
+            g_e[s][h] += coef * (r_tensor[k] @ e[t])
+            g_e[s][t] += coef * (r_tensor[k].T @ e[h])
+    loss += reg_scale * hyper.lambda_p * float(np.sum(p ** 2))
+    loss += reg_scale * hyper.lambda_r * float(np.sum(r_tensor ** 2))
+    g_p += 2.0 * reg_scale * hyper.lambda_p * p
+    g_r += 2.0 * reg_scale * hyper.lambda_r * r_tensor
+    for s in batch:
+        loss += hyper.lambda_e * float(np.sum(e_store[s] ** 2))
+        g_e[s] += 2.0 * hyper.lambda_e * e_store[s]
+    g_p[model.frozen_p_rows] = 0.0
+    return loss, g_p, g_r, g_e

@@ -366,6 +366,9 @@ MALFORMED_INPUTS = {
         "tensors.txt", "dims 3 2\nsentence s0 1\nW 0 0 nan\n", ("train",), "line 3"),
     "tensor entry with an extra field": (
         "tensors.txt", "dims 3 2\nsentence s0 2\nX 0 0 1 1 1\n", ("train",), "line 3"),
+    "non-finite bag value": (  # bag a = [[nan]], bag b = [[1.0]]
+        "bags.bin", "a 1 1\n" + "\0" * 6 + "\xf8\x7fb 1 1\n" + "\0" * 6 + "\xf0?",
+        ("score", "--mode", "sts"), "record 1"),
     "unknown tensor line tag": (
         "tensors.txt", "dims 3 2\nsentence s0 1\nw 0 0 1\n", ("train",), "line 3"),
 }
@@ -374,7 +377,7 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_a_data_error(workspace, capsys, name):
     filename, text, command, where = MALFORMED_INPUTS[name]
-    (workspace / filename).write_text(text)
+    (workspace / filename).write_bytes(text.encode("latin-1"))
     (workspace / "pairs.tsv").write_text("p1\ta\tb\t4.0\n")
     config = tensors_config(workspace)
     assert run(config, *command) == EXIT_DATA

@@ -158,7 +158,7 @@ ERROR_CASES = [
     ("hyper.inference_iters=0", "inference_iters must be >= 1"),
     ("hyper.r_regularizer=l3",
      "r_regularizer must be one of ('l2', 'l1', 'nuclear')"),
-    ("sgd.batch_size=0", "batch_size, negatives_per_positive must be >= 1"),
+    ("sgd.batch_size=0", "batch_size must be >= 1"),
     ("sgd.learning_rate=0", "learning_rate must be positive"),
 ]
 

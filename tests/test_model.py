@@ -221,6 +221,15 @@ class TestBags:
         with pytest.raises(ModelTruncatedError):
             read_bags(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        e = np.ones((2, 3))
+        e[1, 2] = value
+        path = tmp_path / "bags.bin"
+        write_bags(path, [("s0", np.zeros((1, 3))), ("s1", e)])
+        with pytest.raises(ModelFormatError, match=r"bag record 2 \(s1\).*non-finite"):
+            read_bags(path)
+
 
 def test_frozen_rows_digest_tracks_frozen_rows_only():
     model = random_model()

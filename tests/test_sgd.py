@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bove import sgd, synth
 from bove.als import corpus_objective
-from bove.encoding import from_dense
+from bove.encoding import SparsePropertyMatrix, SparseRelationTensor, from_dense
 from bove.errors import DivergenceError
 from bove.model import Hyperparams, init_for_training
 from bove.sgd import (
@@ -18,6 +19,7 @@ from bove.sgd import (
     sgd_step,
     train_sgd,
 )
+from oracles import sampled_loss_and_grads_by_cell
 
 
 class Dims:
@@ -115,6 +117,83 @@ class TestGradients:
         np.testing.assert_array_equal(g_p[0], 0.0)
 
 
+def assert_close(actual, expected):
+    """Equal to 1e-10 relative to the largest entry of expected."""
+    scale = np.max(np.abs(expected), initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-10 * scale)
+
+
+def random_tensor(cls, sizes, entries, data):
+    """Coordinate tensor of `entries` cells drawn with replacement, so
+    coordinates repeat."""
+    coords = [data.integers(sizes[size], size=entries) for _, size, _ in cls.AXES]
+    return cls._build(sizes, (*coords, data.normal(size=entries)))
+
+
+class TestAgainstCellLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(c=st.integers(1, 5), d=st.integers(1, 3), r=st.integers(1, 3),
+           sentences=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 8),
+                                        st.integers(0, 8)), min_size=1, max_size=4),
+           k=st.integers(0, 3), frozen=st.lists(st.booleans(), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32))
+    def test_matches_per_cell_loop(self, c, d, r, sentences, k, frozen, seed):
+        # sentences: (tokens, W entries, X entries); 0 X entries is a
+        # sentence without relation edges, and entries repeat coordinates
+        data = np.random.default_rng(seed)
+        ws = [random_tensor(SparsePropertyMatrix, {"c": c, "n": n}, w_nnz, data)
+              for n, w_nnz, _ in sentences]
+        xs = [random_tensor(SparseRelationTensor, {"d": d, "n": n}, x_nnz, data)
+              for n, _, x_nnz in sentences]
+        hyper = Hyperparams(r=r, alpha=data.uniform(0, 2),
+                            lambda_p=data.uniform(0, 1), lambda_r=data.uniform(0, 1),
+                            lambda_e=data.uniform(0, 1))
+        model = init_for_training(Dims(c, d), hyper, seed=seed)
+        model.R = data.normal(size=model.R.shape)
+        model.frozen_p_rows[:] = frozen[:c]
+        e_store = [data.normal(size=(n, r)) for n, _, _ in sentences]
+        batch = [int(s) for s in data.permutation(len(sentences))]
+        samples = {s: sample_cells(ws[s], xs[s], k, data) for s in batch}
+        reg_scale = data.uniform(0, 1)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(
+            batch, ws, xs, samples, model, e_store, hyper, reg_scale)
+        ref_loss, ref_p, ref_r, ref_e = sampled_loss_and_grads_by_cell(
+            batch, samples, model, e_store, hyper, reg_scale)
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        assert_close(g_p, ref_p)
+        assert_close(g_r, ref_r)
+        assert sorted(g_e) == sorted(ref_e)
+        for s in batch:
+            assert_close(g_e[s], ref_e[s])
+
+    def test_batch_memory_stays_bounded(self):
+        # 8 sentences of 200 tokens, d=40, r=50: one dense d x n x n array
+        # is 12.8 MB, and one E row per X cell of the batch about 7.7 MB
+        rng = np.random.default_rng(0)
+        c, d, n, r = 300, 40, 200, 50
+        tokens = np.arange(n)
+        ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
+                                   cols=np.repeat(tokens, 2)) for _ in range(8)]
+        # a dependency edge into every token, and an adjacency edge
+        xs = [SparseRelationTensor(
+            d=d, n=n, rels=np.r_[rng.integers(d - 1, size=n), np.full(n - 1, d - 1)],
+            heads=np.r_[rng.integers(n, size=n), tokens[:-1]],
+            deps=np.r_[tokens, tokens[1:]]) for _ in range(8)]
+        hyper = Hyperparams(r=r)
+        model = init_for_training(Dims(c, d), hyper, seed=0)
+        model.R = rng.normal(size=model.R.shape) / r
+        e_store = [rng.normal(size=(n, r)) for _ in range(8)]
+        batch = list(range(8))
+        samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
+        tracemalloc.start()
+        try:
+            sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestSampling:
     def test_negatives_avoid_positives(self):
         rng = np.random.default_rng(2)
@@ -169,6 +248,11 @@ class TestSampling:
         assert expected == pytest.approx(full, rel=1e-12)
 
 
+def rows(cells):
+    """A sampled cell array as a list of row tuples."""
+    return [tuple(row) for row in cells.tolist()]
+
+
 def one_at_a_time(tensor, k, rng):
     """Reference sampler: draw each negative cell one axis at a time with
     scalar draws, redrawing until the cell is not a positive."""
@@ -194,7 +278,7 @@ class TestSamplingStream:
             np.array([[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                       [[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.0, 0.0, 0.0]]]))
         rng = np.random.default_rng(7)
-        w_cells, x_cells = sample_cells(w, x, 2, rng)
+        w_cells, x_cells = map(rows, sample_cells(w, x, 2, rng))
         assert w_cells == [
             (0, 0, 1.0, 1.0), (0, 2, 0.5, 1.0), (1, 1, 2.0, 1.0),
             (1, 2, 0.0, 0.5), (1, 2, 0.0, 0.5), (1, 0, 0.0, 0.5),
@@ -213,8 +297,9 @@ class TestSamplingStream:
         w, x = from_dense((data.random((c, n)) < density) * data.normal(size=(c, n)),
                           (data.random((d, n, n)) < density).astype(float))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sample_cells(w, x, k, rng) == (one_at_a_time(w, k, ref),
-                                              one_at_a_time(x, k, ref))
+        w_cells, x_cells = sample_cells(w, x, k, rng)
+        assert rows(w_cells) == one_at_a_time(w, k, ref)
+        assert rows(x_cells) == one_at_a_time(x, k, ref)
         assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
 
 
@@ -259,6 +344,23 @@ class TestTrainSgd:
         end = corpus_objective(ws, xs, e_store, out, hyper)
         assert end < start
 
+    def test_reproduces_recorded_trace(self):
+        # recorded with the per-cell gradient loop: pins the sampling stream
+        # and the arithmetic; sentences of 3 and of 5 tokens share batches
+        ws, xs = micro_corpus(seed=4, n_sentences=3, n=3, c=5, d=3, r=3)
+        ws2, xs2 = micro_corpus(seed=5, n_sentences=2, n=5, c=5, d=3, r=3)
+        hyper = Hyperparams(r=3, alpha=0.8)
+        model = init_for_training(Dims(5, 3), hyper, seed=2)
+        cfg = SgdConfig(epochs=6, seed=13, batch_size=2, negatives_per_positive=3)
+        out, e_store, trace = train_sgd(ws + ws2, xs + xs2, model, hyper, cfg)
+        assert trace == pytest.approx([
+            152.80582795473924, 152.50622797355425, 150.8480186023739,
+            146.98643011454158, 140.475248285699, 131.21352438481253], rel=1e-9)
+        assert float(np.sum(out.P ** 2)) == pytest.approx(1.4132417463046338, rel=1e-9)
+        assert float(np.sum(out.R ** 2)) == pytest.approx(1.97411603021946, rel=1e-9)
+        assert sum(float(np.sum(e ** 2)) for e in e_store) == pytest.approx(
+            2.6673310709984355, rel=1e-9)
+
     @pytest.mark.parametrize("value", [1e200, np.inf])
     def test_overflowing_corpus_diverges(self, value):
         # no errstate set here: train_sgd itself turns overflow into divergence
@@ -294,10 +396,16 @@ class TestTrainSgd:
         assert seconds == ["1.500", "0.250"]
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SgdConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        SgdConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        SgdConfig(negatives_per_positive=0)
+CONFIG_ERRORS = [
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("negatives_per_positive", 0, "negatives_per_positive must be >= 1"),
+    ("epochs", -1, "epochs must be >= 0"),
+    ("learning_rate", 0.0, "learning_rate must be positive"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", CONFIG_ERRORS,
+                         ids=[case[0] for case in CONFIG_ERRORS])
+def test_config_validation(field, value, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        SgdConfig(**{field: value})
