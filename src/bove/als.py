@@ -65,7 +65,7 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     we = np.zeros((c, r))
     for w, e in zip(ws, es):
         ete += e.T @ e
-        we += w.to_dense() @ e
+        np.add.at(we, w.rows, w.values[:, None] * e[w.cols])
     p_new = _spd_solve_right(ete, we, lambda_p, "P update")
     if frozen is not None and frozen.any():
         if p_current is None:
@@ -82,7 +82,8 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     lambda_r I)^-1 with E'_s = E_s kron E_s.  Requires an r^2 x r^2 solve,
     hence the cap ALS_R_CAP on r.  The normal equations are streamed over the
     corpus: ktk = sum (E_s^T E_s) kron (E_s^T E_s) (r^2 x r^2) and
-    xk = sum X'_s (E_s kron E_s) (d x r^2).
+    xk = sum X'_s (E_s kron E_s) (d x r^2), row k summing v vec(e_h e_t^T)
+    over X's entries (k, h, t, v).
     """
     r = es[0].shape[1]
     if r > ALS_R_CAP:
@@ -96,9 +97,8 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     for x, e in zip(xs, es):
         gram = e.T @ e
         ktk += np.kron(gram, gram)
-        # row k of X'_s (E kron E) is vec(E^T X_sk E)
-        proj = np.einsum("ia,kij,jb->kab", e, x.to_dense(), e)
-        xk += proj.reshape(d, r * r)
+        for k, heads, deps, values in x.relation_slices():
+            xk[k] += (e[heads].T @ (values[:, None] * e[deps])).ravel()
     r_flat = _spd_solve_right(alpha * ktk, alpha * xk, lambda_r, "R update")
     return r_flat.reshape(d, r, r)
 

@@ -104,6 +104,12 @@ class SparseRelationTensor(_CoordinateTensor):
     deps: np.ndarray
     values: np.ndarray = field(default=None)
 
+    def relation_slices(self):
+        """(relation, heads, deps, values) of each relation holding an entry."""
+        for k in np.unique(self.rels):
+            at = self.rels == k
+            yield int(k), self.heads[at], self.deps[at], self.values[at]
+
 
 def from_dense(w_dense, x_dense):
     """Coordinate forms of dense W (c x n) and X (d x n x n) arrays."""
@@ -138,8 +144,11 @@ def reconstruct_x(e, r_tensor):
 def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     """Full squared reconstruction loss over every cell of W and X.
 
-    ||W - P E^T||^2 + alpha ||X - E R E^T||^2.  All n^2 d relation cells
-    participate, zeros included.
+    ||W - P E^T||^2 + alpha ||X - E R E^T||^2, zero cells included, read from
+    the coordinate entries.  W rows and X relations that hold an entry are
+    predicted and compared cell by cell, one X slice at a time; an empty W row
+    j or X slice k adds ||P_j E^T||^2 or ||E R_k E^T||^2 = <R_k, M R_k M>,
+    with M = E^T E.  No c x n or d x n x n array is built.
     """
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
@@ -155,9 +164,22 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
         )
     if e.shape[0] != w.n or w.n != x.n:
         raise DimensionMismatch("token counts of W, X and E disagree")
-    loss = float(np.sum((w.to_dense() - p @ e.T) ** 2))
-    loss += alpha * float(np.sum((x.to_dense() - reconstruct_x(e, r_tensor)) ** 2))
-    return loss
+    m = e.T @ e
+    held, at = np.unique(w.rows, return_inverse=True)
+    resid = p[held] @ e.T
+    np.subtract.at(resid, (at, w.cols), w.values)
+    p_empty = np.delete(p, held, axis=0)
+    w_fit = float(np.sum(resid ** 2)) + float(np.sum((p_empty.T @ p_empty) * m))
+    empty = np.ones(x.d, dtype=bool)
+    x_fit = 0.0
+    for k, heads, deps, values in x.relation_slices():
+        resid = e @ r_tensor[k] @ e.T
+        np.subtract.at(resid, (heads, deps), values)
+        x_fit += float(np.sum(resid ** 2))
+        empty[k] = False
+    r_empty = r_tensor[empty]
+    x_fit += float(np.sum(r_empty * (m @ r_empty @ m)))
+    return w_fit + alpha * x_fit
 
 
 # Tensor dump: "dims c d", then per sentence "sentence <id> <n>" followed by

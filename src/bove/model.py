@@ -52,8 +52,10 @@ class Hyperparams:
             raise ValueError("embedding size r must be >= 1")
         if self.alpha < 0 or min(self.lambda_p, self.lambda_r, self.lambda_e) < 0:
             raise ValueError("alpha and regularizer strengths must be >= 0")
-        if self.inference_iters < 1:
-            raise ValueError("inference_iters must be >= 1")
+        for name, low in (("inference_iters", 1), ("max_rounds", 0),
+                          ("e_reinit_period", 0), ("e_reinit_burst", 1)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be >= %d" % (name, low))
         if self.r_regularizer not in R_REGULARIZERS:
             raise ValueError("r_regularizer must be one of %s" % (R_REGULARIZERS,))
 

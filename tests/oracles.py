@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's closed-form solvers:
 block objectives are minimized by plain gradient descent with a parabolic
 line search, alignment scores by exhaustive enumeration of mappings, and
-the sampled SGD loss and gradients by a loop over single cells.
+the sampled SGD loss and gradients by a loop over single cells.  The dense
+forms of the training kernels densify W and X and solve their normal
+equations with np.linalg.solve.
 """
 
 import itertools
@@ -59,6 +61,36 @@ def minimize_p_block(ws_dense, es, lambda_p, c, r):
         np.zeros(c * r),
     )
     return x.reshape(c, r)
+
+
+def update_P_dense(ws, es, lambda_p, p_current=None, frozen=None):
+    """als.update_P from dense W: (sum W_s E_s)(sum E_s^T E_s + lambda_p I)^-1."""
+    r = es[0].shape[1]
+    gram = lambda_p * np.eye(r) + sum(e.T @ e for e in es)
+    we = sum(w.to_dense() @ e for w, e in zip(ws, es))
+    p = np.linalg.solve(gram, we.T).T
+    if frozen is not None:
+        p[frozen] = p_current[frozen]
+    return p
+
+
+def update_R_dense(xs, es, lambda_r, alpha=1.0):
+    """als.update_R from dense X: the Kronecker normal equations, with row k
+    of the right-hand side vec(E_s^T X_sk E_s)."""
+    r, d = es[0].shape[1], xs[0].d
+    ktk = lambda_r * np.eye(r * r)
+    xk = np.zeros((d, r * r))
+    for x, e in zip(xs, es):
+        ktk += alpha * np.kron(e.T @ e, e.T @ e)
+        xk += alpha * np.einsum("ia,kij,jb->kab", e, x.to_dense(), e).reshape(d, r * r)
+    return np.linalg.solve(ktk, xk.T).T.reshape(d, r, r)
+
+
+def reconstruction_loss_dense(w, x, p, r_tensor, e, alpha=1.0):
+    """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over the dense W and X."""
+    loss = np.sum((w.to_dense() - p @ e.T) ** 2)
+    rec = np.einsum("ia,kab,jb->kij", e, r_tensor, e)
+    return float(loss + alpha * np.sum((x.to_dense() - rec) ** 2))
 
 
 def r_block_objective(r_tensor, xs_dense, es, lambda_r, alpha):

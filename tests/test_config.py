@@ -39,6 +39,8 @@ KEY_CASES = (
         ("hyper.rel_improvement_stop=0", "hyper.rel_improvement_stop", 0.0),
         ("hyper.max_rounds=2", "hyper.max_rounds", 2),
         ("hyper.e_reinit_period=3", "hyper.e_reinit_period", 3),
+        ("hyper.max_rounds=0", "hyper.max_rounds", 0),
+        ("hyper.e_reinit_period=0", "hyper.e_reinit_period", 0),
         ("hyper.e_reinit_burst=1", "hyper.e_reinit_burst", 1),
         ("sgd.batch_size=16", "sgd.batch_size", 16),
         ("sgd.learning_rate=0.1", "sgd.learning_rate", 0.1),
@@ -156,6 +158,9 @@ ERROR_CASES = [
     ("hyper.r=0", "embedding size r must be >= 1"),
     ("hyper.alpha=-1", "alpha and regularizer strengths must be >= 0"),
     ("hyper.inference_iters=0", "inference_iters must be >= 1"),
+    ("hyper.max_rounds=-1", "max_rounds must be >= 0"),
+    ("hyper.e_reinit_period=-1", "e_reinit_period must be >= 0"),
+    ("hyper.e_reinit_burst=0", "e_reinit_burst must be >= 1"),
     ("hyper.r_regularizer=l3",
      "r_regularizer must be one of ('l2', 'l1', 'nuclear')"),
     ("sgd.batch_size=0", "batch_size must be >= 1"),

@@ -14,6 +14,8 @@ from bove.encoding import (
 )
 from bove.errors import DimensionMismatch
 
+from oracles import reconstruction_loss_dense
+
 
 def graph(tokens, relations):
     return SentenceGraph(tokens=tuple(tokens), relations=tuple(relations))
@@ -76,10 +78,7 @@ class TestReconstructionLoss:
             e = rng.normal(size=(n, r))
             w, x = from_dense(wd, xd)
             alpha = float(rng.random() * 2)
-            naive = np.sum((wd - p @ e.T) ** 2)
-            naive += alpha * np.sum(
-                (xd - np.einsum("ia,kab,jb->kij", e, r_tensor, e)) ** 2
-            )
+            naive = reconstruction_loss_dense(w, x, p, r_tensor, e, alpha=alpha)
             sparse = reconstruction_loss(w, x, p, r_tensor, e, alpha=alpha)
             assert sparse == pytest.approx(naive, rel=1e-10)
 

@@ -65,6 +65,20 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_rounds", -1, "max_rounds must be >= 0"),
+        ("e_reinit_period", -1, "e_reinit_period must be >= 0"),
+        ("e_reinit_burst", 0, "e_reinit_burst must be >= 1"),
+    ])
+    def test_round_schedule_bounds(self, field, value, message):
+        # an e_reinit_burst of 0 would reset E and run no sweep, so P and R
+        # would be solved against an all-zero E
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Hyperparams(r=2, **{field: value})
+        with pytest.raises(ModelFormatError, match=message):
+            _hyper_from_bytes(b"r=2\n%s=%d" % (field.encode(), value))
+        Hyperparams(r=2, **{field: value + 1})
+
 
 class TestInit:
     def test_r_is_zero(self):

@@ -1,0 +1,155 @@
+"""The coordinate-form training kernels (update_P, update_R and the objective)
+against their dense forms, and a guard that they never densify W or X."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bove.als import corpus_objective, update_P, update_R
+from bove.encoding import (
+    SparsePropertyMatrix,
+    SparseRelationTensor,
+    _CoordinateTensor,
+    reconstruction_loss,
+)
+from bove.model import Hyperparams, TypeEmbeddings
+
+from oracles import reconstruction_loss_dense, update_P_dense, update_R_dense
+
+
+def sentence(c, d, n, w_cells, w_values, x_cells, x_values):
+    rows, cols = ([cell[axis] for cell in w_cells] for axis in range(2))
+    rels, heads, deps = ([cell[axis] for cell in x_cells] for axis in range(3))
+    return (SparsePropertyMatrix(c=c, n=n, rows=rows, cols=cols, values=w_values),
+            SparseRelationTensor(d=d, n=n, rels=rels, heads=heads, deps=deps,
+                                 values=x_values))
+
+
+@st.composite
+def corpora(draw):
+    """1-3 sentences on shared c, d and r, with n = 1 included.  Entries may
+    repeat a coordinate or store a zero.  A sentence may hold no X entry, an
+    entry in every W row, or one in every relation.  E, P, R, the frozen rows
+    and the strengths come from a drawn seed."""
+    c, d, r = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    value = st.one_of(st.just(0.0), st.floats(-4, 4, allow_nan=False))
+    ws, xs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        token = st.integers(0, n - 1)
+        w_cells = draw(st.lists(st.tuples(st.integers(0, c - 1), token), max_size=8))
+        x_cells = draw(st.lists(st.tuples(st.integers(0, d - 1), token, token),
+                                max_size=8))
+        if draw(st.booleans()):
+            w_cells += [(i, draw(token)) for i in range(c)]
+        if draw(st.booleans()):
+            x_cells += [(k, draw(token), draw(token)) for k in range(d)]
+        for cells in (w_cells, x_cells):
+            if cells and draw(st.booleans()):
+                cells.append(cells[0])
+        w_values = draw(st.lists(value, min_size=len(w_cells), max_size=len(w_cells)))
+        x_values = draw(st.lists(value, min_size=len(x_cells), max_size=len(x_cells)))
+        w, x = sentence(c, d, n, w_cells, w_values, x_cells, x_values)
+        ws.append(w)
+        xs.append(x)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    es = [rng.normal(size=(w.n, r)) for w in ws]
+    model = TypeEmbeddings(
+        P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
+        frozen_p_rows=rng.random(c) < 0.3,
+        hyper=Hyperparams(r=r, alpha=rng.uniform(0.1, 2), lambda_p=rng.uniform(0.1, 1),
+                          lambda_r=rng.uniform(0.1, 1)),
+    )
+    return ws, xs, es, model
+
+
+def assert_matches(got, want):
+    """Equal to 1e-10 relative to the largest entry of the reference, or to
+    1e-10 absolute where that entry is below 1: repeated coordinates may
+    cancel, and a cancelled sum is 0 only up to rounding."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-10 * max(np.abs(want).max(), 1.0))
+
+
+def check_against_dense(ws, xs, es, model):
+    hyper = model.hyper
+    assert_matches(update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows),
+                   update_P_dense(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows))
+    assert_matches(update_R(xs, es, hyper.lambda_r, hyper.alpha),
+                   update_R_dense(xs, es, hyper.lambda_r, hyper.alpha))
+    for w, x, e in zip(ws, xs, es):
+        assert reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha) == \
+            pytest.approx(reconstruction_loss_dense(w, x, model.P, model.R, e, hyper.alpha),
+                          rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora())
+def test_kernels_match_dense_forms(corpus):
+    check_against_dense(*corpus)
+
+
+def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2):
+    rng = np.random.default_rng(7)
+    w, x = sentence(c, d, n, w_cells, w_values, x_cells, x_values)
+    model = TypeEmbeddings(P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
+                           frozen_p_rows=np.array([True] + [False] * (c - 1)),
+                           hyper=Hyperparams(r=r, alpha=0.7))
+    return [w], [x], [rng.normal(size=(n, r))], model
+
+
+@pytest.mark.parametrize("corpus", [
+    fixed_corpus([(0, 1), (0, 1)], [1.0, 2.5], [(1, 0, 2), (1, 0, 2)], [1.0, -1.0]),
+    fixed_corpus([(2, 0)], [0.0], [(0, 1, 1)], [0.0]),
+    fixed_corpus([(0, 0), (1, 0)], [1.0, 1.0], [], [], n=1),
+    fixed_corpus([(1, 2)], [1.0], [], []),
+    fixed_corpus([(0, 0), (1, 1), (2, 2)], [1.0, 1.0, 1.0],
+                 [(0, 0, 1), (1, 1, 2)], [1.0, 0.5]),
+], ids=["repeated-coordinates", "stored-zeros", "n=1", "no-relations",
+        "every-row-and-relation"])
+def test_edge_cases_match_dense_forms(corpus):
+    check_against_dense(*corpus)
+
+
+@pytest.fixture
+def long_sentence():
+    """One sentence at n=200, d=40, c=300, r=10: a word and a PoS entry per
+    token and a random tree of labeled edges.  One dense X is 12.8 MB."""
+    n, d, c, r = 200, 40, 300, 10
+    rng = np.random.default_rng(0)
+    w_cells = [(int(rng.integers(c)), t) for t in range(n) for _ in range(2)]
+    x_cells = [(int(rng.integers(d)), int(rng.integers(t)), t) for t in range(1, n)]
+    w, x = sentence(c, d, n, w_cells, None, x_cells, None)
+    model = TypeEmbeddings(P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
+                           frozen_p_rows=np.zeros(c, dtype=bool), hyper=Hyperparams(r=r))
+    return [w], [x], [rng.normal(size=(n, r))], model
+
+
+KERNELS = {
+    "update_P": lambda ws, xs, es, model: update_P(ws, es, 0.1),
+    "update_R": lambda ws, xs, es, model: update_R(xs, es, 0.1),
+    "corpus_objective": lambda ws, xs, es, model: corpus_objective(
+        ws, xs, es, model, model.hyper),
+}
+
+
+def test_kernels_never_densify(monkeypatch, long_sentence):
+    def refuse(tensor):
+        raise AssertionError("%s densified" % type(tensor).__name__)
+
+    monkeypatch.setattr(_CoordinateTensor, "to_dense", refuse)
+    for kernel in KERNELS.values():
+        kernel(*long_sentence)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_memory_stays_small(name, long_sentence):
+    tracemalloc.start()
+    try:
+        KERNELS[name](*long_sentence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
