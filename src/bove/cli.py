@@ -146,25 +146,25 @@ def cmd_infer(cfg):
     return EXIT_DATA if failures else EXIT_OK
 
 
-# a bag or gold value too large to square is a data error, not a NaN score
-@als.numeric_errors_as(BoveError, "scoring failed on out-of-range values")
+# a bag, score or gold value too large to square is a data error, not a NaN score
+_out_of_range = als.numeric_errors_as(BoveError, "scoring failed on out-of-range values")
+
+
+@_out_of_range
 def cmd_score(cfg, mode):
     _require(cfg, "embeddings", "pairs", "scores")
     bags = dict(model_io.read_bags(cfg.embeddings))
-    raw_pairs = scoring.read_pairs(cfg.pairs, mode)
     score = scoring.score_similarity if mode == "sts" else scoring.score_entailment
     scored = []
-    for pid, sid1, sid2, gold, subset in raw_pairs:
+    for pid, sid1, sid2, gold, subset in scoring.read_pairs(cfg.pairs, mode):
         for sid in (sid1, sid2):
             if sid not in bags:
                 raise BoveError("pair %s references missing sentence id %r" % (pid, sid))
         value = score(bags[sid1], bags[sid2])
         scored.append(scoring.ScoredPair(id=pid, score=value, gold=gold, subset=subset))
-    with open(cfg.scores, "w", encoding="utf-8") as f:
-        for pair in scored:
-            f.write("%s\t%.10g\t%s\t%s\n" % (pair.id, pair.score, pair.gold, pair.subset))
-    if cfg.report is not None:
-        _write_report(cfg, scored, mode)
+    scoring.write_scores(cfg.scores, scored)
+    if cfg.report is not None:  # the report eval gives from the written file
+        _write_report(cfg, scoring.read_scores(cfg.scores, mode), mode)
     print("wrote %s (%d pairs)" % (cfg.scores, len(scored)))
     return EXIT_OK
 
@@ -180,28 +180,11 @@ def _write_report(cfg, scored, mode):
         f.write(text)
 
 
+@_out_of_range
 def cmd_eval(cfg, mode):
-    """Recompute the evaluation report from an existing scored-pairs file."""
+    """Recompute the evaluation report from an existing scores file."""
     _require(cfg, "scores", "report")
-    scored = []
-    with open(cfg.scores, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                pid, score, gold, subset = line.split("\t")
-                gold = float(gold) if mode == "sts" else gold
-                score = float(score)
-            except ValueError:
-                raise BoveError(
-                    "scores file line %d: expected id, score, gold, subset "
-                    "separated by tabs, got %r" % (line_no, line)
-                ) from None
-            scored.append(
-                scoring.ScoredPair(id=pid, score=score, gold=gold, subset=subset)
-            )
-    _write_report(cfg, scored, mode)
+    _write_report(cfg, scoring.read_scores(cfg.scores, mode), mode)
     print("wrote %s" % cfg.report)
     return EXIT_OK
 

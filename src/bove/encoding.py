@@ -136,11 +136,6 @@ def encode(graph, c, d):
     )
 
 
-def reconstruct_x(e, r_tensor):
-    """Dense reconstruction E . R . E^T, shape d x n x n."""
-    return np.einsum("ia,kab,jb->kij", e, r_tensor, e)
-
-
 def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     """Full squared reconstruction loss over every cell of W and X.
 

@@ -123,15 +123,6 @@ def read_word_vectors(path):
     return dim, vectors
 
 
-def write_word_vectors(path, vectors):
-    """Write word vectors in the text format read_word_vectors expects."""
-    dim = len(next(iter(vectors.values())))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("%d %d\n" % (len(vectors), dim))
-        for word, vec in vectors.items():
-            f.write(word + " " + " ".join("%.17g" % v for v in vec) + "\n")
-
-
 def load_pretrained(model, path, vocab):
     """Overwrite and freeze P rows of word predicates found in a vector file.
 
@@ -285,11 +276,3 @@ def read_bags(path):
             bags.append((sid, e))
     return bags
 
-
-def frozen_rows_digest(model):
-    """Hash of the frozen P rows; used to assert freezing contracts."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(model.P[model.frozen_p_rows], dtype="<f8").tobytes())
-    return h.hexdigest()

@@ -4,9 +4,10 @@ The directional score aligns every vector of the entailed bag to its best
 cosine match in the entailing bag and averages; the symmetric similarity is
 the harmonic mean of the two directions, clamped to 0 when either direction
 is non-positive (cosines can be negative and the harmonic mean is undefined
-there).
+there).  The pair file and scores file formats are read and written here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ ENTAILMENT_LABELS = ("entailment", "neutral", "contradiction")
 
 @dataclass(frozen=True)
 class ScoredPair:
-    """One scored sentence pair; gold is a float (STS) or bool (SNLI)."""
+    """One scored sentence pair; gold is a float (STS), or a label or bool (SNLI)."""
 
     id: str
     score: float
@@ -46,11 +47,8 @@ def _unit_rows(bag):
     return np.where(norms == 0.0, 0.0, bag / safe)
 
 
-def score_entailment(s1, s2):
-    """Directional alignment score: mean over s2 rows of the best cosine in s1.
-
-    Asymmetric; s1 is the entailing bag, s2 the entailed one.
-    """
+def _cosines(s1, s2):
+    """Cosine matrix of two bags: entry (i, j) is the cosine of s1[i] and s2[j]."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.ndim != 2 or s2.ndim != 2:
@@ -61,14 +59,25 @@ def score_entailment(s1, s2):
         raise DimensionMismatch(
             "bags have different vector sizes: %d vs %d" % (s1.shape[1], s2.shape[1])
         )
-    sims = _unit_rows(s1) @ _unit_rows(s2).T
-    return float(np.mean(sims.max(axis=0)))
+    return _unit_rows(s1) @ _unit_rows(s2).T
+
+
+def score_entailment(s1, s2):
+    """Directional alignment score: mean over s2 rows of the best cosine in s1.
+
+    Asymmetric; s1 is the entailing bag, s2 the entailed one.
+    """
+    return float(np.mean(_cosines(s1, s2).max(axis=0)))
 
 
 def score_similarity(s1, s2):
-    """Harmonic mean of both directional scores; 0 unless both are positive."""
-    a = score_entailment(s1, s2)
-    b = score_entailment(s2, s1)
+    """Harmonic mean of both directional scores; 0 unless both are positive.
+
+    One cosine matrix gives both: its column maxima align s2, its row maxima s1.
+    """
+    sims = _cosines(s1, s2)
+    a = float(np.mean(sims.max(axis=0)))
+    b = float(np.mean(sims.max(axis=1)))
     if a <= 0.0 or b <= 0.0:
         return 0.0
     return 2.0 * a * b / (a + b)
@@ -149,35 +158,58 @@ def evaluate_snli(pairs):
     return average_precision(labels)
 
 
-def read_pairs(path, mode):
-    """Read the tab-separated pair file: id, sid1, sid2, gold [, subset].
+def _read_rows(path, what, columns, numbers):
+    """Columns of each tab-separated row, skipping blank and '#' lines.
 
-    mode "sts" parses gold as a float; "snli" keeps the label string.
-    Returns a list of (id, sid1, sid2, gold, subset).
+    A row needs (least, most) = columns columns, and a finite number, returned
+    as a float, at each index of `numbers` (index -> name); else BoveError
+    names the file and the line.
     """
-    out = []
+    least, most = columns
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             cols = line.split("\t")
-            if len(cols) < 4:
-                raise BoveError(
-                    "pair file line %d: expected >= 4 tab-separated columns" % line_no
-                )
-            gold = cols[3]
-            if mode == "sts":
+            if not least <= len(cols) <= most:
+                raise BoveError("%s: %s line %d: expected %s tab-separated columns, got %d"
+                                % (path, what, line_no, least if least == most
+                                   else "at least %d" % least, len(cols)))
+            for index, name in numbers.items():
                 try:
-                    gold = float(gold)
+                    value = float(cols[index])
                 except ValueError:
-                    raise BoveError(
-                        "pair file line %d: STS gold must be a number, got %r"
-                        % (line_no, gold)
-                    ) from None
-            subset = cols[4] if len(cols) > 4 else "all"
-            out.append((cols[0], cols[1], cols[2], gold, subset))
-    return out
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise BoveError("%s: %s line %d: %s must be a finite number, got %r"
+                                    % (path, what, line_no, name, cols[index]))
+                cols[index] = value
+            yield cols
+
+
+def read_pairs(path, mode):
+    """Read the tab-separated pair file: id, sid1, sid2, gold [, subset].
+
+    mode "sts" parses gold as a finite float; "snli" keeps the label string.
+    Returns a list of (id, sid1, sid2, gold, subset).
+    """
+    numbers = {3: "STS gold"} if mode == "sts" else {}
+    return [(cols[0], cols[1], cols[2], cols[3], cols[4] if len(cols) > 4 else "all")
+            for cols in _read_rows(path, "pair file", (4, math.inf), numbers)]
+
+
+def write_scores(path, pairs):
+    """Write ScoredPairs as `id score gold subset` lines, scores to 10 digits."""
+    with open(path, "w", encoding="utf-8") as f:
+        for pair in pairs:
+            f.write("%s\t%.10g\t%s\t%s\n" % (pair.id, pair.score, pair.gold, pair.subset))
+
+
+def read_scores(path, mode):
+    """ScoredPairs from write_scores' format; STS golds are floats, SNLI labels."""
+    numbers = {1: "score", 2: "STS gold"} if mode == "sts" else {1: "score"}
+    return [ScoredPair(*cols) for cols in _read_rows(path, "scores file", (4, 4), numbers)]
 
 
 def format_report(report, mean, metric):

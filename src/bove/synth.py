@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import from_dense, reconstruct_x
+from .encoding import from_dense
 from .model import Hyperparams, TypeEmbeddings
 
 
@@ -49,7 +49,7 @@ def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
     sentences = []
     for idx, e in enumerate(es):
         w_dense = p @ e.T
-        x_dense = reconstruct_x(e, r_tensor)
+        x_dense = _reconstruct_x(e, r_tensor)
         if noise > 0.0:
             w_dense = w_dense + rng.uniform(-noise, noise, size=w_dense.shape)
             x_dense = x_dense + rng.uniform(-noise, noise, size=x_dense.shape)
@@ -61,6 +61,11 @@ def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
         w, x = from_dense(w_dense, x_dense)
         sentences.append((str(idx), w, x))
     return SynthData(model=model, e_true=es, sentences=sentences)
+
+
+def _reconstruct_x(e, r_tensor):
+    """Dense reconstruction E . R . E^T, shape d x n x n."""
+    return np.einsum("ia,kab,jb->kij", e, r_tensor, e)
 
 
 def _binarize(dense, threshold):
@@ -88,7 +93,7 @@ def make_pair_benchmark(seed, n_matched=50, n_mismatched=50,
 
     def tensors(e):
         w_dense = p @ e.T + rng.uniform(-noise, noise, size=(c, n_tokens))
-        x_dense = reconstruct_x(e, r_tensor) + rng.uniform(
+        x_dense = _reconstruct_x(e, r_tensor) + rng.uniform(
             -noise, noise, size=(d, n_tokens, n_tokens)
         )
         return from_dense(w_dense, x_dense)

@@ -5,12 +5,15 @@ block objectives are minimized by plain gradient descent with a parabolic
 line search, alignment scores by exhaustive enumeration of mappings, and
 the sampled SGD loss and gradients by a loop over single cells.  The dense
 forms of the training kernels densify W and X and solve their normal
-equations with np.linalg.solve.
+equations with np.linalg.solve.  The symmetric similarity is also kept in
+its two-call form, one directional score per direction.
 """
 
 import itertools
 
 import numpy as np
+
+from bove.scoring import score_entailment
 
 
 def gradient_descent(f, grad, x0, max_iters=200_000, tol=1e-15):
@@ -165,6 +168,15 @@ def entailment_by_enumeration(s1, s2):
         score = np.mean([cos(s1[i], s2[j]) for j, i in enumerate(mapping)])
         best = max(best, score)
     return best
+
+
+def similarity_by_two_directions(s1, s2):
+    """Harmonic mean of score_entailment both ways, 0 unless both are positive."""
+    a = score_entailment(s1, s2)
+    b = score_entailment(s2, s1)
+    if a <= 0.0 or b <= 0.0:
+        return 0.0
+    return 2.0 * a * b / (a + b)
 
 
 def sampled_loss_and_grads_by_cell(batch, samples, model, e_store, hyper, reg_scale):

@@ -276,6 +276,22 @@ class TestScoreAndEval:
         assert run(config, "eval", "--mode", "sts") == EXIT_OK
         assert (workspace / "report.txt").read_text() == original
 
+    def test_score_report_equals_eval_of_written_scores(self, workspace):
+        # cos(a, c) = 1 - 5e-15 < cos(a, b) = 1, but both are 1 to 10 digits,
+        # so in the scores file the pairs tie and keep their file order
+        config = write_config(workspace)
+        model_io.write_bags(workspace / "bags.bin", [
+            ("a", np.array([[1.0, 0.0]])), ("b", np.array([[1.0, 0.0]])),
+            ("c", np.array([[1.0, 1e-7]]))])
+        (workspace / "pairs.tsv").write_text(
+            "p1\ta\tc\tentailment\np2\ta\tb\tcontradiction\n")
+        assert run(config, "score", "--mode", "snli") == EXIT_OK
+        from_score = (workspace / "report.txt").read_bytes()
+        (workspace / "report.txt").unlink()
+        assert run(config, "eval", "--mode", "snli") == EXIT_OK
+        assert (workspace / "report.txt").read_bytes() == from_score
+        assert b"subset=mean metric=ap value=1.000000 n=2" in from_score
+
     def test_missing_sentence_id(self, workspace, capsys):
         config = self.infer_bags(workspace)
         (workspace / "pairs.tsv").write_text("p1\t0\t99\t4.0\n")
@@ -371,14 +387,27 @@ MALFORMED_INPUTS = {
         ("score", "--mode", "sts"), "record 1"),
     "unknown tensor line tag": (
         "tensors.txt", "dims 3 2\nsentence s0 1\nw 0 0 1\n", ("train",), "line 3"),
+    "non-finite pair gold": (
+        "pairs.tsv", "p1\ta\tb\tnan\n", ("score", "--mode", "sts"),
+        "pairs.tsv: pair file line 1"),
+    "non-finite score": (
+        "scores.tsv", "p1\tnan\t4.0\tall\n", ("eval", "--mode", "sts"),
+        "scores.tsv: scores file line 1"),
+    "non-finite scores gold": (
+        "scores.tsv", "p0\t0.5\t1.0\tall\np1\t0.5\tinf\tall\n", ("eval", "--mode", "sts"),
+        "scores.tsv: scores file line 2"),
+    "non-finite SNLI score": (
+        "scores.tsv", "p1\tinf\tentailment\tall\n", ("eval", "--mode", "snli"),
+        "scores.tsv: scores file line 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_a_data_error(workspace, capsys, name):
     filename, text, command, where = MALFORMED_INPUTS[name]
-    (workspace / filename).write_bytes(text.encode("latin-1"))
     (workspace / "pairs.tsv").write_text("p1\ta\tb\t4.0\n")
+    (workspace / "bags.bin").write_bytes(b"")
+    (workspace / filename).write_bytes(text.encode("latin-1"))
     config = tensors_config(workspace)
     assert run(config, *command) == EXIT_DATA
     assert where in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """CLI fuzz: corrupted input files of every kind fed through bove.cli.main.
 
 The inputs are a CoNLL corpus, a vocabulary file, a tensor dump, an STS and
-an SNLI pair file and a bag file.
+an SNLI pair file, a bag file and an STS and an SNLI scores file.
 
 Whatever the corruption, main returns an exit code and never lets an
 exception escape; a corruption that cannot leave the file valid exits 1, 2
@@ -29,10 +29,14 @@ CASES = {
     "tensors-sgd": ("tensors.txt", ["train"], {"trainer": "sgd", "sgd.epochs": "2"}),
     "pairs-sts": ("pairs.tsv", ["score", "--mode", "sts"], {}),
     "pairs-snli": ("pairs-snli.tsv", ["score", "--mode", "snli"],
-                   {"paths.pairs": "pairs-snli.tsv"}),
+                   {"paths.pairs": "pairs-snli.tsv", "paths.scores": "scores-snli.tsv"}),
     "bags-sts": ("bags.bin", ["score", "--mode", "sts"], {}),
     "bags-snli": ("bags.bin", ["score", "--mode", "snli"],
-                  {"paths.pairs": "pairs-snli.tsv"}),
+                  {"paths.pairs": "pairs-snli.tsv", "paths.scores": "scores-snli.tsv"}),
+    # after the score cases, whose runs write the scores files
+    "scores-sts": ("scores.tsv", ["eval", "--mode", "sts"], {}),
+    "scores-snli": ("scores-snli.tsv", ["eval", "--mode", "snli"],
+                    {"paths.scores": "scores-snli.tsv"}),
 }
 VALID_PAIRS = {
     "pairs.tsv": b"p1\t0\t1\t4.0\tA\np2\t2\t3\t1.0\tA\np3\t0\t3\t2.5\tA\n",
@@ -45,6 +49,8 @@ ANY_FIELD = [b"", b"x", b"-1", b"0", b"1", b"2", b"99", b"1.5", b"nan", b"inf",
              b"sentence", b"#thresholds", b"word=1", b"=", b"\t", b" ", b"\xff"]
 # Fields that neither int() nor float() accepts.
 NOT_A_NUMBER = [b"x", b"0x1", b"--1", b"1.5.", b"one"]
+# Fields that no valid file holds where a gold or a score belongs.
+NOT_FINITE = NOT_A_NUMBER + [b"nan", b"inf", b"-inf", b"1e999"]
 # Fields that no valid file holds where a tag, a sentence id or an SNLI
 # label belongs.
 NOT_A_TAG = [b"ww", b"XX", b"Sentence", b"raw", b"q"]
@@ -74,10 +80,9 @@ def valid_inputs(tmp_path_factory):
         (root / name).write_bytes(data)
     for command in (["build-vocab"], ["encode"], ["train"], ["infer"]):
         assert run_in(root, command, {}) == (EXIT_OK, "")
-    inputs = {name: (root / name).read_bytes() for name, _, _ in CASES.values()}
     for _, command, keys in CASES.values():
         assert run_in(root, command, keys) == (EXIT_OK, "")
-    return inputs
+    return {name: (root / name).read_bytes() for name, _, _ in CASES.values()}
 
 
 def run_with(valid_inputs, case, data):
@@ -130,9 +135,13 @@ def breaking_edits(name, parts):
     if name == "corpus.conll":
         return {0: NOT_A_NUMBER, 16: NOT_A_NUMBER}  # token id, head
     if name == "pairs.tsv":
-        return {2: NOT_A_SENTENCE, 4: NOT_A_SENTENCE, 6: NOT_A_NUMBER}
+        return {2: NOT_A_SENTENCE, 4: NOT_A_SENTENCE, 6: NOT_FINITE}
     if name == "pairs-snli.tsv":
         return {2: NOT_A_SENTENCE, 4: NOT_A_SENTENCE, 6: NOT_A_LABEL}
+    if name == "scores.tsv":  # id, score, gold, subset
+        return {2: NOT_FINITE, 4: NOT_FINITE}
+    if name == "scores-snli.tsv":
+        return {2: NOT_FINITE, 4: NOT_A_LABEL}
     if name == "bags.bin":
         return {2: NOT_A_NUMBER, 4: NOT_A_NUMBER}  # n, r
     # vocabulary and tensor dump: a tag, then numbers, except a sentence's

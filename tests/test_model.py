@@ -14,15 +14,22 @@ from bove.model import (
     TypeEmbeddings,
     _hyper_from_bytes,
     _hyper_to_bytes,
-    frozen_rows_digest,
     init_for_training,
     load_model,
     load_pretrained,
     read_bags,
     save_model,
     write_bags,
-    write_word_vectors,
 )
+
+
+def write_word_vectors(path, vectors):
+    """Write word vectors in the text format read_word_vectors expects."""
+    dim = len(next(iter(vectors.values())))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("%d %d\n" % (len(vectors), dim))
+        for word, vec in vectors.items():
+            f.write(word + " " + " ".join("%.17g" % v for v in vec) + "\n")
 
 
 class Dims:
@@ -244,11 +251,3 @@ class TestBags:
         with pytest.raises(ModelFormatError, match=r"bag record 2 \(s1\).*non-finite"):
             read_bags(path)
 
-
-def test_frozen_rows_digest_tracks_frozen_rows_only():
-    model = random_model()
-    before = frozen_rows_digest(model)
-    model.P[~model.frozen_p_rows] += 1.0
-    assert frozen_rows_digest(model) == before
-    model.P[model.frozen_p_rows] += 1.0
-    assert frozen_rows_digest(model) != before

@@ -16,10 +16,31 @@ from bove.scoring import (
     pearson,
     rank_descending,
     read_pairs,
+    read_scores,
     score_entailment,
     score_similarity,
+    write_scores,
 )
-from oracles import entailment_by_enumeration
+from oracles import entailment_by_enumeration, similarity_by_two_directions
+
+
+@st.composite
+def bag_pairs(draw):
+    """Two bags of one width r, with zero rows and sign-flipped copies."""
+    r = draw(st.sampled_from([1, 2, 3, 20]))
+    value = st.one_of(st.just(0.0), st.floats(-4, 4, allow_subnormal=False))
+
+    def bag():
+        n = draw(st.integers(1, 5))
+        rows = np.array(draw(st.lists(st.lists(value, min_size=r, max_size=r),
+                                      min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] = 0.0
+        return rows
+
+    s1 = bag()
+    s2 = -s1 if draw(st.booleans()) else bag()
+    return s1, s2
 
 
 class TestCosine:
@@ -123,6 +144,22 @@ class TestSimilarity:
         assert score_similarity(s1, s2) == 0.0
         s3 = np.array([[0.0, 1.0]])
         assert score_similarity(s1, s3) == 0.0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(bag_pairs())
+    def test_equals_two_directional_calls(self, bags):
+        s1, s2 = bags
+        # bit for bit, clamped pairs included
+        assert score_similarity(s1, s2) == similarity_by_two_directions(s1, s2)
+
+    @pytest.mark.parametrize("s1, s2", [
+        ([[1.0]], [[-2.0]]),                   # n = 1, r = 1, both directions -1
+        ([[1.0, 0.0]], [[0.0, 0.0]]),          # a zero row scores 0 both ways
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, -1.0]]),  # one direction 0
+    ])
+    def test_clamped_cases_equal_two_directional_calls(self, s1, s2):
+        assert score_similarity(s1, s2) == similarity_by_two_directions(s1, s2) == 0.0
 
 
 class TestPearson:
@@ -258,6 +295,37 @@ class TestPairFile:
         path.write_text("p1\ts1\ts2\n")
         with pytest.raises(BoveError):
             read_pairs(path, "sts")
+
+    def test_pair_file_rejects_non_finite_gold(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("p1\ts1\ts2\t1.0\n\np2\ts3\ts4\tnan\n")
+        with pytest.raises(BoveError, match=r"pairs.tsv: pair file line 3: STS gold"):
+            read_pairs(path, "sts")
+        assert read_pairs(path, "snli")[1][3] == "nan"
+
+    @pytest.mark.parametrize("mode, gold", [("sts", 4.25), ("snli", "neutral")])
+    def test_scores_round_trip(self, tmp_path, mode, gold):
+        path = tmp_path / "scores.tsv"
+        pairs = [ScoredPair("p1", 0.123456789012345, gold, "news"),
+                 ScoredPair("p2", -1.0, gold, "all")]
+        write_scores(path, pairs)
+        assert path.read_text() == ("p1\t0.123456789\t%s\tnews\n"
+                                    "p2\t-1\t%s\tall\n" % (gold, gold))
+        assert read_scores(path, mode) == [ScoredPair("p1", 0.123456789, gold, "news"),
+                                           ScoredPair("p2", -1.0, gold, "all")]
+
+    @pytest.mark.parametrize("line, what", [
+        ("p1\t0.5\t4.0\n", "expected 4 tab-separated columns, got 3"),
+        ("p1\t0.5\t4.0\tall\textra\n", "expected 4 tab-separated columns, got 5"),
+        ("p1\tinf\t4.0\tall\n", "score must be a finite number, got 'inf'"),
+        ("p1\t0.5\t-nan\tall\n", "STS gold must be a finite number, got '-nan'"),
+        ("p1\thigh\t4.0\tall\n", "score must be a finite number, got 'high'"),
+    ])
+    def test_scores_file_errors_name_file_and_line(self, tmp_path, line, what):
+        path = tmp_path / "scores.tsv"
+        path.write_text("# comment\np0\t0.1\t1.0\tall\n" + line)
+        with pytest.raises(BoveError, match="scores.tsv: scores file line 3: " + what):
+            read_scores(path, "sts")
 
     def test_report_format(self):
         text = format_report({"all": (0.25, 4)}, 0.25, "pearson")
