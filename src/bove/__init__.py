@@ -11,8 +11,6 @@ from .conll import (
     SentenceGraph,
     Vocabulary,
     build_vocabulary,
-    normalize_relation,
-    normalize_token,
     read_conll,
     to_sentence_graph,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .encoding import reconstruction_loss
+from .encoding import check_operands, reconstruction_loss
 from .errors import DimensionMismatch, DivergenceError, SingularSystemError
 
 ALS_R_CAP = 100
@@ -115,15 +115,7 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
     e_prev = np.asarray(e_prev, dtype=np.float64)
-    r = p.shape[1]
-    if e_prev.shape != (w.n, r):
-        raise DimensionMismatch(
-            "E_prev shape %s, expected (%d, %d)" % (e_prev.shape, w.n, r)
-        )
-    if r_tensor.shape[1:] != (r, r) or r_tensor.shape[0] != x.d:
-        raise DimensionMismatch("R shape %s incompatible" % (r_tensor.shape,))
-    if w.c != p.shape[0]:
-        raise DimensionMismatch("W has c=%d but P has %d rows" % (w.c, p.shape[0]))
+    check_operands(w, x, p, r_tensor, e_prev)
     a2 = alpha * alpha
     m = e_prev.T @ e_prev
     xd = x.to_dense()

@@ -285,16 +285,6 @@ class Vocabulary:
         return vocab
 
 
-def normalize_token(form, pos, vocab):
-    """Normalized (word_label, pos_label) for one token, given corpus counts."""
-    return vocab.normalized_word(form, pos), vocab.normalized_pos(pos)
-
-
-def normalize_relation(deprel, vocab):
-    """Normalized relation label, given corpus counts."""
-    return vocab.normalized_relation(deprel)
-
-
 def build_vocabulary(corpus, word_threshold=2, pos_threshold=2, relation_threshold=1000):
     """Build a Vocabulary from an iterable of RawToken lists.
 

@@ -136,6 +136,21 @@ def encode(graph, c, d):
     )
 
 
+def check_operands(w, x, p, r_tensor, e):
+    """Raise DimensionMismatch unless one sentence's kernel operands agree:
+    P is c x r, R is d x r x r and E is n x r for W (c x n) and X (d x n x n),
+    with r the column count of P."""
+    r = p.shape[-1]
+    if p.shape != (w.c, r):
+        raise DimensionMismatch("P shape %s incompatible with c=%d, r=%d" % (p.shape, w.c, r))
+    if r_tensor.shape != (x.d, r, r):
+        raise DimensionMismatch("R shape %s incompatible with d=%d, r=%d"
+                                % (r_tensor.shape, x.d, r))
+    if e.shape != (w.n, r) or x.n != w.n:
+        raise DimensionMismatch("token counts of W, X and E disagree: W n=%d, X n=%d, "
+                                "E shape %s for r=%d" % (w.n, x.n, e.shape, r))
+
+
 def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     """Full squared reconstruction loss over every cell of W and X.
 
@@ -148,17 +163,7 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    if p.shape != (w.c, e.shape[1]):
-        raise DimensionMismatch(
-            "P shape %s incompatible with c=%d, r=%d" % (p.shape, w.c, e.shape[1])
-        )
-    if r_tensor.shape != (x.d, e.shape[1], e.shape[1]):
-        raise DimensionMismatch(
-            "R shape %s incompatible with d=%d, r=%d"
-            % (r_tensor.shape, x.d, e.shape[1])
-        )
-    if e.shape[0] != w.n or w.n != x.n:
-        raise DimensionMismatch("token counts of W, X and E disagree")
+    check_operands(w, x, p, r_tensor, e)
     m = e.T @ e
     held, at = np.unique(w.rows, return_inverse=True)
     resid = p[held] @ e.T
@@ -201,7 +206,10 @@ def _size(raw):
     return size
 
 
-def _value(raw):
+def finite_float(raw):
+    """float(raw); a non-number or a non-finite value raises ValueError.
+    The one parse of the real numbers in text inputs: tensor dumps, pair and
+    scores files and word vectors."""
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("non-finite value %r" % raw)
@@ -248,7 +256,7 @@ def read_tensor_file(path):
                         raise ValueError("too many fields")
                     for axis, index in enumerate(indices, start=1):
                         index.append(int(parts[axis]))
-                    values.append(_value(parts[value_at]) if len(parts) > value_at else 1.0)
+                    values.append(finite_float(parts[value_at]) if len(parts) > value_at else 1.0)
                 else:
                     raise BoveError("%s line %d: unknown line tag %r"
                                     % (path, line_no, tag))

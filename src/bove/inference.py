@@ -9,7 +9,6 @@ oscillating.
 import numpy as np
 
 from .als import damped_refreshes, update_E_sentence
-from .errors import DimensionMismatch
 
 
 def infer_bove(w, x, model, hyper=None, iters=None):
@@ -21,11 +20,6 @@ def infer_bove(w, x, model, hyper=None, iters=None):
     """
     if hyper is None:
         hyper = model.hyper
-    if w.c != model.c or x.d != model.d:
-        raise DimensionMismatch(
-            "sentence tensors (c=%d, d=%d) do not match model (c=%d, d=%d)"
-            % (w.c, x.d, model.c, model.d)
-        )
     total = iters if iters is not None else hyper.inference_iters
 
     def refresh(e):

@@ -5,12 +5,14 @@ and a matrix per binary relation (slices of R), plus a frozen-row mask so
 pretrained word vectors can be pinned for an entire training run.
 """
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
+from .encoding import finite_float
 from .errors import (
     DimensionMismatch,
     ModelChecksumError,
@@ -23,6 +25,19 @@ MAGIC = b"BOVE"
 FORMAT_VERSION = 1
 
 R_REGULARIZERS = ("l2", "l1", "nuclear")
+
+
+def check_bounds(config, bounds):
+    """Raise ValueError unless every float field of the dataclass instance
+    config is finite and each field in bounds, a table of (field, lowest
+    allowed value), is at least its bound.  A NaN fails every bound."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (f.name, value))
+    for name, lowest in bounds:
+        if not getattr(config, name) >= lowest:
+            raise ValueError("%s must be >= %s" % (name, lowest))
 
 
 @dataclass(frozen=True)
@@ -47,15 +62,12 @@ class Hyperparams:
     e_reinit_period: int = 10
     e_reinit_burst: int = 5
 
+    _BOUNDS = (("r", 1), ("alpha", 0), ("lambda_p", 0), ("lambda_r", 0), ("lambda_e", 0),
+               ("inference_iters", 1), ("max_rounds", 0), ("e_reinit_period", 0),
+               ("e_reinit_burst", 1))
+
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("embedding size r must be >= 1")
-        if self.alpha < 0 or min(self.lambda_p, self.lambda_r, self.lambda_e) < 0:
-            raise ValueError("alpha and regularizer strengths must be >= 0")
-        for name, low in (("inference_iters", 1), ("max_rounds", 0),
-                          ("e_reinit_period", 0), ("e_reinit_burst", 1)):
-            if getattr(self, name) < low:
-                raise ValueError("%s must be >= %d" % (name, low))
+        check_bounds(self, self._BOUNDS)
         if self.r_regularizer not in R_REGULARIZERS:
             raise ValueError("r_regularizer must be one of %s" % (R_REGULARIZERS,))
 
@@ -101,24 +113,30 @@ def init_for_training(vocab, hyper, seed):
 
 
 def read_word_vectors(path):
-    """Read the text vector format: "<count> <dim>" header, one word per line."""
+    """Read the text vector format: "<count> <dim>" header, one word per line.
+
+    A malformed header or line, or a value that is not a finite number,
+    raises ModelFormatError naming the file and the line.
+    """
     with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ModelFormatError("vector file header must be '<count> <dim>'")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = (int(v) for v in f.readline().split())
+        except ValueError:
+            raise ModelFormatError("%s line 1: vector file header must be '<count> <dim>'"
+                                   % path) from None
         vectors = {}
-        for line in f:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ModelFormatError(
-                    "vector line for %r has %d values, expected %d"
-                    % (parts[0], len(parts) - 1, dim)
-                )
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+        for line_no, line in enumerate(f, start=2):
+            word, *values = line.rstrip("\n").split(" ")
+            try:
+                if len(values) != dim:
+                    raise ValueError("vector for %r has %d values, expected %d"
+                                     % (word, len(values), dim))
+                vectors[word] = np.array([finite_float(v) for v in values])
+            except ValueError as exc:
+                raise ModelFormatError("%s line %d: %s" % (path, line_no, exc)) from None
     if len(vectors) != count:
         raise ModelFormatError(
-            "vector file header promised %d words, found %d" % (count, len(vectors))
+            "%s: vector file header promised %d words, found %d" % (path, count, len(vectors))
         )
     return dim, vectors
 
@@ -217,6 +235,9 @@ def load_model(path):
     (hyper_len,) = struct.unpack("<I", take(4))
     hyper = _hyper_from_bytes(take(hyper_len))
     c, d, r = struct.unpack("<QQQ", take(24))
+    if hyper.r != r:
+        raise ModelFormatError("hyperparameter r=%d disagrees with the stored r=%d"
+                               % (hyper.r, r))
     mask_bytes = take((c + 7) // 8)
     frozen = np.unpackbits(
         np.frombuffer(mask_bytes, dtype=np.uint8), bitorder="little"

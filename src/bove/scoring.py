@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import finite_float
 from .errors import BoveError, DimensionMismatch
 
 ENTAILMENT_LABELS = ("entailment", "neutral", "contradiction")
@@ -178,13 +179,10 @@ def _read_rows(path, what, columns, numbers):
                                    else "at least %d" % least, len(cols)))
             for index, name in numbers.items():
                 try:
-                    value = float(cols[index])
+                    cols[index] = finite_float(cols[index])
                 except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
                     raise BoveError("%s: %s line %d: %s must be a finite number, got %r"
-                                    % (path, what, line_no, name, cols[index]))
-                cols[index] = value
+                                    % (path, what, line_no, name, cols[index])) from None
             yield cols
 
 

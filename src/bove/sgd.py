@@ -15,6 +15,7 @@ import numpy as np
 
 from .als import log_round, numeric_errors_as
 from .errors import DivergenceError
+from .model import check_bounds
 
 # keeps the adaptive step finite for a parameter with no gradient yet
 ADAPT_EPS = 1e-8
@@ -28,12 +29,12 @@ class SgdConfig:
     epochs: int = 100
     seed: int = 0
 
+    # learning_rate > 0: its bound is the least positive float
+    _BOUNDS = (("batch_size", 1), ("learning_rate", math.ulp(0.0)),
+               ("negatives_per_positive", 1), ("epochs", 0))
+
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("negatives_per_positive", 1), ("epochs", 0)):
-            if getattr(self, name) < low:
-                raise ValueError("%s must be >= %d" % (name, low))
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_bounds(self, self._BOUNDS)
 
 
 @dataclass

@@ -24,11 +24,26 @@ class SynthData:
     sentences: list  # (sentence_id, W, X)
 
 
-def _sample_truth(rng, n_tokens, c, d, r, n_sentences):
+def _truth(rng, n_tokens, c, d, r, n_sentences, hyper):
+    """Ground-truth model (P*, R*, nothing frozen; hyper defaults to
+    Hyperparams(r=r)) and n_sentences draws of E*."""
     p = rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r)
     r_tensor = rng.uniform(-1.0, 1.0, size=(d, r, r)) / r
     es = [rng.uniform(-1.0, 1.0, size=(n_tokens, r)) for _ in range(n_sentences)]
-    return p, r_tensor, es
+    model = TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool),
+                           hyper=Hyperparams(r=r) if hyper is None else hyper)
+    return model, es
+
+
+def _products(rng, model, e, noise):
+    """Dense W = P* E^T and X = E R* E^T; with noise > 0, each plus uniform
+    noise of half-width noise, drawn for W and then for X."""
+    w_dense = model.P @ e.T
+    x_dense = np.einsum("ia,kab,jb->kij", e, model.R, e)
+    if noise > 0.0:
+        w_dense = w_dense + rng.uniform(-noise, noise, size=w_dense.shape)
+        x_dense = x_dense + rng.uniform(-noise, noise, size=x_dense.shape)
+    return w_dense, x_dense
 
 
 def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
@@ -40,19 +55,10 @@ def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
     products min-max-scaled to [0, 1] and thresholded to indicators.
     """
     rng = np.random.default_rng(seed)
-    p, r_tensor, es = _sample_truth(rng, n_tokens, c, d, r, n_sentences)
-    if hyper is None:
-        hyper = Hyperparams(r=r)
-    model = TypeEmbeddings(
-        P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool), hyper=hyper
-    )
+    model, es = _truth(rng, n_tokens, c, d, r, n_sentences, hyper)
     sentences = []
     for idx, e in enumerate(es):
-        w_dense = p @ e.T
-        x_dense = _reconstruct_x(e, r_tensor)
-        if noise > 0.0:
-            w_dense = w_dense + rng.uniform(-noise, noise, size=w_dense.shape)
-            x_dense = x_dense + rng.uniform(-noise, noise, size=x_dense.shape)
+        w_dense, x_dense = _products(rng, model, e, noise)
         if mode == "discrete":
             w_dense = _binarize(w_dense, threshold)
             x_dense = _binarize(x_dense, threshold)
@@ -61,11 +67,6 @@ def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
         w, x = from_dense(w_dense, x_dense)
         sentences.append((str(idx), w, x))
     return SynthData(model=model, e_true=es, sentences=sentences)
-
-
-def _reconstruct_x(e, r_tensor):
-    """Dense reconstruction E . R . E^T, shape d x n x n."""
-    return np.einsum("ia,kab,jb->kij", e, r_tensor, e)
 
 
 def _binarize(dense, threshold):
@@ -84,19 +85,10 @@ def make_pair_benchmark(seed, n_matched=50, n_mismatched=50,
     (pair_id, (W1, X1), (W2, X2), is_matched).
     """
     rng = np.random.default_rng(seed)
-    p, r_tensor, _ = _sample_truth(rng, n_tokens, c, d, r, 1)
-    if hyper is None:
-        hyper = Hyperparams(r=r)
-    model = TypeEmbeddings(
-        P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool), hyper=hyper
-    )
+    model, _ = _truth(rng, n_tokens, c, d, r, 1, hyper)  # the unused E* keeps the stream
 
     def tensors(e):
-        w_dense = p @ e.T + rng.uniform(-noise, noise, size=(c, n_tokens))
-        x_dense = _reconstruct_x(e, r_tensor) + rng.uniform(
-            -noise, noise, size=(d, n_tokens, n_tokens)
-        )
-        return from_dense(w_dense, x_dense)
+        return from_dense(*_products(rng, model, e, noise))
 
     pairs = []
     for i in range(n_matched):

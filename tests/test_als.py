@@ -176,6 +176,12 @@ class TestUpdateE:
             update_E_sentence(w, x, np.zeros((2, 2)), np.zeros((1, 2, 2)),
                               np.zeros((4, 2)))
 
+    def test_token_count_mismatch(self):
+        w, _ = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
+        _, x = sparse_sentence(np.ones((2, 4)), np.ones((1, 4, 4)))
+        with pytest.raises(DimensionMismatch, match="token counts of W, X and E disagree"):
+            update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 2)))
+
 
 class TestAveragedStep:
     def test_fixed_point_preserved(self):

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -57,7 +60,8 @@ def write_config(tmp_path, name="config.txt", **overrides):
     }
     entries.update(overrides)
     path = tmp_path / name
-    path.write_text("".join("%s=%s\n" % kv for kv in entries.items()))
+    # a key set to None is left out
+    path.write_text("".join("%s=%s\n" % kv for kv in entries.items() if kv[1] is not None))
     return str(path)
 
 
@@ -361,6 +365,19 @@ class TestSynth:
         assert (workspace / "tensors.txt").read_bytes() != first
 
 
+def model_file(model):
+    """The bytes save_model writes for model, as latin-1 text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save_model(model, path)
+        with open(path, "rb") as f:
+            return f.read().decode("latin-1")
+
+
+# train with a vocabulary, the corpus and a pretrained vector file (r=4)
+VECTORS = {"paths.tensors": None, "paths.vectors": "vectors.txt"}
+# name -> (input file, its latin-1 text, command, text the error must hold
+# [, config keys; a paths.* value names a file in the workspace])
 MALFORMED_INPUTS = {
     "tensor entry before sentence": (
         "tensors.txt", "dims 3 2\nW 0 0 1\n", ("train",), "line 2"),
@@ -399,16 +416,35 @@ MALFORMED_INPUTS = {
     "non-finite SNLI score": (
         "scores.tsv", "p1\tinf\tentailment\tall\n", ("eval", "--mode", "snli"),
         "scores.tsv: scores file line 1"),
+    "vector value not a number": (
+        "vectors.txt", "2 4\ncat 1 0 0 0\ndog 0 x 0 0\n", ("train",),
+        "vectors.txt line 3", VECTORS),
+    "non-finite vector value": (
+        "vectors.txt", "2 4\ncat 1 0 0 nan\ndog 0 1 0 0\n", ("train",),
+        "vectors.txt line 2", VECTORS),
+    "vector value out of range": (
+        "vectors.txt", "2 4\ncat 1 0 0 0\ndog 0 1e400 0 0\n", ("train",),
+        "vectors.txt line 3", VECTORS),
+    "vector header not a number": (
+        "vectors.txt", "two 4\ncat 1 0 0 0\n", ("train",), "vectors.txt line 1", VECTORS),
+    "model r disagrees with its hyperparameters": (
+        "model.bin", model_file(model_io.TypeEmbeddings(
+            P=np.zeros((12, 6)), R=np.zeros((3, 6, 6)), frozen_p_rows=np.zeros(12, dtype=bool),
+            hyper=model_io.Hyperparams(r=8))),
+        ("infer",), "hyperparameter r=8 disagrees with the stored r=6"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_is_a_data_error(workspace, capsys, name):
-    filename, text, command, where = MALFORMED_INPUTS[name]
+    filename, text, command, where, *keys = MALFORMED_INPUTS[name]
+    keys = {key: str(workspace / value) if key.startswith("paths.") and value else value
+            for key, value in dict(*keys).items()}
+    config = tensors_config(workspace, **keys)
+    assert run(config, "build-vocab") == EXIT_OK
     (workspace / "pairs.tsv").write_text("p1\ta\tb\t4.0\n")
     (workspace / "bags.bin").write_bytes(b"")
     (workspace / filename).write_bytes(text.encode("latin-1"))
-    config = tensors_config(workspace)
     assert run(config, *command) == EXIT_DATA
     assert where in capsys.readouterr().err
 

@@ -1,7 +1,8 @@
 """CLI fuzz: corrupted input files of every kind fed through bove.cli.main.
 
-The inputs are a CoNLL corpus, a vocabulary file, a tensor dump, an STS and
-an SNLI pair file, a bag file and an STS and an SNLI scores file.
+The inputs are a CoNLL corpus, a vocabulary file, a tensor dump, a
+pretrained vector file, an STS and an SNLI pair file, a bag file and an STS
+and an SNLI scores file.
 
 Whatever the corruption, main returns an exit code and never lets an
 exception escape; a corruption that cannot leave the file valid exits 1, 2
@@ -21,12 +22,16 @@ from bove.cli import EXIT_OK, main
 from test_cli import CORPUS, write_config, write_corpus
 
 # case -> (the input file it corrupts, the command that reads it, config
-# keys); a paths.* value names a file next to the inputs
+# keys); a paths.* value names a file next to the inputs, and None leaves
+# the key out
 CASES = {
     "corpus": ("corpus.conll", ["build-vocab"], {}),
     "vocabulary": ("vocab.txt", ["encode"], {}),
     "tensors-als": ("tensors.txt", ["train"], {"trainer": "als"}),
     "tensors-sgd": ("tensors.txt", ["train"], {"trainer": "sgd", "sgd.epochs": "2"}),
+    "vectors": ("vectors.txt", ["train"],
+                {"paths.tensors": None, "paths.vectors": "vectors.txt",
+                 "paths.model": "model-vectors.bin"}),
     "pairs-sts": ("pairs.tsv", ["score", "--mode", "sts"], {}),
     "pairs-snli": ("pairs-snli.tsv", ["score", "--mode", "snli"],
                    {"paths.pairs": "pairs-snli.tsv", "paths.scores": "scores-snli.tsv"}),
@@ -38,7 +43,9 @@ CASES = {
     "scores-snli": ("scores-snli.tsv", ["eval", "--mode", "snli"],
                     {"paths.scores": "scores-snli.tsv"}),
 }
-VALID_PAIRS = {
+# valid input files that no command writes; the vectors are of size hyper.r
+VALID_FILES = {
+    "vectors.txt": b"2 2\ncat 0.5 -0.25\nsat 1e-3 2\n",
     "pairs.tsv": b"p1\t0\t1\t4.0\tA\np2\t2\t3\t1.0\tA\np3\t0\t3\t2.5\tA\n",
     "pairs-snli.tsv": (b"p1\t0\t1\tentailment\np2\t2\t3\tneutral\n"
                        b"p3\t0\t3\tcontradiction\n"),
@@ -60,10 +67,10 @@ NOT_A_LABEL = [b"maybe", b"Entailment", b"4.0"]
 
 def run_in(root, command, keys):
     """Run one command on the inputs in root; returns (exit code, stderr)."""
-    keys = {key: str(root / value) if key.startswith("paths.") else value
-            for key, value in keys.items()}
-    config = write_config(root, **{"paths.tensors": str(root / "tensors.txt"),
-                                   "hyper.r": "2", "hyper.max_rounds": "3", **keys})
+    keys = {"paths.tensors": "tensors.txt", "hyper.r": "2", "hyper.max_rounds": "3", **keys}
+    config = write_config(root, **{
+        key: str(root / value) if key.startswith("paths.") and value else value
+        for key, value in keys.items()})
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["--config", config, *command])
@@ -76,7 +83,7 @@ def valid_inputs(tmp_path_factory):
     on the CLI test corpus."""
     root = tmp_path_factory.mktemp("valid")
     write_corpus(root / "corpus.conll", CORPUS)
-    for name, data in VALID_PAIRS.items():
+    for name, data in VALID_FILES.items():
         (root / name).write_bytes(data)
     for command in (["build-vocab"], ["encode"], ["train"], ["infer"]):
         assert run_in(root, command, {}) == (EXIT_OK, "")
@@ -144,6 +151,10 @@ def breaking_edits(name, parts):
         return {2: NOT_FINITE, 4: NOT_A_LABEL}
     if name == "bags.bin":
         return {2: NOT_A_NUMBER, 4: NOT_A_NUMBER}  # n, r
+    if name == "vectors.txt":  # the valid file's vectors are of size 2
+        if len(parts) == 3:  # the "count dim" header
+            return {0: NOT_A_NUMBER, 2: NOT_A_NUMBER}
+        return {i: NOT_FINITE for i in range(2, len(parts), 2)}  # a word's values
     # vocabulary and tensor dump: a tag, then numbers, except a sentence's
     # id and a vocabulary label
     edits = {0: NOT_A_TAG}

@@ -155,8 +155,8 @@ ERROR_CASES = [
     ("fail_fast=maybe", "expected a boolean, got 'maybe'"),
     ("columns.layout=conll07", "unknown column layout 'conll07'"),
     ("trainer=adam", "trainer must be 'als' or 'sgd'"),
-    ("hyper.r=0", "embedding size r must be >= 1"),
-    ("hyper.alpha=-1", "alpha and regularizer strengths must be >= 0"),
+    ("hyper.r=0", "r must be >= 1"),
+    ("hyper.alpha=-1", "alpha must be >= 0"),
     ("hyper.inference_iters=0", "inference_iters must be >= 1"),
     ("hyper.max_rounds=-1", "max_rounds must be >= 0"),
     ("hyper.e_reinit_period=-1", "e_reinit_period must be >= 0"),
@@ -164,7 +164,11 @@ ERROR_CASES = [
     ("hyper.r_regularizer=l3",
      "r_regularizer must be one of ('l2', 'l1', 'nuclear')"),
     ("sgd.batch_size=0", "batch_size must be >= 1"),
-    ("sgd.learning_rate=0", "learning_rate must be positive"),
+    ("sgd.learning_rate=0", "learning_rate must be >= 5e-324"),
+    ("hyper.alpha=nan", "alpha must be finite, got nan"),
+    ("hyper.lambda_e=inf", "lambda_e must be finite, got inf"),
+    ("hyper.rel_improvement_stop=nan", "rel_improvement_stop must be finite, got nan"),
+    ("sgd.learning_rate=nan", "learning_rate must be finite, got nan"),
 ]
 
 
@@ -188,7 +192,7 @@ def test_first_bad_line_is_reported():
 def test_section_values_are_checked_after_every_line_is_read():
     with pytest.raises(ConfigError) as info:
         parse_config(["hyper.r=0", "sgd.batch_size=0", "columns.head=1"])
-    assert str(info.value) == "embedding size r must be >= 1"
+    assert str(info.value) == "r must be >= 1"
     with pytest.raises(ConfigError) as info:
         parse_config(["hyper.r=0", "seed=x"])
     assert str(info.value) == "expected int, got 'x'"

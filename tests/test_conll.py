@@ -12,8 +12,6 @@ from bove.conll import (
     build_vocabulary,
     is_number,
     is_punctuation_tag,
-    normalize_relation,
-    normalize_token,
     read_conll,
     to_sentence_graph,
 )
@@ -53,39 +51,36 @@ def small_vocab(relation_threshold=1):
 class TestNormalization:
     def test_number_maps_to_nb(self):
         vocab = small_vocab()
-        word, _ = normalize_token("3.14", "CD", vocab)
-        assert word == "NB"
+        assert vocab.normalized_word("3.14", "CD") == "NB"
 
     def test_hapax_maps_to_unknown_pos(self):
         vocab = small_vocab()
-        word, _ = normalize_token("xylophone", "NN", vocab)
-        assert word == "UNKNOWN_NN"
+        assert vocab.normalized_word("xylophone", "NN") == "UNKNOWN_NN"
 
     def test_frequent_word_passes_through(self):
         vocab = small_vocab()
-        assert normalize_token("bank", "NN", vocab) == ("bank", "NN")
+        assert vocab.normalized_word("bank", "NN") == "bank"
+        assert vocab.normalized_pos("NN") == "NN"
 
     def test_punctuation_maps_to_punct(self):
         vocab = small_vocab()
-        word, _ = normalize_token(".", ".", vocab)
-        assert word == "PUNCT"
+        assert vocab.normalized_word(".", ".") == "PUNCT"
 
     def test_rare_pos_maps_to_unknown_postag(self):
         vocab = small_vocab()
-        _, pos = normalize_token("3.14", "CD", vocab)
-        assert pos == "UNKNOWN_POSTAG"
+        assert vocab.normalized_pos("CD") == "UNKNOWN_POSTAG"
 
     def test_relation_above_threshold_passes(self):
         vocab = small_vocab(relation_threshold=1)
-        assert normalize_relation("SBJ", vocab) == "SBJ"
+        assert vocab.normalized_relation("SBJ") == "SBJ"
 
     def test_relation_below_threshold_maps_to_unknown(self):
         vocab = small_vocab(relation_threshold=1000)
-        assert normalize_relation("GAP-LOC", vocab) == "UNKNOWN_RELATION"
+        assert vocab.normalized_relation("GAP-LOC") == "UNKNOWN_RELATION"
 
     def test_empty_relation_label(self):
         vocab = small_vocab()
-        assert normalize_relation("", vocab) == "UNKNOWN_RELATION"
+        assert vocab.normalized_relation("") == "UNKNOWN_RELATION"
 
     def test_is_number(self):
         assert is_number("3.14")

@@ -1,0 +1,116 @@
+"""Metamorphic relations of the E solve.
+
+Each relation changes a sentence and the model in a way whose effect on the
+solved token embeddings is known, so infer_bove and averaged_E_step are
+checked without a reference solver:
+- token relabeling: renaming the tokens permutes the rows of E;
+- edge reversal: swapping heads and dependents and transposing every R_k
+  leaves E unchanged;
+- orthogonal gauge: P -> PQ and R_k -> Q^T R_k Q give E -> EQ.
+See Chen et al., "Metamorphic Testing: A Review of Challenges and
+Opportunities" (ACM Computing Surveys 2018).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bove.als import averaged_E_step
+from bove.encoding import SparsePropertyMatrix, SparseRelationTensor
+from bove.inference import infer_bove
+from bove.model import Hyperparams, TypeEmbeddings
+
+
+@st.composite
+def instances(draw):
+    """(W, X, model, start E, token permutation, orthogonal r x r Q).
+
+    n = 1 is included, X may hold no edge and W or X may repeat a
+    coordinate; lambda_e is 0.1.  The arrays come from a drawn seed.  As in
+    a parsed sentence, X holds at most n - 1 edges besides a repeat and no
+    self-loop, and P and R are drawn as synth draws its ground truth.  On
+    stronger relation blocks (self-loops, or R of unit scale) 30 damped
+    solves need not contract, and then amplify rounding past 1e-12.
+    """
+    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    token = st.integers(0, n - 1)
+    w_cells = draw(st.lists(st.tuples(st.integers(0, c - 1), token), min_size=1, max_size=12))
+    # a dependent is its head plus a nonzero offset, modulo n
+    x_cells = [(k, head, (head + offset) % n) for k, head, offset in draw(st.lists(
+        st.tuples(st.integers(0, d - 1), token, st.integers(1, max(n - 1, 1))),
+        max_size=n - 1))]
+    for cells in (w_cells, x_cells):
+        if cells and draw(st.booleans()):
+            cells.append(cells[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = np.array(w_cells, dtype=np.int64).reshape(-1, 2).T
+    rels, heads, deps = np.array(x_cells, dtype=np.int64).reshape(-1, 3).T
+    w = SparsePropertyMatrix(c=c, n=n, rows=rows, cols=cols,
+                             values=rng.uniform(0.5, 1.5, size=len(rows)))
+    x = SparseRelationTensor(d=d, n=n, rels=rels, heads=heads, deps=deps,
+                             values=rng.uniform(0.5, 1.5, size=len(rels)))
+    model = TypeEmbeddings(
+        P=rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r),
+        R=rng.uniform(-1.0, 1.0, size=(d, r, r)) / r,
+        frozen_p_rows=np.zeros(c, dtype=bool),
+        hyper=Hyperparams(r=r, alpha=rng.uniform(0.5, 1.5), lambda_e=0.1))
+    q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    return w, x, model, rng.normal(size=(n, r)), rng.permutation(n), q
+
+
+def with_parameters(model, p, r_tensor):
+    return TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=model.frozen_p_rows,
+                          hyper=model.hyper)
+
+
+def infer(w, x, model, e_start):
+    return infer_bove(w, x, model)
+
+
+def averaged_step(w, x, model, e_start):
+    hyper = model.hyper
+    return averaged_E_step(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)
+
+
+SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step])
+
+
+def assert_close(got, want):
+    """Equal to 1e-12 relative to the largest entry of the reference."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@SOLVERS
+@settings(max_examples=100, deadline=None)
+@given(instance=instances())
+def test_token_relabeling_permutes_the_rows_of_E(solve, instance):
+    w, x, model, e_start, perm, _ = instance
+    renamed_w = SparsePropertyMatrix(c=w.c, n=w.n, rows=w.rows, cols=perm[w.cols],
+                                     values=w.values)
+    renamed_x = SparseRelationTensor(d=x.d, n=x.n, rels=x.rels, heads=perm[x.heads],
+                                     deps=perm[x.deps], values=x.values)
+    renamed_start = np.empty_like(e_start)
+    renamed_start[perm] = e_start
+    got = solve(renamed_w, renamed_x, model, renamed_start)
+    assert_close(got[perm], solve(w, x, model, e_start))
+
+
+@SOLVERS
+@settings(max_examples=100, deadline=None)
+@given(instance=instances())
+def test_edge_reversal_leaves_E_unchanged(solve, instance):
+    w, x, model, e_start, _, _ = instance
+    reversed_x = SparseRelationTensor(d=x.d, n=x.n, rels=x.rels, heads=x.deps,
+                                      deps=x.heads, values=x.values)
+    transposed = with_parameters(model, model.P, model.R.transpose(0, 2, 1))
+    assert_close(solve(w, reversed_x, transposed, e_start), solve(w, x, model, e_start))
+
+
+@SOLVERS
+@settings(max_examples=100, deadline=None)
+@given(instance=instances())
+def test_orthogonal_gauge_rotates_E(solve, instance):
+    w, x, model, e_start, _, q = instance
+    rotated = with_parameters(model, model.P @ q, q.T @ model.R @ q)
+    assert_close(solve(w, x, rotated, e_start @ q), solve(w, x, model, e_start) @ q)

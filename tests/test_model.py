@@ -18,6 +18,7 @@ from bove.model import (
     load_model,
     load_pretrained,
     read_bags,
+    read_word_vectors,
     save_model,
     write_bags,
 )
@@ -157,6 +158,21 @@ class TestPretrained:
         with pytest.raises(DimensionMismatch):
             load_pretrained(model, path, vocab)
 
+    @pytest.mark.parametrize("text, line", [
+        ("two 2\nbank 1 2\n", 1),
+        ("1\nbank 1 2\n", 1),
+        ("1 2\nbank 1 x\n", 2),
+        ("1 2\nbank nan 2\n", 2),
+        ("1 2\nbank 1 1e400\n", 2),
+        ("2 2\nbank 1 2\nmoney 1\n", 3),
+    ], ids=["header word", "header one field", "value x", "value nan", "value 1e400",
+            "short line"])
+    def test_malformed_vector_file(self, tmp_path, text, line):
+        path = tmp_path / "vecs.txt"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match="%s line %d: " % (path, line)):
+            read_word_vectors(path)
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -208,10 +224,19 @@ class TestPersistence:
         blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True\nals_r_cap=100"
         assert _hyper_from_bytes(blob) == hyper
 
-    @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage", b"alpha=1.0", b""])
+    @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage", b"alpha=1.0", b"",
+                                       b"r=2\nalpha=nan", b"r=2\nrel_improvement_stop=inf"])
     def test_bad_hyper_block(self, block):
         with pytest.raises(ModelFormatError, match="bad hyperparameter block"):
             _hyper_from_bytes(block)
+
+    def test_hyper_r_must_match_the_stored_r(self, tmp_path):
+        model = random_model(c=12, d=2, r=6)
+        model.hyper = Hyperparams(r=8)
+        path = tmp_path / "model.bove"
+        save_model(model, path)
+        with pytest.raises(ModelFormatError, match="hyperparameter r=8 .* stored r=6"):
+            load_model(path)
 
     def test_checksum_failure(self, tmp_path):
         path = tmp_path / "model.bove"

@@ -400,7 +400,7 @@ CONFIG_ERRORS = [
     ("batch_size", 0, "batch_size must be >= 1"),
     ("negatives_per_positive", 0, "negatives_per_positive must be >= 1"),
     ("epochs", -1, "epochs must be >= 0"),
-    ("learning_rate", 0.0, "learning_rate must be positive"),
+    ("learning_rate", 0.0, "learning_rate must be >= 5e-324"),
 ]
 
 
