@@ -74,6 +74,13 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     return p_new
 
 
+def _check_rank(r):
+    """Refuse r above ALS_R_CAP, where update_R's r^2 x r^2 solve is too large."""
+    if r > ALS_R_CAP:
+        raise DimensionMismatch("r=%d exceeds the ALS cap of %d (r^2 x r^2 solve); "
+                                "use the SGD trainer, trainer=sgd" % (r, ALS_R_CAP))
+
+
 def update_R(xs, es, lambda_r, alpha=1.0):
     """Exact minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
 
@@ -86,11 +93,7 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     over X's entries (k, h, t, v).
     """
     r = es[0].shape[1]
-    if r > ALS_R_CAP:
-        raise DimensionMismatch(
-            "r=%d exceeds the ALS cap of %d (r^2 x r^2 solve); use the SGD trainer"
-            % (r, ALS_R_CAP)
-        )
+    _check_rank(r)
     d = xs[0].d
     ktk = np.zeros((r * r, r * r))
     xk = np.zeros((d, r * r))
@@ -110,7 +113,8 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     on the right, transposed relations likewise), with alpha applied to both
     the targets and the design blocks of the relation systems:
         E_new = Y F^T (F F^T + lambda_e I)^-1
-    realized without materializing Y or F.
+    realized without materializing Y or F: Y F^T is scattered from the
+    entries of W and X, as update_P and update_R read them.
     """
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
@@ -118,15 +122,16 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     check_operands(w, x, p, r_tensor, e_prev)
     a2 = alpha * alpha
     m = e_prev.T @ e_prev
-    xd = x.to_dense()
     # F F^T
     gram = p.T @ p
     gram += a2 * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
     gram += a2 * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     # Y F^T
-    rhs = w.to_dense().T @ p
-    rhs += a2 * np.einsum("kij,ja,kba->ib", xd, e_prev, r_tensor)
-    rhs += a2 * np.einsum("kji,ja,kab->ib", xd, e_prev, r_tensor)
+    rhs = np.zeros_like(e_prev)
+    np.add.at(rhs, w.cols, w.values[:, None] * p[w.rows])
+    for k, heads, deps, values in x.relation_slices():
+        np.add.at(rhs, heads, a2 * values[:, None] * (e_prev[deps] @ r_tensor[k].T))
+        np.add.at(rhs, deps, a2 * values[:, None] * (e_prev[heads] @ r_tensor[k]))
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 
@@ -228,9 +233,12 @@ def train(ws, xs, model, hyper, log=None):
     e_reinit_period rounds E is reset to zeros and e_reinit_burst E-only
     averaged sweeps run instead of that round's single sweep.  Training
     stops when the relative objective improvement over one round drops to
-    rel_improvement_stop, or at max_rounds; it diverges on overflow.
+    rel_improvement_stop, or at max_rounds; it diverges on overflow.  The
+    returned model carries hyper; r above ALS_R_CAP is refused before any work.
     """
+    _check_rank(hyper.r)
     model = model.copy()
+    model.hyper = hyper
     es = [np.zeros((w.n, hyper.r)) for w in ws]
     data_fit_trace = [corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)]
     trace = [data_fit_trace[0] + _regularizers(model, es, hyper)]

@@ -6,6 +6,7 @@ global flags override config entries.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import types
@@ -105,10 +106,6 @@ def cmd_train(cfg):
         if vocab is None:
             raise ConfigError("pretrained vectors require a vocabulary, not tensors")
         trained = model_io.load_pretrained(trained, cfg.vectors, vocab)
-    if cfg.trainer == "als" and hyper.r > als.ALS_R_CAP:
-        raise DimensionMismatch(
-            "r=%d exceeds the ALS cap %d; set trainer=sgd" % (hyper.r, als.ALS_R_CAP)
-        )
 
     with open(cfg.log or os.devnull, "w", encoding="utf-8") as log_file:
         def log(line):
@@ -245,7 +242,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)  # checks the seed's bound
         if args.fail_fast:
             cfg.fail_fast = True
         if "mode" in args:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from . import synth
 from .conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from .errors import ConfigError
-from .model import Hyperparams
+from .model import Hyperparams, check_bounds
 from .sgd import SgdConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -53,6 +53,15 @@ class PipelineConfig:
     synth_threshold: float = 0.5
     synth_noise: float = 0.0
 
+    _BOUNDS = (("seed", 0), ("synth_sentences", 1), ("synth_tokens", 1),
+               ("synth_predicates", 1), ("synth_relations", 1), ("synth_noise", 0))
+
+    def __post_init__(self):
+        try:
+            check_bounds(self, self._BOUNDS)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
 
 # Flat keys: each names one PipelineConfig field and is coerced by its annotation.
 _FLAT_KEYS = {
@@ -76,8 +85,6 @@ _KEYS = {
 }
 _LAYOUTS = {"conll09": CONLL09_COLUMNS, "conll06": CONLL06_COLUMNS}
 _CHOICES = {"trainer": ("als", "sgd"), "synth.mode": synth.MODES}
-_AT_LEAST_ONE = {"synth." + name
-                 for name in ("sentences", "tokens", "predicates", "relations")}
 
 
 def _coerce(raw, target_type):
@@ -94,7 +101,7 @@ def _coerce(raw, target_type):
 
 def parse_config(lines):
     """Build a PipelineConfig from an iterable of "section.key=value" lines."""
-    cfg = PipelineConfig()
+    flat = {}
     overrides = {section: {} for section in _SECTIONS}
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
@@ -108,23 +115,20 @@ def parse_config(lines):
         if key == "columns.layout":
             if value not in _LAYOUTS:
                 raise ConfigError("unknown column layout %r" % value)
-            cfg.columns = _LAYOUTS[value]
+            flat["columns"] = _LAYOUTS[value]
         elif key in _KEYS:
             section, target = _KEYS[key]
-            value = _coerce(value, target.type)
-            if key in _AT_LEAST_ONE and value < 1:
-                raise ConfigError("%s must be at least 1, got %d" % (key, value))
-            if section is None:
-                setattr(cfg, target.name, value)
-            else:
-                overrides[section][target.name] = value
+            changes = flat if section is None else overrides[section]
+            changes[target.name] = _coerce(value, target.type)
         else:
             raise ConfigError("unknown config key %r" % key)
+    default = PipelineConfig()
     for section, changes in overrides.items():
         try:
-            setattr(cfg, section, replace(getattr(cfg, section), **changes))
+            flat[section] = replace(flat.get(section, getattr(default, section)), **changes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    cfg = PipelineConfig(**flat)  # checks the flat bounds
     if cfg.trainer == "sgd" and cfg.hyper.r_regularizer != "l2":
         # the SGD trainer always applies the L2 penalty to R
         raise ConfigError("trainer=sgd supports only hyper.r_regularizer=l2, got %r"

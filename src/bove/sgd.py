@@ -31,7 +31,7 @@ class SgdConfig:
 
     # learning_rate > 0: its bound is the least positive float
     _BOUNDS = (("batch_size", 1), ("learning_rate", math.ulp(0.0)),
-               ("negatives_per_positive", 1), ("epochs", 0))
+               ("negatives_per_positive", 1), ("epochs", 0), ("seed", 0))
 
     def __post_init__(self):
         check_bounds(self, self._BOUNDS)
@@ -164,8 +164,10 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
 
     Single-threaded and fully deterministic given config.seed.  The trace
     records the summed sampled batch losses per epoch; diverges on overflow.
+    The returned model carries hyper.
     """
     model = model.copy()
+    model.hyper = hyper
     rng = np.random.default_rng(config.seed)
     e_store = [np.zeros((w.n, hyper.r)) for w in ws]
     state = SgdState(np.zeros_like(model.P), np.zeros_like(model.R),

@@ -89,6 +89,21 @@ def update_R_dense(xs, es, lambda_r, alpha=1.0):
     return np.linalg.solve(ktk, xk.T).T.reshape(d, r, r)
 
 
+def update_E_sentence_dense(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
+    """als.update_E_sentence from dense W and X: E_new = Y F^T (F F^T +
+    lambda_e I)^-1, with Y F^T contracted from the dense arrays."""
+    a2 = alpha * alpha
+    m = e_prev.T @ e_prev
+    xd = x.to_dense()
+    gram = lambda_e * np.eye(p.shape[1]) + p.T @ p
+    gram += a2 * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
+    gram += a2 * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
+    rhs = w.to_dense().T @ p
+    rhs += a2 * np.einsum("kij,ja,kba->ib", xd, e_prev, r_tensor)
+    rhs += a2 * np.einsum("kji,ja,kab->ib", xd, e_prev, r_tensor)
+    return np.linalg.solve(gram, rhs.T).T
+
+
 def reconstruction_loss_dense(w, x, p, r_tensor, e, alpha=1.0):
     """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over the dense W and X."""
     loss = np.sum((w.to_dense() - p @ e.T) ** 2)

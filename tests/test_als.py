@@ -283,6 +283,20 @@ class TestTrain:
         np.testing.assert_array_equal(result.model.P, model.P)
         np.testing.assert_array_equal(result.model.R, model.R)
 
+    def test_returns_the_hyperparameters_it_trained_with(self):
+        ws, xs = self.make_corpus()
+        model = init_for_training(Dims(8, 2), Hyperparams(r=3), seed=0)
+        hyper = Hyperparams(r=3, alpha=3.0, lambda_e=0.5, inference_iters=7, max_rounds=1)
+        assert train(ws, xs, model, hyper).model.hyper == hyper
+        assert model.hyper == Hyperparams(r=3)
+
+    def test_rank_cap_is_checked_before_any_sweep(self, monkeypatch):
+        ws, xs = self.make_corpus()
+        hyper = Hyperparams(r=ALS_R_CAP + 1)
+        monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
+        with pytest.raises(DimensionMismatch, match="trainer=sgd"):
+            train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+
     def test_exact_recovery(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(

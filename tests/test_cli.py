@@ -495,8 +495,30 @@ class TestConfigAndUsage:
     def test_synth_count_below_one_rejected(self, workspace, capsys, key, value):
         config = tensors_config(workspace, **{key: value})
         assert run(config, "synth") == EXIT_USAGE
-        assert "%s must be at least 1" % key in capsys.readouterr().err
+        assert "%s must be >= 1" % key.replace(".", "_") in capsys.readouterr().err
         assert not (workspace / "tensors.txt").exists()
+        assert not (workspace / "model.bin").exists()
+
+    @pytest.mark.parametrize("command, entries, flags, message", [
+        ("train", {"seed": "-1"}, [], "seed must be >= 0"),
+        ("synth", {"seed": "-1"}, [], "seed must be >= 0"),
+        ("train", {}, ["--seed", "-3"], "seed must be >= 0"),
+        ("train", {"trainer": "sgd", "sgd.seed": "-1"}, [], "seed must be >= 0"),
+        ("synth", {"synth.noise": "inf"}, [], "synth_noise must be finite, got inf"),
+        ("synth", {"synth.noise": "nan"}, [], "synth_noise must be finite, got nan"),
+        ("synth", {"synth.noise": "-1"}, [], "synth_noise must be >= 0"),
+        ("synth", {"synth.mode": "discrete", "synth.threshold": "nan"}, [],
+         "synth_threshold must be finite, got nan"),
+    ], ids=["seed-train", "seed-synth", "seed-flag", "sgd-seed", "noise-inf", "noise-nan",
+            "noise-negative", "threshold-nan"])
+    def test_seed_or_synth_value_out_of_bounds(self, workspace, capsys, command,
+                                               entries, flags, message):
+        if command == "train":  # valid tensors to train on
+            assert run(tensors_config(workspace), "synth") == EXIT_OK
+            (workspace / "model.bin").unlink()
+        config = tensors_config(workspace, **entries)
+        assert main(["--config", config, *flags, command]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not (workspace / "model.bin").exists()
 
     def test_missing_required_path(self, workspace, capsys):

@@ -56,7 +56,7 @@ KEY_CASES = (
         ("synth.noise=0.25", "synth_noise", 0.25),
         ("trainer=sgd", "trainer", "sgd"),
         ("trainer=als", "trainer", "als"),
-        ("seed=-3", "seed", -3),
+        ("seed=3", "seed", 3),
         ("fail_fast=true", "fail_fast", True),
         ("fail_fast=Yes", "fail_fast", True),
         ("fail_fast=1", "fail_fast", True),
@@ -169,6 +169,14 @@ ERROR_CASES = [
     ("hyper.lambda_e=inf", "lambda_e must be finite, got inf"),
     ("hyper.rel_improvement_stop=nan", "rel_improvement_stop must be finite, got nan"),
     ("sgd.learning_rate=nan", "learning_rate must be finite, got nan"),
+    ("seed=-3", "seed must be >= 0"),
+    ("sgd.seed=-1", "seed must be >= 0"),
+    ("synth.sentences=0", "synth_sentences must be >= 1"),
+    ("synth.relations=-1", "synth_relations must be >= 1"),
+    ("synth.noise=-1", "synth_noise must be >= 0"),
+    ("synth.noise=inf", "synth_noise must be finite, got inf"),
+    ("synth.noise=nan", "synth_noise must be finite, got nan"),
+    ("synth.threshold=nan", "synth_threshold must be finite, got nan"),
 ]
 
 

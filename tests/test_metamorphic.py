@@ -1,12 +1,15 @@
 """Metamorphic relations of the E solve.
 
 Each relation changes a sentence and the model in a way whose effect on the
-solved token embeddings is known, so infer_bove and averaged_E_step are
-checked without a reference solver:
+solved token embeddings is known, so infer_bove, averaged_E_step and one
+update_E_sentence solve are checked without a reference solver:
 - token relabeling: renaming the tokens permutes the rows of E;
 - edge reversal: swapping heads and dependents and transposing every R_k
   leaves E unchanged;
-- orthogonal gauge: P -> PQ and R_k -> Q^T R_k Q give E -> EQ.
+- orthogonal gauge: P -> PQ and R_k -> Q^T R_k Q give E -> EQ;
+- predicate relabeling: permuting P's rows and W's row ids leaves E
+  unchanged (one solve and the averaged step only, see
+  test_infer_bove_returns_a_fixed_point).
 See Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities" (ACM Computing Surveys 2018).
 """
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bove.als import averaged_E_step
+from bove.als import averaged_E_step, update_E_sentence
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor
 from bove.inference import infer_bove
 from bove.model import Hyperparams, TypeEmbeddings
@@ -23,7 +26,8 @@ from bove.model import Hyperparams, TypeEmbeddings
 
 @st.composite
 def instances(draw):
-    """(W, X, model, start E, token permutation, orthogonal r x r Q).
+    """(W, X, model, start E, token permutation, predicate permutation,
+    orthogonal r x r Q).
 
     n = 1 is included, X may hold no edge and W or X may repeat a
     coordinate; lambda_e is 0.1.  The arrays come from a drawn seed.  As in
@@ -56,7 +60,7 @@ def instances(draw):
         frozen_p_rows=np.zeros(c, dtype=bool),
         hyper=Hyperparams(r=r, alpha=rng.uniform(0.5, 1.5), lambda_e=0.1))
     q, _ = np.linalg.qr(rng.normal(size=(r, r)))
-    return w, x, model, rng.normal(size=(n, r)), rng.permutation(n), q
+    return w, x, model, rng.normal(size=(n, r)), rng.permutation(n), rng.permutation(c), q
 
 
 def with_parameters(model, p, r_tensor):
@@ -73,7 +77,12 @@ def averaged_step(w, x, model, e_start):
     return averaged_E_step(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)
 
 
-SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step])
+def one_solve(w, x, model, e_start):
+    hyper = model.hyper
+    return update_E_sentence(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)
+
+
+SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step, one_solve])
 
 
 def assert_close(got, want):
@@ -85,7 +94,7 @@ def assert_close(got, want):
 @settings(max_examples=100, deadline=None)
 @given(instance=instances())
 def test_token_relabeling_permutes_the_rows_of_E(solve, instance):
-    w, x, model, e_start, perm, _ = instance
+    w, x, model, e_start, perm, _, _ = instance
     renamed_w = SparsePropertyMatrix(c=w.c, n=w.n, rows=w.rows, cols=perm[w.cols],
                                      values=w.values)
     renamed_x = SparseRelationTensor(d=x.d, n=x.n, rels=x.rels, heads=perm[x.heads],
@@ -100,7 +109,7 @@ def test_token_relabeling_permutes_the_rows_of_E(solve, instance):
 @settings(max_examples=100, deadline=None)
 @given(instance=instances())
 def test_edge_reversal_leaves_E_unchanged(solve, instance):
-    w, x, model, e_start, _, _ = instance
+    w, x, model, e_start, _, _, _ = instance
     reversed_x = SparseRelationTensor(d=x.d, n=x.n, rels=x.rels, heads=x.deps,
                                       deps=x.heads, values=x.values)
     transposed = with_parameters(model, model.P, model.R.transpose(0, 2, 1))
@@ -111,6 +120,41 @@ def test_edge_reversal_leaves_E_unchanged(solve, instance):
 @settings(max_examples=100, deadline=None)
 @given(instance=instances())
 def test_orthogonal_gauge_rotates_E(solve, instance):
-    w, x, model, e_start, _, q = instance
+    w, x, model, e_start, _, _, q = instance
     rotated = with_parameters(model, model.P @ q, q.T @ model.R @ q)
     assert_close(solve(w, x, rotated, e_start @ q), solve(w, x, model, e_start) @ q)
+
+
+@pytest.mark.parametrize("solve", [averaged_step, one_solve])
+@settings(max_examples=100, deadline=None)
+@given(instance=instances())
+def test_predicate_relabeling_leaves_E_unchanged(solve, instance):
+    w, x, model, e_start, _, perm, _ = instance
+    renamed_w = SparsePropertyMatrix(c=w.c, n=w.n, rows=perm[w.rows], cols=w.cols,
+                                     values=w.values)
+    renamed_p = np.empty_like(model.P)
+    renamed_p[perm] = model.P
+    renamed = with_parameters(model, renamed_p, model.R)
+    assert_close(solve(renamed_w, x, renamed, e_start), solve(w, x, model, e_start))
+
+
+@pytest.mark.xfail(strict=True, reason="30 damped solves need not contract; "
+                                       "converged inference is ROADMAP item 4")
+def test_infer_bove_returns_a_fixed_point():
+    """One token with ten W entries and no edge, P and R at the scale of
+    instances().  A fixed point exists (a 0.3-damped iteration reaches it to
+    1e-16), but there the raw refresh's Jacobian has an eigenvalue of -4.77,
+    -1.89 after the 0.5 damping, so infer_bove's iteration oscillates: its
+    relative step is 0.76 at solve 30 and 0.80 at solve 400.  On draws of
+    this kind the infer cases of the relations above fail now and then."""
+    w = SparsePropertyMatrix(c=3, n=1, rows=[0, 1, 0, 0, 2, 1, 1, 2, 0, 2], cols=[0] * 10,
+                             values=[0.76, 0.92, 0.95, 1.46, 1.39, 0.78, 0.78, 0.92, 0.5, 0.81])
+    x = SparseRelationTensor(d=2, n=1, rels=[], heads=[], deps=[])
+    model = TypeEmbeddings(
+        P=np.array([[0.52, 0.39, 0.04], [-0.02, 0.51, 0.11], [0.51, 0.57, -0.54]]),
+        R=np.array([[[-0.25, 0.17, -0.25], [-0.11, -0.13, 0.03], [-0.3, -0.03, 0.04]],
+                    [[-0.25, -0.11, 0.0], [-0.13, -0.05, -0.06], [-0.27, 0.06, -0.28]]]),
+        frozen_p_rows=np.zeros(3, dtype=bool), hyper=Hyperparams(r=3, alpha=1.08, lambda_e=0.1))
+    e = infer_bove(w, x, model)
+    step = one_solve(w, x, model, e) - e
+    assert np.linalg.norm(step) / np.linalg.norm(e) < 1e-6

@@ -314,6 +314,14 @@ class TestTrainSgd:
         np.testing.assert_array_equal(out.R, model.R)
         assert trace == []
 
+    def test_returns_the_hyperparameters_it_trained_with(self):
+        ws, xs = micro_corpus()
+        model = init_for_training(Dims(4, 2), Hyperparams(r=2), seed=5)
+        hyper = Hyperparams(r=2, alpha=3.0, lambda_e=0.5, inference_iters=7)
+        out, _, _ = train_sgd(ws, xs, model, hyper, SgdConfig(epochs=1))
+        assert out.hyper == hyper
+        assert model.hyper == Hyperparams(r=2)
+
     def test_seed_determinism(self):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
@@ -401,6 +409,7 @@ CONFIG_ERRORS = [
     ("negatives_per_positive", 0, "negatives_per_positive must be >= 1"),
     ("epochs", -1, "epochs must be >= 0"),
     ("learning_rate", 0.0, "learning_rate must be >= 5e-324"),
+    ("seed", -1, "seed must be >= 0"),
 ]
 
 

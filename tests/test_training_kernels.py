@@ -1,5 +1,6 @@
-"""The coordinate-form training kernels (update_P, update_R and the objective)
-against their dense forms, and a guard that they never densify W or X."""
+"""The coordinate-form training kernels (update_P, update_R, the objective and
+the E solve) against their dense forms, and a guard that they never densify W
+or X."""
 
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bove.als import corpus_objective, update_P, update_R
+from bove.als import corpus_objective, update_E_sentence, update_P, update_R
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
@@ -16,7 +17,12 @@ from bove.encoding import (
 )
 from bove.model import Hyperparams, TypeEmbeddings
 
-from oracles import reconstruction_loss_dense, update_P_dense, update_R_dense
+from oracles import (
+    reconstruction_loss_dense,
+    update_E_sentence_dense,
+    update_P_dense,
+    update_R_dense,
+)
 
 
 def sentence(c, d, n, w_cells, w_values, x_cells, x_values):
@@ -32,7 +38,7 @@ def corpora(draw):
     """1-3 sentences on shared c, d and r, with n = 1 included.  Entries may
     repeat a coordinate or store a zero.  A sentence may hold no X entry, an
     entry in every W row, or one in every relation.  E, P, R, the frozen rows
-    and the strengths come from a drawn seed."""
+    and the strengths (lambda_e is 0.1) come from a drawn seed."""
     c, d, r = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     value = st.one_of(st.just(0.0), st.floats(-4, 4, allow_nan=False))
     ws, xs = [], []
@@ -83,6 +89,9 @@ def check_against_dense(ws, xs, es, model):
         assert reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha) == \
             pytest.approx(reconstruction_loss_dense(w, x, model.P, model.R, e, hyper.alpha),
                           rel=1e-10)
+        assert_matches(
+            update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e),
+            update_E_sentence_dense(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e))
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,6 +141,8 @@ KERNELS = {
     "update_R": lambda ws, xs, es, model: update_R(xs, es, 0.1),
     "corpus_objective": lambda ws, xs, es, model: corpus_objective(
         ws, xs, es, model, model.hyper),
+    "update_E_sentence": lambda ws, xs, es, model: update_E_sentence(
+        ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
 }
 
 
