@@ -53,8 +53,10 @@ class PipelineConfig:
     synth_threshold: float = 0.5
     synth_noise: float = 0.0
 
+    # synth_threshold is compared with values min-max-scaled to [0, 1]
     _BOUNDS = (("seed", 0), ("synth_sentences", 1), ("synth_tokens", 1),
-               ("synth_predicates", 1), ("synth_relations", 1), ("synth_noise", 0))
+               ("synth_predicates", 1), ("synth_relations", 1), ("synth_noise", 0),
+               ("synth_threshold", 0, 1))
 
     def __post_init__(self):
         try:

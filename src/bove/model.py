@@ -29,15 +29,20 @@ R_REGULARIZERS = ("l2", "l1", "nuclear")
 
 def check_bounds(config, bounds):
     """Raise ValueError unless every float field of the dataclass instance
-    config is finite and each field in bounds, a table of (field, lowest
-    allowed value), is at least its bound.  A NaN fails every bound."""
+    config is finite and each field in bounds lies within its limits.  An
+    entry of bounds is (field, lowest) or (field, lowest, highest), both
+    limits allowed values; an entry of any other length raises.  A NaN
+    fails every bound."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (f.name, value))
-    for name, lowest in bounds:
-        if not getattr(config, name) >= lowest:
-            raise ValueError("%s must be >= %s" % (name, lowest))
+    for entry in bounds:
+        name, lowest, highest = entry if len(entry) == 3 else (*entry, math.inf)
+        if not lowest <= getattr(config, name) <= highest:
+            bound = ("in [%s, %s]" % (lowest, highest) if highest < math.inf
+                     else ">= %s" % lowest)
+            raise ValueError("%s must be %s" % (name, bound))
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,28 @@ def sample_cells(w, x, k, rng):
     return _sample(w, k, rng), _sample(x, k, rng)
 
 
+def _add_rows(out, index, rows):
+    """out[index] += rows, summing repeated indices, as np.add.at(out,
+    index, rows) does and bit for bit: one 1-D add.at over out's flat view,
+    which numpy runs much faster than the 2-D form, with each element still
+    taking its terms in index order.  A target that is not C-contiguous has
+    no flat view (reshape would copy it and drop the sums), so it raises."""
+    if not out.flags.c_contiguous:
+        raise ValueError("_add_rows needs a C-contiguous target")
+    width = out.shape[1]
+    flat = index[:, None] * width + np.arange(width)
+    np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+
 def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_scale):
     """Loss and analytic gradients of the sampled objective on one batch.
 
     batch is a list of sentence indices; samples[s] the fixed cell draws for
     sentence s.  Regularizer terms for P and R are scaled by reg_scale
     (batch fraction of the corpus) so one epoch applies them once; the E
-    terms of batch sentences enter at full strength.
+    terms of batch sentences enter at full strength.  The per-cell gradient
+    rows scatter through the flat view of each target (`_add_rows`), which
+    matches np.add.at bit for bit.
     """
     p, r_tensor = model.P, model.R
     # the batch sentences' E rows stacked: sentence s owns rows a..b
@@ -102,9 +117,11 @@ def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_sc
     loss = (reg_scale * (hyper.lambda_p * float(np.sum(p ** 2))
                          + hyper.lambda_r * float(np.sum(r_tensor ** 2)))
             + hyper.lambda_e * float(np.sum(e_all ** 2)))
-    g_p = 2.0 * reg_scale * hyper.lambda_p * p
+    # g_p and g_all in C order, whatever the model's and e_store's, so that
+    # _add_rows can scatter into them
+    g_p = np.multiply(2.0 * reg_scale * hyper.lambda_p, p, order="C")
     g_r = 2.0 * reg_scale * hyper.lambda_r * r_tensor
-    g_all = 2.0 * hyper.lambda_e * e_all
+    g_all = np.multiply(2.0 * hyper.lambda_e, e_all, order="C")
     offsets = np.cumsum([0] + [len(e_store[s]) for s in batch])
     g_e = {s: g_all[a:b] for s, a, b in zip(batch, offsets, offsets[1:])}
     for s, a in zip(batch, offsets):
@@ -113,8 +130,8 @@ def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_sc
         resid = np.einsum("ij,ij->i", p[i], e_all[t]) - target
         loss += float(weight @ resid ** 2)
         coef = (2.0 * weight * resid)[:, None]
-        np.add.at(g_p, i, coef * e_all[t])
-        np.add.at(g_all, t, coef * p[i])
+        _add_rows(g_p, i, coef * e_all[t])
+        _add_rows(g_all, t, coef * p[i])
     # X cells of the whole batch with head and dep as rows of e_all, taken
     # one relation at a time so no temporary holds a row per batch cell
     x_cells = np.concatenate([samples[s][1] + [0, a, a, 0, 0]
@@ -128,10 +145,10 @@ def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_sc
         resid = np.einsum("ij,ij->i", e_h_r, e_t) - target
         loss += hyper.alpha * float(weight @ resid ** 2)
         coef = (2.0 * hyper.alpha * weight * resid)[:, None]
-        np.add.at(g_all, t, coef * e_h_r)
+        _add_rows(g_all, t, coef * e_h_r)
         e_t *= coef  # in place: one row-per-cell temporary fewer
         g_r[k] += e_all[h].T @ e_t
-        np.add.at(g_all, h, e_t @ r_tensor[k].T)
+        _add_rows(g_all, h, e_t @ r_tensor[k].T)
     g_p[model.frozen_p_rows] = 0.0
     return loss, g_p, g_r, g_e
 

@@ -509,8 +509,10 @@ class TestConfigAndUsage:
         ("synth", {"synth.noise": "-1"}, [], "synth_noise must be >= 0"),
         ("synth", {"synth.mode": "discrete", "synth.threshold": "nan"}, [],
          "synth_threshold must be finite, got nan"),
+        ("synth", {"synth.mode": "discrete", "synth.threshold": "2"}, [],
+         "synth_threshold must be in [0, 1]"),
     ], ids=["seed-train", "seed-synth", "seed-flag", "sgd-seed", "noise-inf", "noise-nan",
-            "noise-negative", "threshold-nan"])
+            "noise-negative", "threshold-nan", "threshold-above-one"])
     def test_seed_or_synth_value_out_of_bounds(self, workspace, capsys, command,
                                                entries, flags, message):
         if command == "train":  # valid tensors to train on

@@ -7,7 +7,7 @@ import pytest
 from bove.config import PipelineConfig, parse_config
 from bove.conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from bove.errors import ConfigError
-from bove.model import Hyperparams
+from bove.model import Hyperparams, check_bounds
 from bove.sgd import SgdConfig
 
 PATH_KEYS = ("corpus", "vectors", "vocab", "model", "embeddings", "pairs",
@@ -53,6 +53,7 @@ KEY_CASES = (
         ("synth.relations=2", "synth_relations", 2),
         ("synth.mode=discrete", "synth_mode", "discrete"),
         ("synth.threshold=1", "synth_threshold", 1.0),
+        ("synth.threshold=0", "synth_threshold", 0.0),
         ("synth.noise=0.25", "synth_noise", 0.25),
         ("trainer=sgd", "trainer", "sgd"),
         ("trainer=als", "trainer", "als"),
@@ -177,6 +178,9 @@ ERROR_CASES = [
     ("synth.noise=inf", "synth_noise must be finite, got inf"),
     ("synth.noise=nan", "synth_noise must be finite, got nan"),
     ("synth.threshold=nan", "synth_threshold must be finite, got nan"),
+    ("synth.threshold=2", "synth_threshold must be in [0, 1]"),
+    ("synth.threshold=-0.5", "synth_threshold must be in [0, 1]"),
+    ("synth.threshold=1.0000001", "synth_threshold must be in [0, 1]"),
 ]
 
 
@@ -186,6 +190,12 @@ def test_each_error_is_a_config_error(line, message):
     with pytest.raises(ConfigError) as info:
         parse_config([line])
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [("seed",), ("seed", 0, 1, 2)])
+def test_a_bounds_entry_of_another_length_raises(entry):
+    with pytest.raises(ValueError, match="values to unpack"):
+        check_bounds(SgdConfig(), (entry,))
 
 
 def test_first_bad_line_is_reported():

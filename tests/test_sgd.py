@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bove import sgd, synth
 from bove.als import corpus_objective
@@ -192,6 +192,113 @@ class TestAgainstCellLoop:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
+    """Sentences of n tokens with 2 W entries and 2 X entries per token (a
+    dependency edge into every token, and an adjacency edge), a model at
+    rank r, E rows and one sampled batch: (batch, ws, xs, samples, model,
+    e_store, hyper)."""
+    rng = np.random.default_rng(seed)
+    tokens = np.arange(n)
+    ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
+                               cols=np.repeat(tokens, 2)) for _ in range(sentences)]
+    xs = [SparseRelationTensor(
+        d=d, n=n, rels=np.r_[rng.integers(d - 1, size=n), np.full(n - 1, d - 1)],
+        heads=np.r_[rng.integers(n, size=n), tokens[:-1]],
+        deps=np.r_[tokens, tokens[1:]]) for _ in range(sentences)]
+    hyper = Hyperparams(r=r)
+    model = init_for_training(Dims(c, d), hyper, seed=seed)
+    model.R = rng.normal(size=model.R.shape) / r
+    e_store = [rng.normal(size=(n, r)) for _ in range(sentences)]
+    batch = list(range(sentences))
+    samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
+    return batch, ws, xs, samples, model, e_store, hyper
+
+
+def batch_peak(n):
+    """tracemalloc peak of one sampled_loss_and_grads call on
+    batch_instance(n)."""
+    args = batch_instance(n)
+    tracemalloc.start()
+    try:
+        sampled_loss_and_grads(*args, 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchScaling:
+    def test_peak_grows_at_most_linearly_with_the_entries(self):
+        # n -> 8n tokens per sentence with entries proportional to n: a
+        # linear batch grows its peak about 8x, a quadratic one 64x
+        assert batch_peak(200) <= 10 * batch_peak(25)
+
+
+class TestAddRows:
+    @settings(max_examples=200, deadline=None)
+    @given(height=st.integers(1, 6), width=st.integers(1, 5), m=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 32))
+    @example(height=2, width=3, m=0, seed=0)
+    @example(height=2, width=3, m=1, seed=1)
+    @example(height=3, width=1, m=9, seed=2)
+    def test_matches_add_at_bit_for_bit(self, height, width, m, seed):
+        # indices drawn with replacement from few rows, so they repeat and
+        # come unsorted; the target starts non-zero, so rounding of each sum
+        # depends on the order its terms are added in
+        rng = np.random.default_rng(seed)
+        out = rng.normal(size=(height, width)) * 10.0 ** rng.integers(-8, 9, size=(height, 1))
+        index = rng.integers(height, size=m)
+        rows = rng.normal(size=(m, width)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
+        expected = out.copy()
+        np.add.at(expected, index, rows)
+        sgd._add_rows(out, index, rows)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("target", [np.zeros((3, 4)).T, np.zeros((4, 6))[:, ::2]],
+                             ids=["transposed", "strided"])
+    def test_non_contiguous_target_raises(self, target):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sgd._add_rows(target, np.array([0, 1]), np.ones((2, target.shape[1])))
+        assert not target.any()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trainer_matches_the_add_at_reference(self, monkeypatch, seed):
+        data = synth.generate(seed, n_sentences=6, n_tokens=5, c=8, d=3, r=3,
+                              mode="discrete")
+        ws = [w for _, w, _ in data.sentences]
+        xs = [x for _, _, x in data.sentences]
+        hyper = Hyperparams(r=4)
+        model = init_for_training(Dims(8, 3), hyper, seed=seed)
+        model.frozen_p_rows[0] = True
+        config = SgdConfig(epochs=4, seed=seed, batch_size=3)
+        runs = [train_sgd(ws, xs, model, hyper, config)]
+        monkeypatch.setattr(sgd, "_add_rows", np.add.at)
+        runs.append(train_sgd(ws, xs, model, hyper, config))
+        (out, e_store, trace), (ref, ref_e, ref_trace) = runs
+        np.testing.assert_array_equal(out.P, ref.P)
+        np.testing.assert_array_equal(out.R, ref.R)
+        for e, expected in zip(e_store, ref_e, strict=True):
+            np.testing.assert_array_equal(e, expected)
+        np.testing.assert_array_equal(trace, ref_trace)
+
+    @pytest.mark.parametrize("batch", [[1], [1, 0]])
+    def test_fortran_ordered_operands_give_the_same_gradients(self, batch):
+        # one F-ordered E block stacks to an F-ordered array, yet the
+        # gradient targets the rows scatter into are C-ordered
+        _, ws, xs, samples, model, e_store, hyper = batch_instance(
+            6, c=7, d=3, r=4, sentences=2)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, ws, xs, samples, model,
+                                                     e_store, hyper, 0.5)
+        model.P, model.R = np.asfortranarray(model.P), np.asfortranarray(model.R)
+        f_loss, f_p, f_r, f_e = sampled_loss_and_grads(
+            batch, ws, xs, samples, model, [np.asfortranarray(e) for e in e_store],
+            hyper, 0.5)
+        assert f_loss == pytest.approx(loss, rel=1e-12)
+        assert_close(f_p, g_p)
+        assert_close(f_r, g_r)
+        for s in batch:
+            assert_close(f_e[s], g_e[s])
 
 
 class TestSampling:
