@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .encoding import check_operands, reconstruction_loss
 from .errors import DimensionMismatch, DivergenceError, SingularSystemError
@@ -36,14 +35,17 @@ def _spd_solve_right(gram, rhs, ridge, what):
     """Solve Z (gram + ridge I) = rhs for Z via a Cholesky factorization.
 
     gram must be symmetric PSD; with ridge == 0 a singular gram is an error
-    (deterministic behavior, no pseudo-inverse).
+    (deterministic behavior, no pseudo-inverse).  scipy is imported here, at
+    the first solve, so the commands that never solve do not load it.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     a = gram + ridge * np.eye(gram.shape[0])
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise DivergenceError("%s system has a non-finite entry" % what)
     try:
         factor = cho_factor(a, lower=True, check_finite=False)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         if ridge > 0:
             raise DivergenceError("%s system is not positive definite" % what) from None
         raise SingularSystemError(
@@ -110,8 +112,9 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     """One linearized least-squares refresh of a sentence's token embeddings.
 
     Solves the three stacked systems (properties, relations with the old E
-    on the right, transposed relations likewise), with alpha applied to both
-    the targets and the design blocks of the relation systems:
+    on the right, transposed relations likewise), with sqrt(alpha) applied
+    to both the targets and the design blocks of the relation systems, so
+    each relation residual carries the loss's weight alpha:
         E_new = Y F^T (F F^T + lambda_e I)^-1
     realized without materializing Y or F: Y F^T is scattered from the
     entries of W and X, as update_P and update_R read them.
@@ -120,18 +123,17 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
     e_prev = np.asarray(e_prev, dtype=np.float64)
     check_operands(w, x, p, r_tensor, e_prev)
-    a2 = alpha * alpha
     m = e_prev.T @ e_prev
     # F F^T
     gram = p.T @ p
-    gram += a2 * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
-    gram += a2 * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
+    gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
+    gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     # Y F^T
     rhs = np.zeros_like(e_prev)
     np.add.at(rhs, w.cols, w.values[:, None] * p[w.rows])
     for k, heads, deps, values in x.relation_slices():
-        np.add.at(rhs, heads, a2 * values[:, None] * (e_prev[deps] @ r_tensor[k].T))
-        np.add.at(rhs, deps, a2 * values[:, None] * (e_prev[heads] @ r_tensor[k]))
+        np.add.at(rhs, heads, alpha * values[:, None] * (e_prev[deps] @ r_tensor[k].T))
+        np.add.at(rhs, deps, alpha * values[:, None] * (e_prev[heads] @ r_tensor[k]))
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 

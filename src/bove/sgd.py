@@ -100,7 +100,7 @@ def _add_rows(out, index, rows):
     np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
-def sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, reg_scale):
+def sampled_loss_and_grads(batch, samples, model, e_store, hyper, reg_scale):
     """Loss and analytic gradients of the sampled objective on one batch.
 
     batch is a list of sentence indices; samples[s] the fixed cell draws for
@@ -160,7 +160,7 @@ def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
         for s in batch
     }
     loss, g_p, g_r, g_e = sampled_loss_and_grads(
-        batch, ws, xs, samples, model, e_store, hyper, reg_scale
+        batch, samples, model, e_store, hyper, reg_scale
     )
     if not np.isfinite(loss):
         raise DivergenceError("non-finite sampled loss in SGD step")

@@ -92,15 +92,14 @@ def update_R_dense(xs, es, lambda_r, alpha=1.0):
 def update_E_sentence_dense(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     """als.update_E_sentence from dense W and X: E_new = Y F^T (F F^T +
     lambda_e I)^-1, with Y F^T contracted from the dense arrays."""
-    a2 = alpha * alpha
     m = e_prev.T @ e_prev
     xd = x.to_dense()
     gram = lambda_e * np.eye(p.shape[1]) + p.T @ p
-    gram += a2 * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
-    gram += a2 * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
+    gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
+    gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     rhs = w.to_dense().T @ p
-    rhs += a2 * np.einsum("kij,ja,kba->ib", xd, e_prev, r_tensor)
-    rhs += a2 * np.einsum("kji,ja,kab->ib", xd, e_prev, r_tensor)
+    rhs += alpha * np.einsum("kij,ja,kba->ib", xd, e_prev, r_tensor)
+    rhs += alpha * np.einsum("kji,ja,kab->ib", xd, e_prev, r_tensor)
     return np.linalg.solve(gram, rhs.T).T
 
 
@@ -109,6 +108,17 @@ def reconstruction_loss_dense(w, x, p, r_tensor, e, alpha=1.0):
     loss = np.sum((w.to_dense() - p @ e.T) ** 2)
     rec = np.einsum("ia,kab,jb->kij", e, r_tensor, e)
     return float(loss + alpha * np.sum((x.to_dense() - rec) ** 2))
+
+
+def loss_gradient_E_dense(w, x, p, r_tensor, e, alpha=1.0, lambda_e=0.0):
+    """Gradient in E of reconstruction_loss + lambda_e ||E||^2 over the dense
+    W and X: -2 (W - P E^T)^T P - 2 alpha sum_k (Res_k E R_k^T + Res_k^T E R_k)
+    + 2 lambda_e E, with Res_k = X_k - E R_k E^T."""
+    g = -2.0 * (w.to_dense() - p @ e.T).T @ p + 2.0 * lambda_e * e
+    for xk, rk in zip(x.to_dense(), r_tensor):
+        res = xk - e @ rk @ e.T
+        g -= 2.0 * alpha * (res @ e @ rk.T + res.T @ e @ rk)
+    return g
 
 
 def r_block_objective(r_tensor, xs_dense, es, lambda_r, alpha):
@@ -142,8 +152,8 @@ def e_quadratic_objective(e, wd, xd, p, r_tensor, e_prev, alpha, lambda_e):
     """The fixed-E_prev linearized quadratic the per-sentence solve minimizes."""
     total = np.sum((wd.T - e @ p.T) ** 2)
     for k in range(r_tensor.shape[0]):
-        total += alpha ** 2 * np.sum((xd[k] - e @ (r_tensor[k] @ e_prev.T)) ** 2)
-        total += alpha ** 2 * np.sum((xd[k].T - e @ (r_tensor[k].T @ e_prev.T)) ** 2)
+        total += alpha * np.sum((xd[k] - e @ (r_tensor[k] @ e_prev.T)) ** 2)
+        total += alpha * np.sum((xd[k].T - e @ (r_tensor[k].T @ e_prev.T)) ** 2)
     total += lambda_e * np.sum(e ** 2)
     return total
 
@@ -161,9 +171,9 @@ def minimize_e_quadratic(wd, xd, p, r_tensor, e_prev, alpha, lambda_e):
         g = 2.0 * (e @ p.T - wd.T) @ p + 2.0 * lambda_e * e
         for k in range(r_tensor.shape[0]):
             fk = r_tensor[k] @ e_prev.T
-            g += 2.0 * alpha ** 2 * (e @ fk - xd[k]) @ fk.T
+            g += 2.0 * alpha * (e @ fk - xd[k]) @ fk.T
             fkt = r_tensor[k].T @ e_prev.T
-            g += 2.0 * alpha ** 2 * (e @ fkt - xd[k].T) @ fkt.T
+            g += 2.0 * alpha * (e @ fkt - xd[k].T) @ fkt.T
         return g.ravel()
 
     return gradient_descent(f, grad, np.zeros(n * r)).reshape(n, r)

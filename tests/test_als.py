@@ -15,11 +15,11 @@ from bove.als import (
     update_P,
     update_R,
 )
-from bove.encoding import from_dense
+from bove.encoding import from_dense, reconstruction_loss
 from bove.errors import DimensionMismatch, DivergenceError, SingularSystemError
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
-from oracles import minimize_e_quadratic
+from oracles import loss_gradient_E_dense, minimize_e_quadratic
 
 
 class Dims:
@@ -181,6 +181,38 @@ class TestUpdateE:
         _, x = sparse_sentence(np.ones((2, 4)), np.ones((1, 4, 4)))
         with pytest.raises(DimensionMismatch, match="token counts of W, X and E disagree"):
             update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 2)))
+
+    def test_loss_gradient_oracle_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        w, x = sparse_sentence(rng.normal(size=(5, 4)), rng.normal(size=(2, 4, 4)))
+        p, r_tensor = rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3))
+        e, step = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        alpha, lam, h = 0.7, 0.2, 1e-6
+
+        def f(e):
+            return reconstruction_loss(w, x, p, r_tensor, e, alpha) + lam * np.sum(e ** 2)
+
+        fd = (f(e + h * step) - f(e - h * step)) / (2 * h)
+        g = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lam)
+        assert np.sum(g * step) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_fixed_point_is_stationary_for_the_loss(self, alpha):
+        # The solve weights each relation residual by alpha, as the loss does,
+        # so its fixed point zeroes the loss's E gradient at every alpha.
+        data = synth.generate(3, n_sentences=1, n_tokens=5, c=10, d=2, r=4)
+        _, w, x = data.sentences[0]
+        p, r_tensor, lam = data.model.P, data.model.R, 0.1
+        e = np.zeros((5, 4))
+        for _ in range(1000):
+            e_next = e + 0.3 * (update_E_sentence(w, x, p, r_tensor, e, alpha, lam) - e)
+            step = np.linalg.norm(e_next - e) / np.linalg.norm(e_next)
+            e = e_next
+            if step < 1e-13:
+                break
+        assert step < 1e-13
+        g = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lam)
+        assert np.linalg.norm(g) < 1e-9 * np.linalg.norm(e)
 
 
 class TestAveragedStep:

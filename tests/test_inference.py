@@ -152,6 +152,18 @@ class TestInferCorpus:
         for sid, e in forward:
             np.testing.assert_array_equal(e, lookup[sid])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_sentences_give_permuted_bags(self, seed):
+        data = synth.generate(13, n_sentences=6, n_tokens=4, c=8, d=2, r=3,
+                              mode="discrete")
+        forward, _ = infer_corpus(data.sentences, data.model)
+        order = np.random.default_rng(seed).permutation(len(data.sentences))
+        permuted, failures = infer_corpus([data.sentences[i] for i in order], data.model)
+        assert failures == []
+        assert [sid for sid, _ in permuted] == [data.sentences[i][0] for i in order]
+        for (_, e), i in zip(permuted, order, strict=True):
+            np.testing.assert_array_equal(e, forward[i][1])
+
     def test_failures_collected_per_sentence(self):
         data = synth.generate(11, n_sentences=2, n_tokens=3, c=6, d=2, r=3,
                               mode="discrete")

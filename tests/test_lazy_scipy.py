@@ -1,0 +1,62 @@
+"""scipy is loaded by the first Cholesky solve, not by `import bove`.
+
+Each pipeline stage runs in its own process, so a module-level scipy import
+would add its load time to every command, including those that never solve
+(vocabulary, encoding, scoring, SGD training).  A fresh interpreter imports
+bove and bove.cli, runs those commands through bove.cli.main on test_cli's
+corpus and records after each step whether scipy is in sys.modules; an ALS
+`train` then solves and loads it.  No timing is asserted.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+from bove.model import write_bags
+
+from test_cli import CORPUS, write_config, write_corpus
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import json, sys
+import bove, bove.cli
+seen = [["import", "scipy" in sys.modules]]
+for name, config, args in json.loads(sys.argv[1]):
+    code = bove.cli.main(["--config", config, *args])
+    if code != 0:
+        sys.exit("%s exited %d" % (name, code))
+    seen.append([name, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_at_the_first_solve(tmp_path):
+    write_corpus(tmp_path / "corpus.conll", CORPUS)
+    rng = np.random.default_rng(0)
+    write_bags(tmp_path / "bags.bin",
+               [(str(i), rng.normal(size=(len(sent), 4))) for i, sent in enumerate(CORPUS)])
+    (tmp_path / "pairs.tsv").write_text("p1\t0\t1\t4.0\np2\t2\t3\t2.0\n")
+    common = {"paths.tensors": str(tmp_path / "tensors.txt"), "hyper.max_rounds": "2",
+              "sgd.epochs": "2"}
+    config = write_config(tmp_path, name="als.txt", trainer="als", **common)
+    sgd = write_config(tmp_path, name="sgd.txt", trainer="sgd", **common)
+    steps = [
+        ("build-vocab", config, ["build-vocab"]),
+        ("encode", config, ["encode"]),
+        ("score-sts", config, ["score", "--mode", "sts"]),
+        ("train-sgd", sgd, ["train"]),
+        ("train-als", config, ["train"]),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
+                            env=env, capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen == [["import", False], ["build-vocab", False], ["encode", False],
+                    ["score-sts", False], ["train-sgd", False], ["train-als", True]]

@@ -162,6 +162,43 @@ class TestSimilarity:
         assert score_similarity(s1, s2) == similarity_by_two_directions(s1, s2) == 0.0
 
 
+@st.composite
+def seeded_bags(draw):
+    """Two normal bags of one width r; a row of either may be zero.  The
+    values are normal draws, so no row is near the underflow that makes a
+    norm of tiny values inexact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.sampled_from([1, 2, 3, 20]))
+    bags = [rng.normal(size=(draw(st.integers(1, 6)), r)) for _ in range(2)]
+    for bag in bags:
+        if draw(st.booleans()):
+            bag[rng.integers(len(bag))] = 0.0
+    return rng, bags[0], bags[1]
+
+
+def assert_scores_equal(s1, s2, t1, t2):
+    for score in (score_entailment, score_similarity):
+        assert score(t1, t2) == pytest.approx(score(s1, s2), rel=1e-12)
+
+
+class TestInvariance:
+    """A bag is a set of vectors, and the scores read only cosines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_bags())
+    def test_row_order_of_either_bag(self, bags):
+        rng, s1, s2 = bags
+        assert_scores_equal(s1, s2, rng.permutation(s1), s2)
+        assert_scores_equal(s1, s2, s1, rng.permutation(s2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_bags())
+    def test_common_orthogonal_rotation(self, bags):
+        rng, s1, s2 = bags
+        q, _ = np.linalg.qr(rng.normal(size=(s1.shape[1],) * 2))
+        assert_scores_equal(s1, s2, s1 @ q, s2 @ q)
+
+
 class TestPearson:
     def test_perfect_positive(self):
         assert pearson([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)

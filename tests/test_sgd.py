@@ -36,16 +36,15 @@ def micro_corpus(seed=0, n_sentences=2, n=3, c=4, d=2, r=2, mode="discrete"):
     return ws, xs
 
 
-def finite_difference_check(batch, ws, xs, samples, model, e_store, hyper,
-                            reg_scale, h=1e-5):
+def finite_difference_check(batch, samples, model, e_store, hyper, reg_scale, h=1e-5):
     """Max relative error between analytic and central-difference gradients."""
     _, g_p, g_r, g_e = sampled_loss_and_grads(
-        batch, ws, xs, samples, model, e_store, hyper, reg_scale
+        batch, samples, model, e_store, hyper, reg_scale
     )
 
     def loss():
         return sampled_loss_and_grads(
-            batch, ws, xs, samples, model, e_store, hyper, reg_scale
+            batch, samples, model, e_store, hyper, reg_scale
         )[0]
 
     worst = 0.0
@@ -81,7 +80,7 @@ class TestGradients:
         batch = [0, 1]
         samples = {s: sample_cells(ws[s], xs[s], 3, rng) for s in batch}
         worst = finite_difference_check(
-            batch, ws, xs, samples, model, e_store, hyper, reg_scale=1.0
+            batch, samples, model, e_store, hyper, reg_scale=1.0
         )
         assert worst < 1e-4
 
@@ -96,7 +95,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         samples = {0: sample_cells(w, x, 0, rng)}
         loss, g_p, g_r, g_e = sampled_loss_and_grads(
-            [0], [w], [x], samples, model, e_store, hyper, reg_scale=1.0
+            [0], samples, model, e_store, hyper, reg_scale=1.0
         )
         assert loss == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(g_p, 0, atol=1e-12)
@@ -112,7 +111,7 @@ class TestGradients:
         e_store = [rng.normal(size=(3, 2)) for _ in ws]
         samples = {s: sample_cells(ws[s], xs[s], 2, rng) for s in (0, 1)}
         _, g_p, _, _ = sampled_loss_and_grads(
-            [0, 1], ws, xs, samples, model, e_store, hyper, reg_scale=1.0
+            [0, 1], samples, model, e_store, hyper, reg_scale=1.0
         )
         np.testing.assert_array_equal(g_p[0], 0.0)
 
@@ -156,7 +155,7 @@ class TestAgainstCellLoop:
         samples = {s: sample_cells(ws[s], xs[s], k, data) for s in batch}
         reg_scale = data.uniform(0, 1)
         loss, g_p, g_r, g_e = sampled_loss_and_grads(
-            batch, ws, xs, samples, model, e_store, hyper, reg_scale)
+            batch, samples, model, e_store, hyper, reg_scale)
         ref_loss, ref_p, ref_r, ref_e = sampled_loss_and_grads_by_cell(
             batch, samples, model, e_store, hyper, reg_scale)
         assert loss == pytest.approx(ref_loss, rel=1e-10)
@@ -169,36 +168,14 @@ class TestAgainstCellLoop:
     def test_batch_memory_stays_bounded(self):
         # 8 sentences of 200 tokens, d=40, r=50: one dense d x n x n array
         # is 12.8 MB, and one E row per X cell of the batch about 7.7 MB
-        rng = np.random.default_rng(0)
-        c, d, n, r = 300, 40, 200, 50
-        tokens = np.arange(n)
-        ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
-                                   cols=np.repeat(tokens, 2)) for _ in range(8)]
-        # a dependency edge into every token, and an adjacency edge
-        xs = [SparseRelationTensor(
-            d=d, n=n, rels=np.r_[rng.integers(d - 1, size=n), np.full(n - 1, d - 1)],
-            heads=np.r_[rng.integers(n, size=n), tokens[:-1]],
-            deps=np.r_[tokens, tokens[1:]]) for _ in range(8)]
-        hyper = Hyperparams(r=r)
-        model = init_for_training(Dims(c, d), hyper, seed=0)
-        model.R = rng.normal(size=model.R.shape) / r
-        e_store = [rng.normal(size=(n, r)) for _ in range(8)]
-        batch = list(range(8))
-        samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
-        tracemalloc.start()
-        try:
-            sampled_loss_and_grads(batch, ws, xs, samples, model, e_store, hyper, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert batch_peak(200) < 8e6
 
 
 def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
     """Sentences of n tokens with 2 W entries and 2 X entries per token (a
     dependency edge into every token, and an adjacency edge), a model at
-    rank r, E rows and one sampled batch: (batch, ws, xs, samples, model,
-    e_store, hyper)."""
+    rank r, E rows and one sampled batch: (batch, samples, model, e_store,
+    hyper)."""
     rng = np.random.default_rng(seed)
     tokens = np.arange(n)
     ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
@@ -213,7 +190,7 @@ def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
     e_store = [rng.normal(size=(n, r)) for _ in range(sentences)]
     batch = list(range(sentences))
     samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
-    return batch, ws, xs, samples, model, e_store, hyper
+    return batch, samples, model, e_store, hyper
 
 
 def batch_peak(n):
@@ -286,13 +263,12 @@ class TestAddRows:
     def test_fortran_ordered_operands_give_the_same_gradients(self, batch):
         # one F-ordered E block stacks to an F-ordered array, yet the
         # gradient targets the rows scatter into are C-ordered
-        _, ws, xs, samples, model, e_store, hyper = batch_instance(
-            6, c=7, d=3, r=4, sentences=2)
-        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, ws, xs, samples, model,
-                                                     e_store, hyper, 0.5)
+        _, samples, model, e_store, hyper = batch_instance(6, c=7, d=3, r=4, sentences=2)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store,
+                                                     hyper, 0.5)
         model.P, model.R = np.asfortranarray(model.P), np.asfortranarray(model.R)
         f_loss, f_p, f_r, f_e = sampled_loss_and_grads(
-            batch, ws, xs, samples, model, [np.asfortranarray(e) for e in e_store],
+            batch, samples, model, [np.asfortranarray(e) for e in e_store],
             hyper, 0.5)
         assert f_loss == pytest.approx(loss, rel=1e-12)
         assert_close(f_p, g_p)
