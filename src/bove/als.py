@@ -119,10 +119,7 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     realized without materializing Y or F: Y F^T is scattered from the
     entries of W and X, as update_P and update_R read them.
     """
-    p = np.asarray(p, dtype=np.float64)
-    r_tensor = np.asarray(r_tensor, dtype=np.float64)
-    e_prev = np.asarray(e_prev, dtype=np.float64)
-    check_operands(w, x, p, r_tensor, e_prev)
+    p, r_tensor, e_prev = check_operands(w, x, p, r_tensor, e_prev)
     m = e_prev.T @ e_prev
     # F F^T
     gram = p.T @ p
@@ -153,21 +150,6 @@ def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
         lambda e: update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e), e_current, 1)
 
 
-def regularize_R_nuclear(r_tensor, tau):
-    """Singular-value soft-thresholding of every relation slice.
-
-    Each slice becomes U soft(S, tau) V^T; shrinking singular values toward
-    zero regularizes the rank of each relation matrix.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    out = np.empty_like(r_tensor)
-    for k in range(r_tensor.shape[0]):
-        u, s, vt = np.linalg.svd(r_tensor[k], full_matrices=False)
-        out[k] = (u * np.maximum(s - tau, 0.0)) @ vt
-    return out
-
-
 def regularize_R_l1(r_tensor, tau):
     """Entrywise soft-thresholding of R (proximal step for the L1 penalty)."""
     if tau < 0:
@@ -175,23 +157,33 @@ def regularize_R_l1(r_tensor, tau):
     return np.sign(r_tensor) * np.maximum(np.abs(r_tensor) - tau, 0.0)
 
 
-def r_penalty(r_tensor, hyper):
-    """Value of the selected R regularizer at strength lambda_r."""
-    if hyper.r_regularizer == "l2":
-        return hyper.lambda_r * float(np.sum(r_tensor ** 2))
-    if hyper.r_regularizer == "l1":
-        return hyper.lambda_r * float(np.sum(np.abs(r_tensor)))
-    total = 0.0
-    for k in range(r_tensor.shape[0]):
-        total += float(np.sum(np.linalg.svd(r_tensor[k], compute_uv=False)))
-    return hyper.lambda_r * total
+def regularize_R_nuclear(r_tensor, tau):
+    """Singular-value soft-thresholding of every relation slice.
+
+    Each slice becomes U soft(S, tau) V^T; shrinking singular values toward
+    zero regularizes the rank of each relation matrix.
+    """
+    u, s, vt = np.linalg.svd(r_tensor, full_matrices=False)
+    return (u * regularize_R_l1(s, tau)[:, None, :]) @ vt
+
+
+# Each R regularizer by name: (pen, shrink).  The objective adds
+# lambda_r * pen(R); after its ridge R solve, train sets R to
+# shrink(R, lambda_r), unless shrink is None.
+R_REGULARIZERS = {
+    "l2": (lambda r_tensor: float(np.sum(r_tensor ** 2)), None),
+    "l1": (lambda r_tensor: float(np.sum(np.abs(r_tensor))), regularize_R_l1),
+    "nuclear": (lambda r_tensor: float(np.sum(np.linalg.svd(r_tensor, compute_uv=False))),
+                regularize_R_nuclear),
+}
 
 
 def _regularizers(model, es, hyper):
     """Sum of the P, R and E regularizer terms of the training objective."""
+    penalty, _ = R_REGULARIZERS[hyper.r_regularizer]
     return (
         hyper.lambda_p * float(np.sum(model.P ** 2))
-        + r_penalty(model.R, hyper)
+        + hyper.lambda_r * penalty(model.R)
         + hyper.lambda_e * sum(float(np.sum(e ** 2)) for e in es)
     )
 
@@ -239,6 +231,7 @@ def train(ws, xs, model, hyper, log=None):
     returned model carries hyper; r above ALS_R_CAP is refused before any work.
     """
     _check_rank(hyper.r)
+    _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()
     model.hyper = hyper
     es = [np.zeros((w.n, hyper.r)) for w in ws]
@@ -260,10 +253,8 @@ def train(ws, xs, model, hyper, log=None):
             ]
         model.P = update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows)
         model.R = update_R(xs, es, hyper.lambda_r, hyper.alpha)
-        if hyper.r_regularizer == "nuclear":
-            model.R = regularize_R_nuclear(model.R, hyper.lambda_r)
-        elif hyper.r_regularizer == "l1":
-            model.R = regularize_R_l1(model.R, hyper.lambda_r)
+        if shrink is not None:
+            model.R = shrink(model.R, hyper.lambda_r)
         data_fit = corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)
         obj = data_fit + _regularizers(model, es, hyper)
         if not np.isfinite(obj):

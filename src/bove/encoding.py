@@ -137,9 +137,10 @@ def encode(graph, c, d):
 
 
 def check_operands(w, x, p, r_tensor, e):
-    """Raise DimensionMismatch unless one sentence's kernel operands agree:
-    P is c x r, R is d x r x r and E is n x r for W (c x n) and X (d x n x n),
-    with r the column count of P."""
+    """Check one sentence's kernel operands and return P, R and E as float64
+    arrays.  P must be c x r, R d x r x r and E n x r for W (c x n) and X
+    (d x n x n), with r the column count of P; else DimensionMismatch."""
+    p, r_tensor, e = (np.asarray(a, dtype=np.float64) for a in (p, r_tensor, e))
     r = p.shape[-1]
     if p.shape != (w.c, r):
         raise DimensionMismatch("P shape %s incompatible with c=%d, r=%d" % (p.shape, w.c, r))
@@ -149,6 +150,7 @@ def check_operands(w, x, p, r_tensor, e):
     if e.shape != (w.n, r) or x.n != w.n:
         raise DimensionMismatch("token counts of W, X and E disagree: W n=%d, X n=%d, "
                                 "E shape %s for r=%d" % (w.n, x.n, e.shape, r))
+    return p, r_tensor, e
 
 
 def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
@@ -160,10 +162,7 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     j or X slice k adds ||P_j E^T||^2 or ||E R_k E^T||^2 = <R_k, M R_k M>,
     with M = E^T E.  No c x n or d x n x n array is built.
     """
-    p = np.asarray(p, dtype=np.float64)
-    r_tensor = np.asarray(r_tensor, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    check_operands(w, x, p, r_tensor, e)
+    p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
     m = e.T @ e
     held, at = np.unique(w.rows, return_inverse=True)
     resid = p[held] @ e.T
@@ -220,14 +219,18 @@ def read_tensor_file(path):
     """Read a coordinate text corpus back; returns (c, d, [(id, W, X), ...])."""
     sentences = []
     c = d = None
-    current = None  # (id, n, {tag: one index list per axis, then the values})
+    current = None  # (id, n, line number, {tag: one index list per axis, then the values})
 
     def flush():
         if current is not None:
-            sid, n, columns = current
+            sid, n, line_no, columns = current
             sizes = {"c": c, "d": d, "n": n}
-            sentences.append((sid, *(cls._build(sizes, columns[tag])
-                                     for tag, cls in _TAGS.items())))
+            try:
+                sentences.append((sid, *(cls._build(sizes, columns[tag])
+                                         for tag, cls in _TAGS.items())))
+            except DimensionMismatch as exc:
+                raise DimensionMismatch("%s line %d: sentence %s: %s"
+                                        % (path, line_no, sid, exc)) from None
 
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -246,11 +249,11 @@ def read_tensor_file(path):
                     c, d = _size(parts[1]), _size(parts[2])
                 elif tag == "sentence":
                     flush()
-                    current = (parts[1], _size(parts[2]),
+                    current = (parts[1], _size(parts[2]), line_no,
                                {t: [[] for _ in range(len(cls.AXES) + 1)]
                                 for t, cls in _TAGS.items()})
                 elif tag in _TAGS:
-                    *indices, values = current[2][tag]
+                    *indices, values = current[3][tag]
                     value_at = len(indices) + 1
                     if len(parts) > value_at + 1:
                         raise ValueError("too many fields")

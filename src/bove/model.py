@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
+from .als import R_REGULARIZERS
 from .encoding import finite_float
 from .errors import (
     DimensionMismatch,
@@ -23,8 +24,6 @@ from .errors import (
 
 MAGIC = b"BOVE"
 FORMAT_VERSION = 1
-
-R_REGULARIZERS = ("l2", "l1", "nuclear")
 
 
 def check_bounds(config, bounds):
@@ -74,7 +73,7 @@ class Hyperparams:
     def __post_init__(self):
         check_bounds(self, self._BOUNDS)
         if self.r_regularizer not in R_REGULARIZERS:
-            raise ValueError("r_regularizer must be one of %s" % (R_REGULARIZERS,))
+            raise ValueError("r_regularizer must be one of %s" % (tuple(R_REGULARIZERS),))
 
 
 @dataclass

@@ -30,15 +30,10 @@ class ScoredPair:
 
 def cosine(u, v):
     """Cosine of two vectors; 0 when either operand has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch("cosine operands %s vs %s" % (u.shape, v.shape))
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
+    if np.shape(u) != np.shape(v):
+        raise DimensionMismatch("cosine operands %s vs %s" % (np.shape(u), np.shape(v)))
+    unit_u, unit_v = _unit_rows([u, v])
+    return float(unit_u @ unit_v)
 
 
 def _unit_rows(bag):

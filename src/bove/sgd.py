@@ -47,8 +47,10 @@ class SgdState:
 
 
 def _sample(tensor, k, rng):
-    """Cells of one coordinate tensor: each entry (target its value, weight
-    1), then k * nnz uniform draws over its zero cells (target 0).
+    """Cells of one coordinate tensor: each entry (target its cell's summed
+    value, weight 1 / the cell's entry count, so a cell listed twice counts
+    once, as to_dense sums it), then k * nnz uniform draws over its zero
+    cells (target 0).
 
     A cell takes one rng.integers draw per axis, in axis order.  Cells are
     drawn in batches that read the same random stream as one-at-a-time
@@ -57,12 +59,15 @@ def _sample(tensor, k, rng):
     loop would.
     """
     shape, coords, nnz = tensor.shape, tensor.coords, tensor.nnz
-    positives = np.unique(np.ravel_multi_index(coords, shape))
+    listed = np.ravel_multi_index(coords, shape)
+    positives = np.unique(listed)
+    cell_of = np.searchsorted(positives, listed)  # the copies of a cell share it
     n_zero = math.prod(shape) - len(positives)
     wanted = k * nnz if n_zero else 0
     cells = np.zeros((nnz + wanted, len(shape) + 2))
-    cells[:nnz, :-1] = np.transpose((*coords, tensor.values))
-    cells[:nnz, -1] = 1.0
+    cells[:nnz, :-2] = np.transpose(coords)
+    cells[:nnz, -2] = np.bincount(cell_of, tensor.values)[cell_of]
+    cells[:nnz, -1] = 1.0 / np.bincount(cell_of)[cell_of]
     cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
     filled = nnz
     while filled < len(cells):

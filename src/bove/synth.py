@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import from_dense
+from .errors import DimensionMismatch
 from .model import Hyperparams, TypeEmbeddings
 
 
@@ -26,7 +27,9 @@ class SynthData:
 
 def _truth(rng, n_tokens, c, d, r, n_sentences, hyper):
     """Ground-truth model (P*, R*, nothing frozen; hyper defaults to
-    Hyperparams(r=r)) and n_sentences draws of E*."""
+    Hyperparams(r=r) and must have that r) and n_sentences draws of E*."""
+    if hyper is not None and hyper.r != r:
+        raise DimensionMismatch("hyper.r=%d differs from r=%d" % (hyper.r, r))
     p = rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r)
     r_tensor = rng.uniform(-1.0, 1.0, size=(d, r, r)) / r
     es = [rng.uniform(-1.0, 1.0, size=(n_tokens, r)) for _ in range(n_sentences)]

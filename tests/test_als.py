@@ -6,6 +6,7 @@ import pytest
 from bove import als, synth
 from bove.als import (
     ALS_R_CAP,
+    R_REGULARIZERS,
     averaged_E_step,
     corpus_objective,
     regularize_R_l1,
@@ -297,6 +298,31 @@ class TestRRegularizers:
         r_tensor = np.array([[[0.5, -2.0], [0.05, 0.0]]])
         out = regularize_R_l1(r_tensor, tau=0.1)
         np.testing.assert_allclose(out, [[[0.4, -1.9], [0.0, 0.0]]], atol=1e-12)
+
+    @pytest.mark.parametrize("d, r", [(3, 4), (12, 20), (40, 50)])
+    def test_nuclear_shrink_matches_per_slice_svds(self, d, r):
+        r_tensor = np.random.default_rng(d).normal(size=(d, r, r))
+        expected = np.empty_like(r_tensor)
+        for k in range(d):
+            u, s, vt = np.linalg.svd(r_tensor[k], full_matrices=False)
+            expected[k] = (u * np.maximum(s - 0.5, 0.0)) @ vt
+        np.testing.assert_array_equal(regularize_R_nuclear(r_tensor, tau=0.5), expected)
+
+    @pytest.mark.parametrize("d, r", [(1, 1), (3, 4), (12, 20)])
+    def test_nuclear_penalty_is_the_sum_of_slice_nuclear_norms(self, d, r):
+        r_tensor = np.random.default_rng(r).normal(size=(d, r, r))
+        penalty, _ = R_REGULARIZERS["nuclear"]
+        expected = sum(float(np.sum(np.linalg.svd(r_tensor[k], compute_uv=False)))
+                       for k in range(d))
+        assert penalty(r_tensor) == pytest.approx(expected, rel=1e-12)
+
+    def test_penalties_and_shrinks(self):
+        r_tensor = np.array([[[3.0, 0.0], [0.0, -0.5]]])
+        values = {name: penalty(r_tensor) for name, (penalty, _) in R_REGULARIZERS.items()}
+        assert values == {"l2": 9.25, "l1": 3.5, "nuclear": pytest.approx(3.5)}
+        assert R_REGULARIZERS["l2"][1] is None
+        assert R_REGULARIZERS["l1"][1] is regularize_R_l1
+        assert R_REGULARIZERS["nuclear"][1] is regularize_R_nuclear
 
 
 class TestTrain:

@@ -399,6 +399,12 @@ MALFORMED_INPUTS = {
         "tensors.txt", "dims 3 2\nsentence s0 1\nW 0 0 nan\n", ("train",), "line 3"),
     "tensor entry with an extra field": (
         "tensors.txt", "dims 3 2\nsentence s0 2\nX 0 0 1 1 1\n", ("train",), "line 3"),
+    "tensor W index out of range": (  # sentence s1 starts on line 4
+        "tensors.txt", "dims 3 2\nsentence s0 1\nW 2 0 1\nsentence s1 2\nW 3 1 1\n",
+        ("train",), "tensors.txt line 4: sentence s1: predicate index out of range"),
+    "tensor X index out of range": (
+        "tensors.txt", "dims 3 2\nsentence s0 2\nW 0 0 1\nX 2 0 1 1\n",
+        ("train",), "tensors.txt line 2: sentence s0: relation index out of range"),
     "non-finite bag value": (  # bag a = [[nan]], bag b = [[1.0]]
         "bags.bin", "a 1 1\n" + "\0" * 6 + "\xf8\x7fb 1 1\n" + "\0" * 6 + "\xf0?",
         ("score", "--mode", "sts"), "record 1"),

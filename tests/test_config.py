@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from bove.als import R_REGULARIZERS
 from bove.config import PipelineConfig, parse_config
 from bove.conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from bove.errors import ConfigError
@@ -275,3 +276,9 @@ def test_perfbench_configs(workload):
         trainer=trainer, seed=1,
     )
     assert cfg == expected
+
+
+@pytest.mark.parametrize("name", sorted(R_REGULARIZERS))
+def test_each_r_regularizer_is_a_config_value(name):
+    # parse_config builds the Hyperparams, so this is also its round trip
+    assert parse_config(["hyper.r_regularizer=%s" % name]).hyper.r_regularizer == name

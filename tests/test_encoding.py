@@ -6,6 +6,7 @@ from bove.conll import SentenceGraph
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
+    check_operands,
     encode,
     from_dense,
     read_tensor_file,
@@ -63,6 +64,14 @@ class TestReconstructionLoss:
         with pytest.raises(DimensionMismatch):
             reconstruction_loss(w, x, np.zeros((3, 3)), np.zeros((1, 3, 3)),
                                 np.zeros((2, 3)))
+
+    def test_check_operands_returns_float64(self):
+        w, x = from_dense(np.ones((2, 3)), np.ones((1, 3, 3)))
+        p, r_tensor, e = check_operands(w, x, np.ones((2, 2), dtype=np.int64),
+                                        [[[1, 0], [0, 1]]], np.ones((3, 2), dtype=np.int32))
+        for operand, shape in ((p, (2, 2)), (r_tensor, (1, 2, 2)), (e, (3, 2))):
+            assert operand.dtype == np.float64 and operand.shape == shape
+        np.testing.assert_array_equal(r_tensor, [np.eye(2)])
 
     def test_matches_dense_naive(self):
         rng = np.random.default_rng(0)

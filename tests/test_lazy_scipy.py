@@ -2,10 +2,11 @@
 
 Each pipeline stage runs in its own process, so a module-level scipy import
 would add its load time to every command, including those that never solve
-(vocabulary, encoding, scoring, SGD training).  A fresh interpreter imports
-bove and bove.cli, runs those commands through bove.cli.main on test_cli's
-corpus and records after each step whether scipy is in sys.modules; an ALS
-`train` then solves and loads it.  No timing is asserted.
+(vocabulary, encoding, scoring, evaluation, synthesis, SGD training).  A
+fresh interpreter imports bove and bove.cli, runs those commands through
+bove.cli.main on test_cli's corpus and records after each step whether
+scipy is in sys.modules; `infer` and, in a fresh interpreter, an ALS
+`train` solve and load it.  No timing is asserted.
 """
 
 import json
@@ -35,6 +36,17 @@ print(json.dumps(seen))
 """
 
 
+def probe(steps):
+    """[step name, whether scipy is loaded after it] of each step run in one
+    fresh interpreter, after the import as "import"."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
+                            env=env, capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def test_scipy_loads_at_the_first_solve(tmp_path):
     write_corpus(tmp_path / "corpus.conll", CORPUS)
     rng = np.random.default_rng(0)
@@ -45,18 +57,21 @@ def test_scipy_loads_at_the_first_solve(tmp_path):
               "sgd.epochs": "2"}
     config = write_config(tmp_path, name="als.txt", trainer="als", **common)
     sgd = write_config(tmp_path, name="sgd.txt", trainer="sgd", **common)
-    steps = [
+    synth = write_config(tmp_path, name="synth.txt", **{
+        "paths.tensors": str(tmp_path / "synth_tensors.txt"),
+        "paths.model": str(tmp_path / "synth_model.bin")})
+    # infer solves with the SGD-trained model; train-als runs in a second
+    # interpreter, so each of the two is seen to load scipy itself
+    assert probe([
         ("build-vocab", config, ["build-vocab"]),
         ("encode", config, ["encode"]),
         ("score-sts", config, ["score", "--mode", "sts"]),
+        ("eval-sts", config, ["eval", "--mode", "sts"]),
+        ("synth", synth, ["synth"]),
         ("train-sgd", sgd, ["train"]),
-        ("train-als", config, ["train"]),
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", PROBE, json.dumps(steps)],
-                            env=env, capture_output=True, text=True, check=False)
-    assert result.returncode == 0, result.stderr
-    seen = json.loads(result.stdout.splitlines()[-1])
-    assert seen == [["import", False], ["build-vocab", False], ["encode", False],
-                    ["score-sts", False], ["train-sgd", False], ["train-als", True]]
+        ("infer", sgd, ["infer"]),
+    ]) == [["import", False], ["build-vocab", False], ["encode", False],
+           ["score-sts", False], ["eval-sts", False], ["synth", False],
+           ["train-sgd", False], ["infer", True]]
+    assert probe([("train-als", config, ["train"])]) == [["import", False],
+                                                         ["train-als", True]]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bove import synth
 from bove.conll import build_vocabulary, RawToken
 from bove.errors import (
     DimensionMismatch,
@@ -237,6 +238,12 @@ class TestPersistence:
         save_model(model, path)
         with pytest.raises(ModelFormatError, match="hyperparameter r=8 .* stored r=6"):
             load_model(path)
+
+    @pytest.mark.parametrize("generate", [synth.generate, synth.make_pair_benchmark])
+    def test_synth_refuses_a_hyper_of_another_r(self, generate):
+        # a P of r=6 columns with hyper.r=8 would save but not load
+        with pytest.raises(DimensionMismatch, match="hyper.r=8 differs from r=6"):
+            generate(1, r=6, hyper=Hyperparams(r=8))
 
     def test_checksum_failure(self, tmp_path):
         path = tmp_path / "model.bove"

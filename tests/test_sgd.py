@@ -102,6 +102,36 @@ class TestGradients:
         np.testing.assert_allclose(g_r, 0, atol=1e-12)
         np.testing.assert_allclose(g_e[0], 0, atol=1e-12)
 
+    def test_repeated_coordinates_fit_the_summed_cell(self):
+        # a cell listed more than once is one cell holding the entries' sum,
+        # as to_dense sums them: k=0 loss and gradients equal the dense
+        # entry-cell values, those of the duplicate-free tensors
+        w = SparsePropertyMatrix(c=3, n=2, rows=[0, 0, 2, 0], cols=[1, 1, 0, 1],
+                                 values=[0.5, 0.25, 2.0, 0.25])
+        x = SparseRelationTensor(d=2, n=2, rels=[1, 1, 0], heads=[0, 0, 1], deps=[1, 1, 1],
+                                 values=[0.3, 0.7, -1.0])
+        hyper = Hyperparams(r=2, alpha=0.7, lambda_p=0.0, lambda_r=0.0, lambda_e=0.0)
+        rng = np.random.default_rng(5)
+        model = init_for_training(Dims(3, 2), hyper, seed=6)
+        model.R = rng.normal(size=model.R.shape)
+        e_store = [rng.normal(size=(2, 2))]
+
+        def at_k0(w, x):
+            samples = {0: sample_cells(w, x, 0, np.random.default_rng(0))}
+            return sampled_loss_and_grads([0], samples, model, e_store, hyper, 1.0)
+
+        loss, g_p, g_r, g_e = at_k0(w, x)
+        w_dense, x_dense = w.to_dense(), x.to_dense()
+        e = e_store[0]
+        expected = sum((model.P[i] @ e[t] - w_dense[i, t]) ** 2 for i, t in {(0, 1), (2, 0)})
+        expected += hyper.alpha * sum((e[h] @ model.R[k] @ e[t] - x_dense[k, h, t]) ** 2
+                                      for k, h, t in {(1, 0, 1), (0, 1, 1)})
+        assert loss == pytest.approx(expected, rel=1e-12)
+        ref_loss, ref_p, ref_r, ref_e = at_k0(*from_dense(w_dense, x_dense))
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for grad, ref in ((g_p, ref_p), (g_r, ref_r), (g_e[0], ref_e[0])):
+            np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=1e-14)
+
     def test_frozen_rows_receive_no_gradient(self):
         rng = np.random.default_rng(1)
         ws, xs = micro_corpus()
