@@ -9,6 +9,7 @@ also works on synthetic tensors.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,22 +21,27 @@ class _CoordinateTensor:
     value per entry; unlisted cells are 0 and duplicate coordinates add up.
 
     Each subclass is a frozen dataclass that declares AXES, one
-    (index field, size field, what the index counts) triple per axis.
+    (index field, size field, what the index counts) triple per axis.  A
+    tensor is immutable: it holds read-only copies of the arrays it is built
+    from, so what it derives from them once (positive_cells) never goes
+    stale, and the caller's arrays stay writable.
     """
 
     AXES = ()
 
     def __post_init__(self):
-        coords = [np.asarray(getattr(self, name), dtype=np.int64)
+        coords = [np.array(getattr(self, name), dtype=np.int64)
                   for name, _, _ in self.AXES]
         values = np.ones(len(coords[0])) if self.values is None else self.values
-        values = np.asarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if any(len(index) != len(values) for index in coords):
             raise DimensionMismatch("coordinate arrays must have equal length")
         for index, size, (name, _, counts) in zip(coords, self.shape, self.AXES):
             if len(index) and (index.min() < 0 or index.max() >= size):
                 raise DimensionMismatch("%s index out of range" % counts)
+            index.flags.writeable = False
             object.__setattr__(self, name, index)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -76,6 +82,23 @@ class _CoordinateTensor:
         dense = np.zeros(self.shape)
         np.add.at(dense, self.coords, self.values)
         return dense
+
+    @cached_property
+    def positive_cells(self):
+        """(positives, block), built at the first read and kept: the sorted
+        ravelled indices of the cells that hold an entry, and one row per
+        entry of its index per axis, its cell's summed value and 1 / its
+        cell's entry count, so a cell listed twice counts once, as to_dense
+        sums it.  Both arrays are read-only."""
+        listed = np.ravel_multi_index(self.coords, self.shape)
+        positives = np.unique(listed)
+        cell_of = np.searchsorted(positives, listed)  # the copies of a cell share it
+        block = np.empty((self.nnz, len(self.AXES) + 2))
+        block[:, :-2] = np.transpose(self.coords)
+        block[:, -2] = np.bincount(cell_of, self.values)[cell_of]
+        block[:, -1] = 1.0 / np.bincount(cell_of)[cell_of]
+        positives.flags.writeable = block.flags.writeable = False
+        return positives, block
 
 
 @dataclass(frozen=True)
@@ -186,8 +209,19 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
 _TAGS = {"W": SparsePropertyMatrix, "X": SparseRelationTensor}
 
 
+def check_sentence_id(sid):
+    """Raise BoveError unless sid is one run of non-whitespace characters,
+    as the tensor dump and bag file readers split their lines."""
+    text = str(sid)
+    if text.split() != [text]:
+        raise BoveError("sentence id %r is empty or holds whitespace" % (sid,))
+
+
 def write_tensor_file(path, sentences, c, d):
-    """Write a corpus of (id, W, X) triples as coordinate text with values."""
+    """Write a corpus of (id, W, X) triples as coordinate text with values.
+    Every id is checked (check_sentence_id) before the file is opened."""
+    for sid, _, _ in sentences:
+        check_sentence_id(sid)
     with open(path, "w", encoding="utf-8") as f:
         f.write("dims %d %d\n" % (c, d))
         for sid, w, x in sentences:
@@ -246,6 +280,9 @@ def read_tensor_file(path):
                                 % (path, line_no, tag))
             try:
                 if tag == "dims":
+                    if c is not None:
+                        raise BoveError("%s line %d: a second 'dims' line"
+                                        % (path, line_no))
                     c, d = _size(parts[1]), _size(parts[2])
                 elif tag == "sentence":
                     flush()

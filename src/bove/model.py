@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, asdict
 import numpy as np
 
 from .als import R_REGULARIZERS
-from .encoding import finite_float
+from .encoding import check_sentence_id, finite_float
 from .errors import (
     DimensionMismatch,
     ModelChecksumError,
@@ -262,7 +262,10 @@ def load_model(path):
 
 
 def write_bags(path, bags):
-    """Write (sentence_id, E) pairs as an embedding-bag file."""
+    """Write (sentence_id, E) pairs as an embedding-bag file.  Every id is
+    checked (encoding.check_sentence_id) before the file is opened."""
+    for sid, _ in bags:
+        check_sentence_id(sid)
     with open(path, "wb") as f:
         for sid, e in bags:
             e = np.ascontiguousarray(e, dtype="<f8")

@@ -47,10 +47,10 @@ class SgdState:
 
 
 def _sample(tensor, k, rng):
-    """Cells of one coordinate tensor: each entry (target its cell's summed
-    value, weight 1 / the cell's entry count, so a cell listed twice counts
-    once, as to_dense sums it), then k * nnz uniform draws over its zero
-    cells (target 0).
+    """Cells of one coordinate tensor: a copy of its cached positive block
+    (tensor.positive_cells: each entry, target its cell's summed value,
+    weight 1 / the cell's entry count), then k * nnz uniform draws over its
+    zero cells (target 0).  Only the draws are new at each call.
 
     A cell takes one rng.integers draw per axis, in axis order.  Cells are
     drawn in batches that read the same random stream as one-at-a-time
@@ -58,16 +58,12 @@ def _sample(tensor, k, rng):
     rejecting a positive cell leaves the stream where a draw-until-accepted
     loop would.
     """
-    shape, coords, nnz = tensor.shape, tensor.coords, tensor.nnz
-    listed = np.ravel_multi_index(coords, shape)
-    positives = np.unique(listed)
-    cell_of = np.searchsorted(positives, listed)  # the copies of a cell share it
+    positives, block = tensor.positive_cells
+    shape, nnz = tensor.shape, tensor.nnz
     n_zero = math.prod(shape) - len(positives)
     wanted = k * nnz if n_zero else 0
     cells = np.zeros((nnz + wanted, len(shape) + 2))
-    cells[:nnz, :-2] = np.transpose(coords)
-    cells[:nnz, -2] = np.bincount(cell_of, tensor.values)[cell_of]
-    cells[:nnz, -1] = 1.0 / np.bincount(cell_of)[cell_of]
+    cells[:nnz] = block
     cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
     filled = nnz
     while filled < len(cells):
@@ -132,34 +128,50 @@ def sampled_loss_and_grads(batch, samples, model, e_store, hyper, reg_scale):
     for s, a in zip(batch, offsets):
         i, t, target, weight = samples[s][0].T
         i, t = i.astype(np.intp), t.astype(np.intp) + a
-        resid = np.einsum("ij,ij->i", p[i], e_all[t]) - target
+        rows = p[i]
+        resid = np.einsum("ij,ij->i", rows, e_all[t]) - target
         loss += float(weight @ resid ** 2)
         coef = (2.0 * weight * resid)[:, None]
-        _add_rows(g_p, i, coef * e_all[t])
-        _add_rows(g_all, t, coef * p[i])
+        # each row block is scaled in place and scattered, and the next
+        # replaces it, so at most one is alive beside _add_rows' index
+        rows *= coef
+        _add_rows(g_all, t, rows)
+        rows = e_all[t]
+        rows *= coef
+        _add_rows(g_p, i, rows)
+    del rows  # nor does the last stay alive through the X cells
     # X cells of the whole batch with head and dep as rows of e_all, taken
     # one relation at a time so no temporary holds a row per batch cell
     x_cells = np.concatenate([samples[s][1] + [0, a, a, 0, 0]
                               for s, a in zip(batch, offsets)])
     x_cells = x_cells[np.argsort(x_cells[:, 0], kind="stable")]
-    rels, starts = np.unique(x_cells[:, 0], return_index=True)
-    for k, segment in zip(rels.astype(np.intp), np.split(x_cells, starts[1:])):
-        _, h, t, target, weight = segment.T
-        h, t = h.astype(np.intp), t.astype(np.intp)
-        e_h_r, e_t = e_all[h] @ r_tensor[k], e_all[t]
-        resid = np.einsum("ij,ij->i", e_h_r, e_t) - target
+    index = x_cells[:, :3].astype(np.intp)
+    rels, starts = np.unique(index[:, 0], return_index=True)
+    for k, lo, hi in zip(rels, starts, np.append(starts[1:], len(index))):
+        h, t = index[lo:hi, 1], index[lo:hi, 2]
+        target, weight = x_cells[lo:hi, 3], x_cells[lo:hi, 4]
+        rows, e_t = e_all[h] @ r_tensor[k], e_all[t]  # rows: e_h R_k
+        resid = np.einsum("ij,ij->i", rows, e_t) - target
         loss += hyper.alpha * float(weight @ resid ** 2)
         coef = (2.0 * hyper.alpha * weight * resid)[:, None]
-        _add_rows(g_all, t, coef * e_h_r)
-        e_t *= coef  # in place: one row-per-cell temporary fewer
+        rows *= coef
+        _add_rows(g_all, t, rows)
+        e_t *= coef
         g_r[k] += e_all[h].T @ e_t
-        _add_rows(g_all, h, e_t @ r_tensor[k].T)
+        rows = e_t @ r_tensor[k].T
+        _add_rows(g_all, h, rows)
     g_p[model.frozen_p_rows] = 0.0
     return loss, g_p, g_r, g_e
 
 
 def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale):
-    """Sample cells for each batch sentence, then one adaptive gradient step."""
+    """Sample cells for each batch sentence, then one adaptive gradient step.
+
+    The step updates model.P, model.R, the batch's e_store rows and state in
+    place, and consumes the gradient arrays as its scratch: per parameter,
+    acc += grad**2 and param -= lr * grad / (sqrt(acc) + ADAPT_EPS), in
+    that order of operations, with one temporary.
+    """
     samples = {
         s: sample_cells(ws[s], xs[s], config.negatives_per_positive, rng)
         for s in batch
@@ -169,12 +181,16 @@ def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
     )
     if not np.isfinite(loss):
         raise DivergenceError("non-finite sampled loss in SGD step")
-    # += and -= act in place, so each step updates the model, state and e_store
     steps = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
     steps += [(e_store[s], state.acc_e[s], g_e[s]) for s in batch]
     for param, acc, grad in steps:
-        acc += grad ** 2
-        param -= config.learning_rate * grad / (np.sqrt(acc) + ADAPT_EPS)
+        scratch = np.square(grad)
+        acc += scratch
+        np.sqrt(acc, out=scratch)
+        scratch += ADAPT_EPS
+        grad *= config.learning_rate
+        grad /= scratch
+        param -= grad
     if not (np.all(np.isfinite(model.P)) and np.all(np.isfinite(model.R))):
         raise DivergenceError("non-finite parameters after SGD step")
     return loss

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the library's closed-form solvers:
 block objectives are minimized by plain gradient descent with a parabolic
-line search, alignment scores by exhaustive enumeration of mappings, and
-the sampled SGD loss and gradients by a loop over single cells.  The dense
-forms of the training kernels densify W and X and solve their normal
-equations with np.linalg.solve.  The symmetric similarity is also kept in
-its two-call form, one directional score per direction.
+line search, alignment scores by exhaustive enumeration of mappings, the
+sampled SGD loss and gradients by a loop over single cells, and the
+adaptive SGD update out of place.  The dense forms of the training kernels
+densify W and X and solve their normal equations with np.linalg.solve.
+The symmetric similarity is also kept in its two-call form, one
+directional score per direction.
 """
 
 import itertools
@@ -243,3 +244,10 @@ def sampled_loss_and_grads_by_cell(batch, samples, model, e_store, hyper, reg_sc
         g_e[s] += 2.0 * hyper.lambda_e * e_store[s]
     g_p[model.frozen_p_rows] = 0.0
     return loss, g_p, g_r, g_e
+
+
+def adagrad_step(param, acc, grad, learning_rate, eps):
+    """One adaptive-gradient step (Duchi, Hazan & Singer, JMLR 2011), out of
+    place: returns the new (param, acc) and leaves its arguments as they were."""
+    acc = acc + grad ** 2
+    return param - learning_rate * grad / (np.sqrt(acc) + eps), acc

@@ -383,6 +383,9 @@ MALFORMED_INPUTS = {
         "tensors.txt", "dims 3 2\nW 0 0 1\n", ("train",), "line 2"),
     "tensor file without dims": (
         "tensors.txt", "sentence s0 1\nW 0 0 1\n", ("train",), "line 1"),
+    "second tensor dims line": (
+        "tensors.txt", "dims 3 2\nsentence s0 1\nW 2 0 1\ndims 5 4\n", ("train",),
+        "line 4"),
     "short scores line": (
         "scores.tsv", "p1\t0.5\t4.0\n", ("eval", "--mode", "sts"), "line 1"),
     "bag header without r": (

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from bove.encoding import (
     reconstruction_loss,
     write_tensor_file,
 )
-from bove.errors import DimensionMismatch
+from bove.errors import BoveError, DimensionMismatch
 
 from oracles import reconstruction_loss_dense
 
@@ -136,6 +138,30 @@ class TestCoordinateText:
         assert sid == "s0"
         np.testing.assert_array_equal(w2.to_dense(), wd)
         np.testing.assert_array_equal(x2.to_dense(), xd)
+
+    def test_ids_round_trip(self, tmp_path):
+        w, x = from_dense(np.array([[1.0, 0.0]]), np.array([[[0.0, 0.25], [0.0, 0.0]]]))
+        path = tmp_path / "tensors.txt"
+        ids = ["0", "s-1_é", "a|b"]
+        write_tensor_file(path, [(sid, w, x) for sid in ids], c=1, d=1)
+        assert [sid for sid, _, _ in read_tensor_file(path)[2]] == ids
+
+    @pytest.mark.parametrize("sid", ["", "a b", "a\tb", "a\n", "\u2028"])
+    def test_id_the_reader_would_split_is_refused_before_writing(self, tmp_path, sid):
+        w, x = from_dense(np.array([[1.0]]), np.zeros((1, 1, 1)))
+        path = tmp_path / "tensors.txt"
+        with pytest.raises(BoveError, match="sentence id %s is empty or holds whitespace"
+                           % re.escape(repr(sid))):
+            write_tensor_file(path, [("s0", w, x), (sid, w, x)], c=1, d=1)
+        assert not path.exists()
+
+    def test_second_dims_line_is_refused(self, tmp_path):
+        # s0 would otherwise be built with the second line's sizes
+        path = tmp_path / "tensors.txt"
+        path.write_text("dims 3 2\nsentence s0 1\nW 2 0 1\ndims 5 4\n"
+                        "sentence s1 1\nW 4 0 1\n")
+        with pytest.raises(BoveError, match="line 4: a second 'dims' line"):
+            read_tensor_file(path)
 
 
 @st.composite

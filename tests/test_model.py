@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from bove import synth
 from bove.conll import build_vocabulary, RawToken
 from bove.errors import (
+    BoveError,
     DimensionMismatch,
     ModelChecksumError,
     ModelFormatError,
@@ -265,6 +268,20 @@ class TestBags:
         assert [sid for sid, _ in loaded] == ["s0", "s1"]
         for (_, orig), (_, back) in zip(bags, loaded):
             np.testing.assert_array_equal(orig, back)
+
+    def test_ids_round_trip(self, tmp_path):
+        ids = ["0", "s-1_é", "a|b"]
+        path = tmp_path / "bags.bin"
+        write_bags(path, [(sid, np.ones((1, 2))) for sid in ids])
+        assert [sid for sid, _ in read_bags(path)] == ids
+
+    @pytest.mark.parametrize("sid", ["", "a b", "a\tb", "a\n", "\u2028"])
+    def test_id_the_reader_would_split_is_refused_before_writing(self, tmp_path, sid):
+        path = tmp_path / "bags.bin"
+        with pytest.raises(BoveError, match="sentence id %s is empty or holds whitespace"
+                           % re.escape(repr(sid))):
+            write_bags(path, [("s0", np.ones((1, 2))), (sid, np.ones((1, 2)))])
+        assert not path.exists()
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "bags.bin"

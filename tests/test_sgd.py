@@ -19,7 +19,7 @@ from bove.sgd import (
     sgd_step,
     train_sgd,
 )
-from oracles import sampled_loss_and_grads_by_cell
+from oracles import adagrad_step, sampled_loss_and_grads_by_cell
 
 
 class Dims:
@@ -204,8 +204,8 @@ class TestAgainstCellLoop:
 def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
     """Sentences of n tokens with 2 W entries and 2 X entries per token (a
     dependency edge into every token, and an adjacency edge), a model at
-    rank r, E rows and one sampled batch: (batch, samples, model, e_store,
-    hyper)."""
+    rank r, E rows and the rng that draws the rest: (ws, xs, model,
+    e_store, hyper, rng)."""
     rng = np.random.default_rng(seed)
     tokens = np.arange(n)
     ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
@@ -218,21 +218,45 @@ def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
     model = init_for_training(Dims(c, d), hyper, seed=seed)
     model.R = rng.normal(size=model.R.shape) / r
     e_store = [rng.normal(size=(n, r)) for _ in range(sentences)]
-    batch = list(range(sentences))
+    return ws, xs, model, e_store, hyper, rng
+
+
+def sampled_batch(n, **sizes):
+    """batch_instance(n, **sizes) with one sampled batch of all its
+    sentences: (batch, samples, model, e_store, hyper)."""
+    ws, xs, model, e_store, hyper, rng = batch_instance(n, **sizes)
+    batch = list(range(len(ws)))
     samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
     return batch, samples, model, e_store, hyper
 
 
-def batch_peak(n):
-    """tracemalloc peak of one sampled_loss_and_grads call on
-    batch_instance(n)."""
-    args = batch_instance(n)
+def traced_peak(call):
+    """tracemalloc peak of call()."""
     tracemalloc.start()
     try:
-        sampled_loss_and_grads(*args, 0.5)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def batch_peak(n):
+    """tracemalloc peak of one sampled_loss_and_grads call on
+    sampled_batch(n)."""
+    args = sampled_batch(n)
+    return traced_peak(lambda: sampled_loss_and_grads(*args, 0.5))
+
+
+def step_peak(n):
+    """tracemalloc peak of one sgd_step on batch_instance(n)'s fresh
+    tensors: it samples every sentence, builds each tensor's positive cells
+    and updates P, R, E and the accumulators in place."""
+    ws, xs, model, e_store, hyper, rng = batch_instance(n)
+    state = SgdState(np.zeros_like(model.P), np.zeros_like(model.R),
+                     [np.zeros_like(e) for e in e_store])
+    batch = list(range(len(ws)))
+    return traced_peak(lambda: sgd_step(batch, ws, xs, model, e_store, hyper,
+                                        SgdConfig(), state, rng, 0.5))
 
 
 class TestBatchScaling:
@@ -240,6 +264,45 @@ class TestBatchScaling:
         # n -> 8n tokens per sentence with entries proportional to n: a
         # linear batch grows its peak about 8x, a quadratic one 64x
         assert batch_peak(200) <= 10 * batch_peak(25)
+
+    def test_whole_step_peak_grows_at_most_linearly_with_the_entries(self):
+        # the same contract for sampling, the cached positive cells and the
+        # in-place update around the loss and gradients
+        assert step_peak(200) <= 10 * step_peak(25)
+
+
+class TestAdaptiveStep:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_out_of_place_reference(self, order):
+        # P and R in either memory order, two frozen P rows, accumulators
+        # that already hold squared gradients, and a batch of two of three
+        # sentences in shuffled order
+        ws, xs, model, e_store, hyper, rng = batch_instance(6, c=7, d=3, r=4, sentences=3)
+        model.frozen_p_rows[[0, 3]] = True
+        model.P, model.R = (np.array(a, order=order) for a in (model.P, model.R))
+        state = SgdState(np.array(rng.random(model.P.shape), order=order),
+                         np.array(rng.random(model.R.shape), order=order),
+                         [rng.random(e.shape) for e in e_store])
+        batch, config, reg_scale = [2, 0], SgdConfig(learning_rate=0.3), 0.5
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = rng.bit_generator.state
+        samples = {s: sample_cells(ws[s], xs[s], config.negatives_per_positive, ref_rng)
+                   for s in batch}
+        _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store,
+                                                  hyper, reg_scale)
+        pairs = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
+        pairs += [(e_store[s], state.acc_e[s], g_e[s]) for s in batch]
+        expected = [adagrad_step(param, acc, grad, config.learning_rate, sgd.ADAPT_EPS)
+                    for param, acc, grad in pairs]
+        untouched = e_store[1].copy(), state.acc_e[1].copy()
+        sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale)
+        pairs = [(model.P, state.acc_p), (model.R, state.acc_r)]
+        pairs += [(e_store[s], state.acc_e[s]) for s in batch]
+        for (param, acc), (ref_param, ref_acc) in zip(pairs, expected, strict=True):
+            assert param.tobytes() == ref_param.tobytes()
+            assert acc.tobytes() == ref_acc.tobytes()
+        assert (e_store[1].tobytes(), state.acc_e[1].tobytes()) == tuple(
+            a.tobytes() for a in untouched)
 
 
 class TestAddRows:
@@ -293,7 +356,7 @@ class TestAddRows:
     def test_fortran_ordered_operands_give_the_same_gradients(self, batch):
         # one F-ordered E block stacks to an F-ordered array, yet the
         # gradient targets the rows scatter into are C-ordered
-        _, samples, model, e_store, hyper = batch_instance(6, c=7, d=3, r=4, sentences=2)
+        _, samples, model, e_store, hyper = sampled_batch(6, c=7, d=3, r=4, sentences=2)
         loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store,
                                                      hyper, 0.5)
         model.P, model.R = np.asfortranarray(model.P), np.asfortranarray(model.R)
@@ -414,6 +477,42 @@ class TestSamplingStream:
         assert rows(w_cells) == one_at_a_time(w, k, ref)
         assert rows(x_cells) == one_at_a_time(x, k, ref)
         assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
+
+
+class TestPositiveCells:
+    @staticmethod
+    def equal_pair(seed=4):
+        """A fresh (W, X) pair, equal for equal seeds, with repeated cells."""
+        data = np.random.default_rng(seed)
+        return (random_tensor(SparsePropertyMatrix, {"c": 3, "n": 3}, 7, data),
+                random_tensor(SparseRelationTensor, {"d": 2, "n": 3}, 6, data))
+
+    def test_cached_cells_give_the_draws_of_fresh_tensors(self):
+        # two calls on one pair, the second reading its cached positive
+        # cells, against one call on each of two fresh equal pairs
+        w, x = self.equal_pair()
+        rng, fresh = np.random.default_rng(9), np.random.default_rng(9)
+        cached = [sample_cells(w, x, 3, rng) for _ in range(2)]
+        built = [sample_cells(*self.equal_pair(), 3, fresh) for _ in range(2)]
+        for pair, expected in zip(cached, built, strict=True):
+            for cells, ref in zip(pair, expected, strict=True):
+                assert cells.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert w.positive_cells is w.positive_cells
+
+    def test_tensor_arrays_are_read_only(self):
+        w, x = self.equal_pair()
+        for array in (w.rows, x.heads, w.values, x.values, *x.positive_cells):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_callers_arrays_stay_writable(self):
+        rows, values = np.array([0, 2, 0], dtype=np.int64), np.array([0.5, 1.0, 2.0])
+        w = SparsePropertyMatrix(c=3, n=2, rows=rows, cols=[1, 0, 1], values=values)
+        w.positive_cells
+        rows[0], values[0] = 1, 4.0
+        assert w.rows.tolist() == [0, 2, 0] and w.values.tolist() == [0.5, 1.0, 2.0]
+        assert w.positive_cells[1][:, -2].tolist() == [2.5, 1.0, 2.5]
 
 
 class TestTrainSgd:
