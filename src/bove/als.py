@@ -102,7 +102,7 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     for x, e in zip(xs, es):
         gram = e.T @ e
         ktk += np.kron(gram, gram)
-        for k, heads, deps, values in x.relation_slices():
+        for k, _, heads, deps, values in x.relation_slices():
             xk[k] += (e[heads].T @ (values[:, None] * e[deps])).ravel()
     r_flat = _spd_solve_right(alpha * ktk, alpha * xk, lambda_r, "R update")
     return r_flat.reshape(d, r, r)
@@ -128,7 +128,7 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     # Y F^T
     rhs = np.zeros_like(e_prev)
     np.add.at(rhs, w.cols, w.values[:, None] * p[w.rows])
-    for k, heads, deps, values in x.relation_slices():
+    for k, _, heads, deps, values in x.relation_slices():
         np.add.at(rhs, heads, alpha * values[:, None] * (e_prev[deps] @ r_tensor[k].T))
         np.add.at(rhs, deps, alpha * values[:, None] * (e_prev[heads] @ r_tensor[k]))
     return _spd_solve_right(gram, rhs, lambda_e, "E update")

@@ -128,10 +128,10 @@ class SparseRelationTensor(_CoordinateTensor):
     values: np.ndarray = field(default=None)
 
     def relation_slices(self):
-        """(relation, heads, deps, values) of each relation holding an entry."""
+        """(relation, entry mask, heads, deps, values) of each relation with an entry."""
         for k in np.unique(self.rels):
             at = self.rels == k
-            yield int(k), self.heads[at], self.deps[at], self.values[at]
+            yield int(k), at, self.heads[at], self.deps[at], self.values[at]
 
 
 def from_dense(w_dense, x_dense):
@@ -176,31 +176,31 @@ def check_operands(w, x, p, r_tensor, e):
     return p, r_tensor, e
 
 
-def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
-    """Full squared reconstruction loss over every cell of W and X.
+def _fit(tensor, total, predicted):
+    """||T - prediction||^2 over every cell of T, from total (all cells' squared
+    predictions) and predicted (each entry's): the error at each listed cell,
+    plus total less their squares only if a cell is unlisted, so an exact fit is 0."""
+    positives, block = tensor.positive_cells
+    value, weight = block[:, -2], block[:, -1]
+    fit = float(weight @ (predicted - value) ** 2)
+    if len(positives) < math.prod(tensor.shape):
+        fit += total - float(weight @ predicted ** 2)
+    return fit
 
-    ||W - P E^T||^2 + alpha ||X - E R E^T||^2, zero cells included, read from
-    the coordinate entries.  W rows and X relations that hold an entry are
-    predicted and compared cell by cell, one X slice at a time; an empty W row
-    j or X slice k adds ||P_j E^T||^2 or ||E R_k E^T||^2 = <R_k, M R_k M>,
-    with M = E^T E.  No c x n or d x n x n array is built.
-    """
+
+def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
+    """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over every cell, read from the
+    entries: with M = E^T E, the squared predictions sum to <P^T P, M> over W
+    and sum_k <R_k, M R_k M> over X; W entry (i, t) is predicted p_i . e_t and
+    X entry (k, h, t) e_h R_k e_t.  Memory is O(nnz r + d r^2)."""
     p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
     m = e.T @ e
-    held, at = np.unique(w.rows, return_inverse=True)
-    resid = p[held] @ e.T
-    np.subtract.at(resid, (at, w.cols), w.values)
-    p_empty = np.delete(p, held, axis=0)
-    w_fit = float(np.sum(resid ** 2)) + float(np.sum((p_empty.T @ p_empty) * m))
-    empty = np.ones(x.d, dtype=bool)
-    x_fit = 0.0
-    for k, heads, deps, values in x.relation_slices():
-        resid = e @ r_tensor[k] @ e.T
-        np.subtract.at(resid, (heads, deps), values)
-        x_fit += float(np.sum(resid ** 2))
-        empty[k] = False
-    r_empty = r_tensor[empty]
-    x_fit += float(np.sum(r_empty * (m @ r_empty @ m)))
+    w_fit = _fit(w, float(np.sum((p.T @ p) * m)),
+                 np.einsum("ja,ja->j", p[w.rows], e[w.cols]))
+    x_predicted = np.empty(x.nnz)
+    for k, at, heads, deps, _ in x.relation_slices():
+        x_predicted[at] = np.einsum("ja,ja->j", e[heads] @ r_tensor[k], e[deps])
+    x_fit = _fit(x, float(np.sum(r_tensor * (m @ r_tensor @ m))), x_predicted)
     return w_fit + alpha * x_fit
 
 

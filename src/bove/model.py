@@ -130,7 +130,7 @@ def read_word_vectors(path):
                                    % path) from None
         vectors = {}
         for line_no, line in enumerate(f, start=2):
-            word, *values = line.rstrip("\n").split(" ")
+            word, *values = line.rstrip().split(" ")
             try:
                 if len(values) != dim:
                     raise ValueError("vector for %r has %d values, expected %d"

@@ -67,7 +67,7 @@ def _sample(tensor, k, rng):
     cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
     filled = nnz
     while filled < len(cells):
-        batch = rng.integers(np.broadcast_to(shape, (len(cells) - filled, len(shape))))
+        batch = rng.integers(shape, size=(len(cells) - filled, len(shape)))
         flat = np.ravel_multi_index(batch.T, shape)
         # positives is sorted: a draw is one when the first not below it equals it
         batch = batch[positives[np.searchsorted(positives, flat) % len(positives)] != flat]

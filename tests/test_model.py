@@ -162,6 +162,15 @@ class TestPretrained:
         with pytest.raises(DimensionMismatch):
             load_pretrained(model, path, vocab)
 
+    def test_trailing_whitespace_accepted(self, tmp_path):
+        # word2vec's text writer ends every line with a space
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\nthe 0.1 0.2 0.3 \nbank 1 2 3\t\r\n")
+        dim, vectors = read_word_vectors(path)
+        assert dim == 3
+        np.testing.assert_array_equal(vectors["the"], [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(vectors["bank"], [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("text, line", [
         ("two 2\nbank 1 2\n", 1),
         ("1\nbank 1 2\n", 1),
@@ -169,8 +178,9 @@ class TestPretrained:
         ("1 2\nbank nan 2\n", 2),
         ("1 2\nbank 1 1e400\n", 2),
         ("2 2\nbank 1 2\nmoney 1\n", 3),
+        ("1 2\nbank 1  2\n", 2),
     ], ids=["header word", "header one field", "value x", "value nan", "value 1e400",
-            "short line"])
+            "short line", "empty inner field"])
     def test_malformed_vector_file(self, tmp_path, text, line):
         path = tmp_path / "vecs.txt"
         path.write_text(text)

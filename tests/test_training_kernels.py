@@ -1,7 +1,8 @@
 """The coordinate-form training kernels (update_P, update_R, the objective and
-the E solve) against their dense forms, and a guard that they never densify W
-or X."""
+the E solve) against their dense forms, a guard that they never densify W or
+X, and a contract that their memory grows linearly with the entries."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -37,8 +38,10 @@ def sentence(c, d, n, w_cells, w_values, x_cells, x_values):
 def corpora(draw):
     """1-3 sentences on shared c, d and r, with n = 1 included.  Entries may
     repeat a coordinate or store a zero.  A sentence may hold no X entry, an
-    entry in every W row, or one in every relation.  E, P, R, the frozen rows
-    and the strengths (lambda_e is 0.1) come from a drawn seed."""
+    entry in every W row or every relation, or one in every cell of W or X,
+    so the loss meets tensors with and without an unlisted cell.  E, P, R,
+    the frozen rows and the strengths (lambda_e is 0.1) come from a drawn
+    seed."""
     c, d, r = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     value = st.one_of(st.just(0.0), st.floats(-4, 4, allow_nan=False))
     ws, xs = [], []
@@ -48,10 +51,16 @@ def corpora(draw):
         w_cells = draw(st.lists(st.tuples(st.integers(0, c - 1), token), max_size=8))
         x_cells = draw(st.lists(st.tuples(st.integers(0, d - 1), token, token),
                                 max_size=8))
-        if draw(st.booleans()):
+        cover = st.sampled_from(["some", "every slice", "every cell"])  # W row, X relation
+        w_cover, x_cover = draw(cover), draw(cover)
+        if w_cover == "every slice":
             w_cells += [(i, draw(token)) for i in range(c)]
-        if draw(st.booleans()):
+        elif w_cover == "every cell":
+            w_cells += list(itertools.product(range(c), range(n)))
+        if x_cover == "every slice":
             x_cells += [(k, draw(token), draw(token)) for k in range(d)]
+        elif x_cover == "every cell":
+            x_cells += list(itertools.product(range(d), range(n), range(n)))
         for cells in (w_cells, x_cells):
             if cells and draw(st.booleans()):
                 cells.append(cells[0])
@@ -116,24 +125,33 @@ def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2):
     fixed_corpus([(1, 2)], [1.0], [], []),
     fixed_corpus([(0, 0), (1, 1), (2, 2)], [1.0, 1.0, 1.0],
                  [(0, 0, 1), (1, 1, 2)], [1.0, 0.5]),
+    fixed_corpus(list(itertools.product(range(3), range(3))), np.linspace(-1, 1, 9),
+                 list(itertools.product(range(2), range(3), range(3))),
+                 np.linspace(2, 0, 18)),
 ], ids=["repeated-coordinates", "stored-zeros", "n=1", "no-relations",
-        "every-row-and-relation"])
+        "every-row-and-relation", "every-cell"])
 def test_edge_cases_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
 
-@pytest.fixture
-def long_sentence():
-    """One sentence at n=200, d=40, c=300, r=10: a word and a PoS entry per
-    token and a random tree of labeled edges.  One dense X is 12.8 MB."""
-    n, d, c, r = 200, 40, 300, 10
+def sentence_of_length(n, c=300, d=40, r=10):
+    """One sentence of n tokens with a word and a PoS entry per token, and
+    two labeled edges into each token but the first: one from a random
+    earlier token and one from its left neighbour.  At n=200 one dense X
+    is 12.8 MB."""
     rng = np.random.default_rng(0)
     w_cells = [(int(rng.integers(c)), t) for t in range(n) for _ in range(2)]
-    x_cells = [(int(rng.integers(d)), int(rng.integers(t)), t) for t in range(1, n)]
+    x_cells = [(int(rng.integers(d)), head, t) for t in range(1, n)
+               for head in (int(rng.integers(t)), t - 1)]
     w, x = sentence(c, d, n, w_cells, None, x_cells, None)
     model = TypeEmbeddings(P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
                            frozen_p_rows=np.zeros(c, dtype=bool), hyper=Hyperparams(r=r))
     return [w], [x], [rng.normal(size=(n, r))], model
+
+
+@pytest.fixture
+def long_sentence():
+    return sentence_of_length(200)
 
 
 KERNELS = {
@@ -155,12 +173,29 @@ def test_kernels_never_densify(monkeypatch, long_sentence):
         kernel(*long_sentence)
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
-def test_kernel_memory_stays_small(name, long_sentence):
+def traced_peak(kernel, corpus):
+    """tracemalloc peak, in bytes, of one kernel call on corpus."""
     tracemalloc.start()
     try:
-        KERNELS[name](*long_sentence)
-        peak = tracemalloc.get_traced_memory()[1]
+        kernel(*corpus)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_memory_stays_small(name, long_sentence):
+    assert traced_peak(KERNELS[name], long_sentence) < 2e6
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_peak_grows_at_most_linearly_with_the_entries(name):
+    # n -> 8n tokens with entries proportional to n: a kernel linear in its
+    # entries grows its peak about 8x, one quadratic in n about 64x
+    small, large = (traced_peak(KERNELS[name], sentence_of_length(n)) for n in (200, 1600))
+    assert large <= 10 * small
+
+
+def test_objective_memory_stays_small_on_a_long_sentence():
+    # 3,200 tokens: one n x n slice product alone would be 82 MB
+    assert traced_peak(KERNELS["corpus_objective"], sentence_of_length(3200)) < 5e6
