@@ -3,13 +3,12 @@
 A sentence graph becomes a property matrix W (c x n, one column per token,
 two unit entries per column: word and PoS predicate) and a relation tensor
 X (d x n x n, one unit entry per labeled directed edge).  Both are stored
-in coordinate form; real-valued entries are allowed so the loss evaluator
-also works on synthetic tensors.
+in canonical coordinate form, one entry per cell in cell order; real-valued
+entries are allowed so the loss evaluator also works on synthetic tensors.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,13 +17,16 @@ from .errors import BoveError, DimensionMismatch
 
 class _CoordinateTensor:
     """Coordinate form shared by W and X: one index array per axis and one
-    value per entry; unlisted cells are 0 and duplicate coordinates add up.
+    value per entry; unlisted cells are 0.
 
     Each subclass is a frozen dataclass that declares AXES, one
     (index field, size field, what the index counts) triple per axis.  A
-    tensor is immutable: it holds read-only copies of the arrays it is built
-    from, so what it derives from them once (positive_cells) never goes
-    stale, and the caller's arrays stay writable.
+    tensor is built in canonical form: the copies of a cell listed more than
+    once are summed, in the order given, into one entry, and the entries are
+    sorted in row-major cell order, so X's are grouped by relation.  An entry
+    holding 0 stays an entry.  `cells` holds each entry's ravelled index,
+    strictly increasing.  Every array is a read-only copy, and the caller's
+    arrays stay writable.
     """
 
     AXES = ()
@@ -36,13 +38,20 @@ class _CoordinateTensor:
         values = np.array(values, dtype=np.float64)
         if any(len(index) != len(values) for index in coords):
             raise DimensionMismatch("coordinate arrays must have equal length")
-        for index, size, (name, _, counts) in zip(coords, self.shape, self.AXES):
+        for index, size, (_, _, counts) in zip(coords, self.shape, self.AXES):
             if len(index) and (index.min() < 0 or index.max() >= size):
                 raise DimensionMismatch("%s index out of range" % counts)
-            index.flags.writeable = False
-            object.__setattr__(self, name, index)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        listed = np.ravel_multi_index(coords, self.shape)
+        order = np.argsort(listed, kind="stable")  # a cell's copies keep their order
+        listed = listed[order]
+        first = np.diff(listed, prepend=-1) > 0  # the first copy of each cell
+        kept = order[first]
+        named = {name: index[kept] for (name, _, _), index in zip(self.AXES, coords)}
+        named.update(values=np.bincount(np.cumsum(first) - 1, values[order]),
+                     cells=listed[first])
+        for name, array in named.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def _build(cls, sizes, columns):
@@ -80,25 +89,8 @@ class _CoordinateTensor:
 
     def to_dense(self):
         dense = np.zeros(self.shape)
-        np.add.at(dense, self.coords, self.values)
+        dense[self.coords] = self.values
         return dense
-
-    @cached_property
-    def positive_cells(self):
-        """(positives, block), built at the first read and kept: the sorted
-        ravelled indices of the cells that hold an entry, and one row per
-        entry of its index per axis, its cell's summed value and 1 / its
-        cell's entry count, so a cell listed twice counts once, as to_dense
-        sums it.  Both arrays are read-only."""
-        listed = np.ravel_multi_index(self.coords, self.shape)
-        positives = np.unique(listed)
-        cell_of = np.searchsorted(positives, listed)  # the copies of a cell share it
-        block = np.empty((self.nnz, len(self.AXES) + 2))
-        block[:, :-2] = np.transpose(self.coords)
-        block[:, -2] = np.bincount(cell_of, self.values)[cell_of]
-        block[:, -1] = 1.0 / np.bincount(cell_of)[cell_of]
-        positives.flags.writeable = block.flags.writeable = False
-        return positives, block
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,17 @@ class SparseRelationTensor(_CoordinateTensor):
     values: np.ndarray = field(default=None)
 
     def relation_slices(self):
-        """(relation, entry mask, heads, deps, values) of each relation with an entry."""
-        for k in np.unique(self.rels):
-            at = self.rels == k
-            yield int(k), at, self.heads[at], self.deps[at], self.values[at]
+        """(relation, entry slice, heads, deps, values) of each relation with an entry."""
+        for k, at in runs(self.rels, self.d):
+            yield k, at, self.heads[at], self.deps[at], self.values[at]
+
+
+def runs(keys, count):
+    """(key, slice) of each nonempty run of each key in range(count) in the
+    sorted keys: one np.searchsorted gives every run's bounds."""
+    bounds = np.searchsorted(keys, np.arange(count + 1))
+    for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        yield int(k), slice(bounds[k], bounds[k + 1])
 
 
 def from_dense(w_dense, x_dense):
@@ -178,13 +177,13 @@ def check_operands(w, x, p, r_tensor, e):
 
 def _fit(tensor, total, predicted):
     """||T - prediction||^2 over every cell of T, from total (all cells' squared
-    predictions) and predicted (each entry's): the error at each listed cell,
-    plus total less their squares only if a cell is unlisted, so an exact fit is 0."""
-    positives, block = tensor.positive_cells
-    value, weight = block[:, -2], block[:, -1]
-    fit = float(weight @ (predicted - value) ** 2)
-    if len(positives) < math.prod(tensor.shape):
-        fit += total - float(weight @ predicted ** 2)
+    predictions) and predicted (each entry's): the error at each entry, plus
+    total less the entries' squared predictions only if a cell holds no entry,
+    so an exact fit is 0."""
+    error = predicted - tensor.values
+    fit = float(error @ error)
+    if tensor.nnz < math.prod(tensor.shape):
+        fit += total - float(predicted @ predicted)
     return fit
 
 

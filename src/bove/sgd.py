@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .als import log_round, numeric_errors_as
+from .encoding import runs
 from .errors import DivergenceError
 from .model import check_bounds
 
@@ -47,10 +48,9 @@ class SgdState:
 
 
 def _sample(tensor, k, rng):
-    """Cells of one coordinate tensor: a copy of its cached positive block
-    (tensor.positive_cells: each entry, target its cell's summed value,
-    weight 1 / the cell's entry count), then k * nnz uniform draws over its
-    zero cells (target 0).  Only the draws are new at each call.
+    """Cells of one coordinate tensor: a copy of its entries (target the
+    entry's value, weight 1), then k * nnz uniform draws over its zero cells
+    (target 0).  Only the draws are new at each call.
 
     A cell takes one rng.integers draw per axis, in axis order.  Cells are
     drawn in batches that read the same random stream as one-at-a-time
@@ -58,19 +58,18 @@ def _sample(tensor, k, rng):
     rejecting a positive cell leaves the stream where a draw-until-accepted
     loop would.
     """
-    positives, block = tensor.positive_cells
-    shape, nnz = tensor.shape, tensor.nnz
-    n_zero = math.prod(shape) - len(positives)
+    shape, nnz, positives = tensor.shape, tensor.nnz, tensor.cells
+    n_zero = math.prod(shape) - nnz
     wanted = k * nnz if n_zero else 0
     cells = np.zeros((nnz + wanted, len(shape) + 2))
-    cells[:nnz] = block
+    cells[:nnz] = np.column_stack((*tensor.coords, tensor.values, np.ones(nnz)))
     cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
     filled = nnz
     while filled < len(cells):
         batch = rng.integers(shape, size=(len(cells) - filled, len(shape)))
         flat = np.ravel_multi_index(batch.T, shape)
         # positives is sorted: a draw is one when the first not below it equals it
-        batch = batch[positives[np.searchsorted(positives, flat) % len(positives)] != flat]
+        batch = batch[positives[np.searchsorted(positives, flat) % nnz] != flat]
         cells[filled:filled + len(batch), :-2] = batch
         filled += len(batch)
     return cells
@@ -146,10 +145,9 @@ def sampled_loss_and_grads(batch, samples, model, e_store, hyper, reg_scale):
                               for s, a in zip(batch, offsets)])
     x_cells = x_cells[np.argsort(x_cells[:, 0], kind="stable")]
     index = x_cells[:, :3].astype(np.intp)
-    rels, starts = np.unique(index[:, 0], return_index=True)
-    for k, lo, hi in zip(rels, starts, np.append(starts[1:], len(index))):
-        h, t = index[lo:hi, 1], index[lo:hi, 2]
-        target, weight = x_cells[lo:hi, 3], x_cells[lo:hi, 4]
+    for k, at in runs(index[:, 0], len(r_tensor)):
+        h, t = index[at, 1], index[at, 2]
+        target, weight = x_cells[at, 3], x_cells[at, 4]
         rows, e_t = e_all[h] @ r_tensor[k], e_all[t]  # rows: e_h R_k
         resid = np.einsum("ij,ij->i", rows, e_t) - target
         loss += hyper.alpha * float(weight @ resid ** 2)

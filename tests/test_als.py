@@ -470,6 +470,22 @@ class TestTrain:
                  for k in range(2))
         assert nuc <= l2 + 1e-9
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+    def test_l1_and_nuclear_R_steps_never_raise_the_objective(self):
+        """The l1 and nuclear R steps ridge-solve R at lambda_r, then shrink it
+        by lambda_r, while the objective counts lambda_r pen(R) once.  Here
+        the l1 trace reads 278.02, 135.50, 112.01, 125.86 and the nuclear
+        one 278.02, 119.01, 90.62, 103.30; each run then stops on the rise."""
+        data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, r=4,
+                              mode="discrete")
+        ws = [w for _, w, _ in data.sentences]
+        xs = [x for _, _, x in data.sentences]
+        for regularizer in ("l1", "nuclear"):
+            hyper = Hyperparams(r=4, r_regularizer=regularizer, lambda_r=0.1,
+                                max_rounds=10, rel_improvement_stop=0.0)
+            trace = train(ws, xs, init_for_training(Dims(10, 2), hyper, seed=0), hyper).trace
+            assert all(b <= a for a, b in zip(trace, trace[1:])), (regularizer, trace)
+
 
 def test_corpus_objective_matches_loss_parts():
     rng = np.random.default_rng(14)

@@ -16,6 +16,7 @@ from bove.encoding import (
     write_tensor_file,
 )
 from bove.errors import BoveError, DimensionMismatch
+from bove.sgd import sample_cells
 
 from oracles import reconstruction_loss_dense
 
@@ -155,6 +156,14 @@ class TestCoordinateText:
             write_tensor_file(path, [("s0", w, x), (sid, w, x)], c=1, d=1)
         assert not path.exists()
 
+    def test_a_cell_listed_twice_reads_back_as_one_entry(self, tmp_path):
+        path = tmp_path / "tensors.txt"
+        path.write_text("dims 2 1\nsentence s0 2\nW 1 0 0.5\nW 0 1\nW 1 0 2\n"
+                        "X 0 1 0 0.25\nX 0 1 0\n")
+        _, _, [(_, w, x)] = read_tensor_file(path)
+        assert w.nnz == 2 and entries_of(w) == {(0, 1): 1.0, (1, 0): 2.5}
+        assert x.nnz == 1 and entries_of(x) == {(0, 1, 0): 1.25}
+
     def test_second_dims_line_is_refused(self, tmp_path):
         # s0 would otherwise be built with the second line's sizes
         path = tmp_path / "tensors.txt"
@@ -165,41 +174,61 @@ class TestCoordinateText:
 
 
 @st.composite
-def coordinate_tensors(draw):
-    """A (W, X) pair on random shapes, n = 1 included, with possibly no
-    entries and possibly repeated coordinates."""
+def entry_lists(draw):
+    """The drawn entries of a (W, X) pair on random shapes, n = 1 included:
+    per tensor its shape and its list of (cell, value) entries, possibly
+    empty and possibly repeating a cell."""
     c, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     value = st.floats(-4, 4, allow_nan=False)
 
     def entries(shape):
         cell = st.tuples(*(st.integers(0, size - 1) for size in shape))
-        return draw(st.lists(st.tuples(cell, value), max_size=8))
+        return shape, draw(st.lists(st.tuples(cell, value), max_size=8))
+
+    return entries((c, n)), entries((d, n, n))
+
+
+def build(drawn):
+    """The (W, X) pair of entry_lists' entries."""
+    (w_shape, w_listed), (x_shape, x_listed) = drawn
 
     def columns(listed, arity):
         coords = [[cell[axis] for cell, _ in listed] for axis in range(arity)]
         return coords, [v for _, v in listed]
 
-    (rows, cols), w_values = columns(entries((c, n)), 2)
-    (rels, heads, deps), x_values = columns(entries((d, n, n)), 3)
-    return (SparsePropertyMatrix(c=c, n=n, rows=rows, cols=cols, values=w_values),
-            SparseRelationTensor(d=d, n=n, rels=rels, heads=heads, deps=deps,
-                                 values=x_values))
+    (rows, cols), w_values = columns(w_listed, 2)
+    (rels, heads, deps), x_values = columns(x_listed, 3)
+    return (SparsePropertyMatrix(c=w_shape[0], n=w_shape[1], rows=rows, cols=cols,
+                                 values=w_values),
+            SparseRelationTensor(d=x_shape[0], n=x_shape[1], rels=rels, heads=heads,
+                                 deps=deps, values=x_values))
 
 
-def summed_dense(tensor):
-    """Dense oracle: a Python loop adding every entry into its cell."""
-    dense = np.zeros(tensor.shape)
-    for i in range(tensor.nnz):
-        dense[tuple(int(index[i]) for index in tensor.coords)] += tensor.values[i]
+def coordinate_tensors():
+    """A (W, X) pair built from entry_lists."""
+    return entry_lists().map(build)
+
+
+def summed_dense(shape, listed):
+    """Dense oracle: a Python loop adding every drawn entry into its cell."""
+    dense = np.zeros(shape)
+    for cell, value in listed:
+        dense[cell] += value
     return dense
+
+
+def entries_of(tensor):
+    """A tensor's entries as a {cell: value} dict, in entry order."""
+    return {tuple(int(index[i]) for index in tensor.coords): float(tensor.values[i])
+            for i in range(tensor.nnz)}
 
 
 class TestCoordinateCore:
     @settings(max_examples=60, deadline=None)
-    @given(coordinate_tensors())
-    def test_to_dense_sums_duplicates(self, pair):
-        for tensor in pair:
-            np.testing.assert_array_equal(tensor.to_dense(), summed_dense(tensor))
+    @given(entry_lists())
+    def test_to_dense_sums_duplicates(self, drawn):
+        for tensor, (shape, listed) in zip(build(drawn), drawn):
+            np.testing.assert_array_equal(tensor.to_dense(), summed_dense(shape, listed))
 
     @settings(max_examples=60, deadline=None)
     @given(coordinate_tensors())
@@ -227,6 +256,17 @@ class TestCoordinateCore:
             assert (w2.shape, x2.shape) == (w.shape, x.shape)
             np.testing.assert_array_equal(w2.to_dense(), w.to_dense())
             np.testing.assert_array_equal(x2.to_dense(), x.to_dense())
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_tensors())
+    def test_tensor_file_rewrite_is_byte_identical(self, tmp_path_factory, pair):
+        w, x = pair
+        folder = tmp_path_factory.mktemp("dump")
+        first, second = folder / "first.txt", folder / "second.txt"
+        write_tensor_file(first, [("s0", w, x)], c=w.c, d=x.d)
+        c, d, sentences = read_tensor_file(first)
+        write_tensor_file(second, sentences, c, d)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_shape_and_coords(self):
         x = SparseRelationTensor(d=2, n=3, rels=[1], heads=[2], deps=[0])
@@ -256,3 +296,71 @@ class TestCoordinateCore:
     def test_from_dense_needs_the_axis_count(self):
         with pytest.raises(DimensionMismatch):
             SparsePropertyMatrix.from_dense(np.zeros((2, 2, 2)))
+
+
+class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(entry_lists())
+    def test_copies_are_summed(self, drawn):
+        for tensor, (_, listed) in zip(build(drawn), drawn):
+            sums = {}
+            for cell, value in listed:
+                sums[cell] = sums.get(cell, 0.0) + value
+            assert tensor.nnz == len(sums)
+            assert entries_of(tensor) == sums
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_tensors())
+    def test_cells_are_the_ravelled_coords_in_increasing_order(self, pair):
+        for tensor in pair:
+            np.testing.assert_array_equal(
+                tensor.cells, np.ravel_multi_index(tensor.coords, tensor.shape))
+            assert np.all(np.diff(tensor.cells) > 0)
+
+    def test_entries_are_sorted_in_cell_order(self):
+        x = SparseRelationTensor(d=2, n=3, rels=[1, 0, 1, 0], heads=[0, 2, 0, 1],
+                                 deps=[1, 0, 1, 2], values=[1.0, 2.0, 3.0, 4.0])
+        assert [index.tolist() for index in x.coords] == [[0, 0, 1], [1, 2, 0], [2, 0, 1]]
+        assert x.values.tolist() == [4.0, 2.0, 4.0]
+        assert x.cells.tolist() == [5, 6, 10]
+
+    def test_a_stored_zero_stays_an_entry(self):
+        w = SparsePropertyMatrix(c=2, n=2, rows=[1, 0, 1], cols=[0, 1, 0],
+                                 values=[1.5, 0.0, -1.5])
+        assert entries_of(w) == {(0, 1): 0.0, (1, 0): 0.0}
+        assert w.nnz == 2 and w.cells.tolist() == [1, 2]
+
+    @staticmethod
+    def equal_pair(seed=4):
+        """A fresh (W, X) pair, equal for equal seeds, with repeated cells."""
+        data = np.random.default_rng(seed)
+        w = SparsePropertyMatrix(c=3, n=3, rows=data.integers(3, size=7),
+                                 cols=data.integers(3, size=7), values=data.normal(size=7))
+        x = SparseRelationTensor(d=2, n=3, rels=data.integers(2, size=6),
+                                 heads=data.integers(3, size=6), deps=data.integers(3, size=6),
+                                 values=data.normal(size=6))
+        return w, x
+
+    def test_same_seed_draws_match_on_fresh_equal_tensors(self):
+        # two calls on one pair against one call on each of two fresh equal pairs
+        w, x = self.equal_pair()
+        assert w.nnz < 7 and x.nnz < 6  # the draws repeat a cell of each
+        rng, fresh = np.random.default_rng(9), np.random.default_rng(9)
+        reused = [sample_cells(w, x, 3, rng) for _ in range(2)]
+        built = [sample_cells(*self.equal_pair(), 3, fresh) for _ in range(2)]
+        for pair, expected in zip(reused, built, strict=True):
+            for cells, ref in zip(pair, expected, strict=True):
+                assert cells.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_tensor_arrays_are_read_only(self):
+        w, x = self.equal_pair()
+        for array in (*w.coords, w.values, w.cells, *x.coords, x.values, x.cells):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_callers_arrays_stay_writable(self):
+        rows, values = np.array([0, 2, 0], dtype=np.int64), np.array([0.5, 1.0, 2.0])
+        w = SparsePropertyMatrix(c=3, n=2, rows=rows, cols=[1, 0, 1], values=values)
+        rows[0], values[0] = 1, 4.0
+        assert entries_of(w) == {(0, 1): 2.5, (2, 0): 1.0}

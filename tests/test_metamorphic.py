@@ -14,30 +14,23 @@ See Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities" (ACM Computing Surveys 2018).
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bove.als import averaged_E_step, update_E_sentence
+from bove import synth
+from bove.als import averaged_E_step, train, update_E_sentence, update_P, update_R
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor
 from bove.inference import infer_bove
-from bove.model import Hyperparams, TypeEmbeddings
+from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
 
-@st.composite
-def instances(draw):
-    """(W, X, model, start E, token permutation, predicate permutation,
-    orthogonal r x r Q).
-
-    n = 1 is included, X may hold no edge and W or X may repeat a
-    coordinate; lambda_e is 0.1.  The arrays come from a drawn seed.  As in
-    a parsed sentence, X holds at most n - 1 edges besides a repeat and no
-    self-loop, and P and R are drawn as synth draws its ground truth.  On
-    stronger relation blocks (self-loops, or R of unit scale) 30 damped
-    solves need not contract, and then amplify rounding past 1e-12.
-    """
-    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+def sentence_cells(draw, c, d, n):
+    """The W cells and X cells of one sentence of n tokens.  As in a parsed
+    sentence, X holds at most n - 1 edges besides a repeat and no self-loop;
+    W or X may repeat a cell."""
     token = st.integers(0, n - 1)
     w_cells = draw(st.lists(st.tuples(st.integers(0, c - 1), token), min_size=1, max_size=12))
     # a dependent is its head plus a nonzero offset, modulo n
@@ -47,13 +40,37 @@ def instances(draw):
     for cells in (w_cells, x_cells):
         if cells and draw(st.booleans()):
             cells.append(cells[0])
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return w_cells, x_cells
+
+
+def sentence_tensors(c, d, n, w_cells, x_cells, rng):
+    """(W, X) of one sentence's cells, each entry valued in [0.5, 1.5)."""
     rows, cols = np.array(w_cells, dtype=np.int64).reshape(-1, 2).T
     rels, heads, deps = np.array(x_cells, dtype=np.int64).reshape(-1, 3).T
     w = SparsePropertyMatrix(c=c, n=n, rows=rows, cols=cols,
                              values=rng.uniform(0.5, 1.5, size=len(rows)))
     x = SparseRelationTensor(d=d, n=n, rels=rels, heads=heads, deps=deps,
                              values=rng.uniform(0.5, 1.5, size=len(rels)))
+    return w, x
+
+
+@st.composite
+def instances(draw):
+    """(W, X, model, start E, token permutation, predicate permutation,
+    orthogonal r x r Q).
+
+    n = 1 is included, X may hold no edge and W or X may repeat a
+    coordinate; lambda_e is 0.1.  The arrays come from a drawn seed.  The
+    cells are drawn as sentence_cells draws them, and P and R as synth draws
+    its ground truth.  On stronger relation blocks (self-loops, or R of unit
+    scale) 30 damped solves need not contract, and then amplify rounding
+    past 1e-12.
+    """
+    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = sentence_cells(draw, c, d, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w, x = sentence_tensors(c, d, n, *cells, rng)
     model = TypeEmbeddings(
         P=rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r),
         R=rng.uniform(-1.0, 1.0, size=(d, r, r)) / r,
@@ -61,6 +78,26 @@ def instances(draw):
         hyper=Hyperparams(r=r, alpha=rng.uniform(0.5, 1.5), lambda_e=0.1))
     q, _ = np.linalg.qr(rng.normal(size=(r, r)))
     return w, x, model, rng.normal(size=(n, r)), rng.permutation(n), rng.permutation(c), q
+
+
+@st.composite
+def corpora(draw):
+    """One to three sentences on shared c, d and r, each drawn as
+    sentence_cells draws it, with E and a current P drawn as synth draws its
+    ground truth, some P rows frozen, alpha, a predicate and a relation
+    permutation and an orthogonal r x r Q.  The arrays come from a drawn seed."""
+    c, d, r = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    cells = [sentence_cells(draw, c, d, n) for n in lengths]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ws, xs = zip(*(sentence_tensors(c, d, n, *sentence, rng)
+                   for n, sentence in zip(lengths, cells)))
+    q, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    return types.SimpleNamespace(
+        ws=list(ws), xs=list(xs), es=[rng.uniform(-1.0, 1.0, size=(n, r)) for n in lengths],
+        p=rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r), frozen=rng.random(c) < 0.3,
+        alpha=rng.uniform(0.5, 1.5), predicates=rng.permutation(c),
+        relations=rng.permutation(d), q=q)
 
 
 def with_parameters(model, p, r_tensor):
@@ -136,6 +173,71 @@ def test_predicate_relabeling_leaves_E_unchanged(solve, instance):
     renamed_p[perm] = model.P
     renamed = with_parameters(model, renamed_p, model.R)
     assert_close(solve(renamed_w, x, renamed, e_start), solve(w, x, model, e_start))
+
+
+# The P and R steps: each ridge is invariant under the gauge and the
+# relabelings, so the exact minimizers follow them.
+LAMBDA = 0.1
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
+def test_orthogonal_gauge_rotates_P(corpus):
+    rotated_es = [e @ corpus.q for e in corpus.es]
+    got = update_P(corpus.ws, rotated_es, LAMBDA, corpus.p @ corpus.q, corpus.frozen)
+    want = update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen)
+    assert_close(got, want @ corpus.q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
+def test_predicate_relabeling_permutes_the_rows_of_P(corpus):
+    perm = corpus.predicates
+    renamed_ws = [SparsePropertyMatrix(c=w.c, n=w.n, rows=perm[w.rows], cols=w.cols,
+                                       values=w.values) for w in corpus.ws]
+    renamed_p, renamed_frozen = np.empty_like(corpus.p), np.empty_like(corpus.frozen)
+    renamed_p[perm], renamed_frozen[perm] = corpus.p, corpus.frozen
+    got = update_P(renamed_ws, corpus.es, LAMBDA, renamed_p, renamed_frozen)
+    assert_close(got[perm], update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
+def test_orthogonal_gauge_rotates_R(corpus):
+    q = corpus.q
+    got = update_R(corpus.xs, [e @ q for e in corpus.es], LAMBDA, corpus.alpha)
+    assert_close(got, q.T @ update_R(corpus.xs, corpus.es, LAMBDA, corpus.alpha) @ q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
+def test_relation_relabeling_permutes_the_slices_of_R(corpus):
+    perm = corpus.relations
+    renamed_xs = [SparseRelationTensor(d=x.d, n=x.n, rels=perm[x.rels], heads=x.heads,
+                                       deps=x.deps, values=x.values) for x in corpus.xs]
+    got = update_R(renamed_xs, corpus.es, LAMBDA, corpus.alpha)
+    assert_close(got[perm], update_R(corpus.xs, corpus.es, LAMBDA, corpus.alpha))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_als_train_from_a_rotated_start_rotates_P_and_R(seed):
+    """Five ALS rounds from P Q and Q^T R_k Q end at P Q and Q^T R_k Q of the
+    rounds from P and R, with the same objective trace, to 1e-10."""
+    data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, r=4)
+    ws = [w for _, w, _ in data.sentences]
+    xs = [x for _, _, x in data.sentences]
+    hyper = Hyperparams(r=4, max_rounds=5, rel_improvement_stop=0.0)
+    start = init_for_training(types.SimpleNamespace(c=10, d=2), hyper, seed=0)
+    rng = np.random.default_rng(seed)
+    start.R = rng.uniform(-1.0, 1.0, size=start.R.shape) / hyper.r
+    q, _ = np.linalg.qr(rng.normal(size=(hyper.r, hyper.r)))
+    base = train(ws, xs, start, hyper)
+    rotated = train(ws, xs, with_parameters(start, start.P @ q, q.T @ start.R @ q), hyper)
+    for got, want in ((rotated.model.P, base.model.P @ q),
+                      (rotated.model.R, q.T @ base.model.R @ q)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_allclose(rotated.trace, base.trace, rtol=1e-10)
 
 
 @pytest.mark.xfail(strict=True, reason="30 damped solves need not contract; "

@@ -479,42 +479,6 @@ class TestSamplingStream:
         assert rng.integers(2 ** 40) == ref.integers(2 ** 40)
 
 
-class TestPositiveCells:
-    @staticmethod
-    def equal_pair(seed=4):
-        """A fresh (W, X) pair, equal for equal seeds, with repeated cells."""
-        data = np.random.default_rng(seed)
-        return (random_tensor(SparsePropertyMatrix, {"c": 3, "n": 3}, 7, data),
-                random_tensor(SparseRelationTensor, {"d": 2, "n": 3}, 6, data))
-
-    def test_cached_cells_give_the_draws_of_fresh_tensors(self):
-        # two calls on one pair, the second reading its cached positive
-        # cells, against one call on each of two fresh equal pairs
-        w, x = self.equal_pair()
-        rng, fresh = np.random.default_rng(9), np.random.default_rng(9)
-        cached = [sample_cells(w, x, 3, rng) for _ in range(2)]
-        built = [sample_cells(*self.equal_pair(), 3, fresh) for _ in range(2)]
-        for pair, expected in zip(cached, built, strict=True):
-            for cells, ref in zip(pair, expected, strict=True):
-                assert cells.tobytes() == ref.tobytes()
-        assert rng.bit_generator.state == fresh.bit_generator.state
-        assert w.positive_cells is w.positive_cells
-
-    def test_tensor_arrays_are_read_only(self):
-        w, x = self.equal_pair()
-        for array in (w.rows, x.heads, w.values, x.values, *x.positive_cells):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-
-    def test_callers_arrays_stay_writable(self):
-        rows, values = np.array([0, 2, 0], dtype=np.int64), np.array([0.5, 1.0, 2.0])
-        w = SparsePropertyMatrix(c=3, n=2, rows=rows, cols=[1, 0, 1], values=values)
-        w.positive_cells
-        rows[0], values[0] = 1, 4.0
-        assert w.rows.tolist() == [0, 2, 0] and w.values.tolist() == [0.5, 1.0, 2.0]
-        assert w.positive_cells[1][:, -2].tolist() == [2.5, 1.0, 2.5]
-
-
 class TestTrainSgd:
     def test_zero_epochs_noop(self):
         ws, xs = micro_corpus()
