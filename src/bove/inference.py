@@ -16,11 +16,14 @@ def infer_bove(w, x, model, hyper=None, iters=None):
 
     The first refresh is never averaged; afterwards each iteration solves
     once from the running average and keeps the midpoint.  The iteration
-    count (hyper.inference_iters unless iters is given) counts raw solves.
+    count (hyper.inference_iters unless iters is given) counts raw solves;
+    a count below 1 raises ValueError.
     """
     if hyper is None:
         hyper = model.hyper
     total = iters if iters is not None else hyper.inference_iters
+    if total < 1:
+        raise ValueError("iters must be >= 1, got %d" % total)
 
     def refresh(e):
         return update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)

@@ -2,9 +2,9 @@
 
 The alternative trainer for embedding sizes where the ALS r^2 x r^2 solve
 is too expensive.  Positive cells of each sentence's tensors are always
-visited; zero cells are subsampled (k uniform draws per positive) and
-importance-weighted so the sampled loss is an unbiased estimate of the
-full-tensor objective.
+visited; zero cells are subsampled (k uniform draws per positive, each a
+rank in the zero cells' row-major order) and importance-weighted so the
+sampled loss is an unbiased estimate of the full-tensor objective.
 """
 
 import math
@@ -52,26 +52,21 @@ def _sample(tensor, k, rng):
     entry's value, weight 1), then k * nnz uniform draws over its zero cells
     (target 0).  Only the draws are new at each call.
 
-    A cell takes one rng.integers draw per axis, in axis order.  Cells are
-    drawn in batches that read the same random stream as one-at-a-time
-    draws, and a batch never holds more cells than are still wanted, so
-    rejecting a positive cell leaves the stream where a draw-until-accepted
-    loop would.
+    The draws are ranks in the zero cells' row-major order, from one
+    rng.integers call.  Since `cells` is strictly increasing, cells[j] - j
+    zero cells precede entry j, so the zero cell of rank q is q plus the
+    count of entries j with cells[j] - j <= q.  A tensor with no zero cell
+    or no entry draws nothing.
     """
-    shape, nnz, positives = tensor.shape, tensor.nnz, tensor.cells
+    shape, nnz = tensor.shape, tensor.nnz
     n_zero = math.prod(shape) - nnz
     wanted = k * nnz if n_zero else 0
+    rank = rng.integers(n_zero, size=wanted)
+    rank += np.searchsorted(tensor.cells - np.arange(nnz), rank, side="right")
     cells = np.zeros((nnz + wanted, len(shape) + 2))
     cells[:nnz] = np.column_stack((*tensor.coords, tensor.values, np.ones(nnz)))
+    cells[nnz:, :-2] = np.column_stack(np.unravel_index(rank, shape))
     cells[nnz:, -1] = n_zero / wanted if wanted else 0.0
-    filled = nnz
-    while filled < len(cells):
-        batch = rng.integers(shape, size=(len(cells) - filled, len(shape)))
-        flat = np.ravel_multi_index(batch.T, shape)
-        # positives is sorted: a draw is one when the first not below it equals it
-        batch = batch[positives[np.searchsorted(positives, flat) % nnz] != flat]
-        cells[filled:filled + len(batch), :-2] = batch
-        filled += len(batch)
     return cells
 
 
@@ -80,9 +75,10 @@ def sample_cells(w, x, k, rng):
 
     Returns (w_cells, x_cells), float arrays with one row per cell; w_cells
     rows are (pred, tok, target, weight), x_cells rows are (rel, head, dep,
-    target, weight).  Negatives are uniform over zero cells, with weight
-    n_zero / (k * n_pos) so the expected sampled zero-cell loss equals the
-    full zero-cell loss.
+    target, weight).  Negatives are uniform over zero cells, each the zero
+    cell of a uniform rank in row-major cell order (W's draws, then X's),
+    with weight n_zero / (k * n_pos) so the expected sampled zero-cell loss
+    equals the full zero-cell loss.
     """
     return _sample(w, k, rng), _sample(x, k, rng)
 

@@ -60,6 +60,13 @@ class TestInferBove:
                 e = 0.5 * (e + e_next)
             np.testing.assert_array_equal(infer_bove(w, x, model, iters=iters), e)
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_fewer_than_one_solve_is_refused(self, iters):
+        data = synth.generate(4, n_sentences=1, n_tokens=4, c=6, d=2, r=3)
+        _, w, x = data.sentences[0]
+        with pytest.raises(ValueError, match="^iters must be >= 1, got %d$" % iters):
+            infer_bove(w, x, data.model, iters=iters)
+
     def test_orthonormal_p_no_ridge(self):
         # orthonormal columns and lambda_e=0: E = W^T P exactly
         q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(6, 3)))

@@ -10,6 +10,10 @@ update_E_sentence solve are checked without a reference solver:
 - predicate relabeling: permuting P's rows and W's row ids leaves E
   unchanged (one solve and the averaged step only, see
   test_infer_bove_returns_a_fixed_point).
+The P and R steps follow the gauge and the relabelings too, and ALS
+training the gauge; ALS training on the sentences in another order
+permutes only the E store; and SGD's batch gradients are the sum of its
+sentences' own.
 See Chen et al., "Metamorphic Testing: A Review of Challenges and
 Opportunities" (ACM Computing Surveys 2018).
 """
@@ -25,6 +29,7 @@ from bove.als import averaged_E_step, train, update_E_sentence, update_P, update
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor
 from bove.inference import infer_bove
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
+from bove.sgd import sample_cells, sampled_loss_and_grads
 
 
 def sentence_cells(draw, c, d, n):
@@ -238,6 +243,53 @@ def test_als_train_from_a_rotated_start_rotates_P_and_R(seed):
                       (rotated.model.R, q.T @ base.model.R @ q)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
     np.testing.assert_allclose(rotated.trace, base.trace, rtol=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), perm=st.permutations(range(6)))
+def test_als_train_on_a_permuted_corpus_permutes_the_E_store(seed, perm):
+    """Five ALS rounds on the sentences in another order give the same P, R
+    and objective trace, and the E store in that order, to 1e-10."""
+    data = synth.generate(seed, n_sentences=6, n_tokens=5, c=10, d=2, r=4,
+                          mode="discrete")
+    hyper = Hyperparams(r=4, max_rounds=5, rel_improvement_stop=0.0)
+    start = init_for_training(types.SimpleNamespace(c=10, d=2), hyper, seed=0)
+    base, permuted = (train([data.sentences[s][1] for s in sentences],
+                            [data.sentences[s][2] for s in sentences], start, hyper)
+                      for sentences in (range(6), perm))
+    pairs = [(permuted.model.P, base.model.P), (permuted.model.R, base.model.R)]
+    pairs += [(e, base.e_store[s]) for e, s in zip(permuted.e_store, perm, strict=True)]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_allclose(permuted.trace, base.trace, rtol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=corpora(), k=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_sgd_batch_gradients_are_the_sum_of_one_sentence_gradients(corpus, k, seed):
+    """With lambda_p = lambda_r = 0, sampled_loss_and_grads on a batch is the
+    sum of its one-sentence calls on the same samples: the loss, g_p and g_r
+    add up and each sentence's g_e is its own call's.  A sentence whose E
+    rows are read at another sentence's offset breaks it."""
+    rng = np.random.default_rng(seed)
+    d, r = corpus.xs[0].d, corpus.p.shape[1]
+    model = TypeEmbeddings(
+        P=corpus.p, R=rng.uniform(-1.0, 1.0, size=(d, r, r)) / r, frozen_p_rows=corpus.frozen,
+        hyper=Hyperparams(r=r, alpha=corpus.alpha, lambda_p=0.0, lambda_r=0.0, lambda_e=0.1))
+    batch = [int(s) for s in rng.permutation(len(corpus.ws))]
+    samples = {s: sample_cells(corpus.ws[s], corpus.xs[s], k, rng) for s in batch}
+    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, corpus.es,
+                                                 model.hyper, 1.0)
+    alone = [sampled_loss_and_grads([s], samples, model, corpus.es, model.hyper, 1.0)
+             for s in batch]
+    assert loss == pytest.approx(sum(one[0] for one in alone), rel=1e-12, abs=0)
+    # the sentences' gradients can cancel, so the sum is held to 1e-12 of
+    # the largest term
+    for got, parts in ((g_p, [one[1] for one in alone]), (g_r, [one[2] for one in alone])):
+        scale = max(np.abs(part).max() for part in parts)
+        np.testing.assert_allclose(got, sum(parts), rtol=0, atol=1e-12 * scale)
+    for s, one in zip(batch, alone):
+        assert_close(g_e[s], one[3][s])
 
 
 @pytest.mark.xfail(strict=True, reason="30 damped solves need not contract; "
