@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import check_operands, reconstruction_loss
-from .errors import DimensionMismatch, DivergenceError, SingularSystemError
+from .errors import BoveError, DimensionMismatch, DivergenceError, SingularSystemError
 
 ALS_R_CAP = 100
 
@@ -32,26 +32,25 @@ def numeric_errors_as(error, what):
 
 
 def _spd_solve_right(gram, rhs, ridge, what):
-    """Solve Z (gram + ridge I) = rhs for Z via a Cholesky factorization.
+    """Solve Z (gram + ridge I) = rhs for Z, returned C-contiguous.
 
     gram must be symmetric PSD; with ridge == 0 a singular gram is an error
-    (deterministic behavior, no pseudo-inverse).  scipy is imported here, at
-    the first solve, so the commands that never solve do not load it.
+    (deterministic behavior, no pseudo-inverse).  A Cholesky factorization
+    checks positive definiteness; numpy has no triangular solve, so LU solves.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
-    a = gram + ridge * np.eye(gram.shape[0])
+    a = gram.copy()
+    a.flat[::len(a) + 1] += ridge
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise DivergenceError("%s system has a non-finite entry" % what)
     try:
-        factor = cho_factor(a, lower=True, check_finite=False)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         if ridge > 0:
             raise DivergenceError("%s system is not positive definite" % what) from None
         raise SingularSystemError(
             "%s system is singular; set its regularizer > 0" % what
         ) from None
-    return cho_solve(factor, rhs.T, check_finite=False).T
+    return np.ascontiguousarray(np.linalg.solve(a, rhs.T).T)
 
 
 def update_P(ws, es, lambda_p, p_current=None, frozen=None):
@@ -83,25 +82,32 @@ def _check_rank(r):
                                 "use the SGD trainer, trainer=sgd" % (r, ALS_R_CAP))
 
 
+def check_corpus(ws, xs):
+    """Refuse a corpus with no sentence, or with unequal W and X counts."""
+    if len(ws) != len(xs):
+        raise BoveError("corpus has %d W tensors but %d X tensors" % (len(ws), len(xs)))
+    if not ws:
+        raise BoveError("no sentences to train on")
+
+
 def update_R(xs, es, lambda_r, alpha=1.0):
     """Exact minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
 
     Solved through the Kronecker reformulation: each relation slice is the
     row-major matricization of one row of R' = alpha X'E' (alpha E'^T E' +
     lambda_r I)^-1 with E'_s = E_s kron E_s.  Requires an r^2 x r^2 solve,
-    hence the cap ALS_R_CAP on r.  The normal equations are streamed over the
-    corpus: ktk = sum (E_s^T E_s) kron (E_s^T E_s) (r^2 x r^2) and
+    hence the cap ALS_R_CAP on r.  Normal equations: ktk = sum G_s kron G_s
+    (r^2 x r^2, G_s = E_s^T E_s) is one contraction of the stacked Grams, and
     xk = sum X'_s (E_s kron E_s) (d x r^2), row k summing v vec(e_h e_t^T)
     over X's entries (k, h, t, v).
     """
     r = es[0].shape[1]
     _check_rank(r)
     d = xs[0].d
-    ktk = np.zeros((r * r, r * r))
+    grams = np.stack([e.T @ e for e in es])
+    ktk = np.einsum("sac,sbd->abcd", grams, grams, optimize=True).reshape(r * r, r * r)
     xk = np.zeros((d, r * r))
     for x, e in zip(xs, es):
-        gram = e.T @ e
-        ktk += np.kron(gram, gram)
         for k, _, heads, deps, values in x.relation_slices():
             xk[k] += (e[heads].T @ (values[:, None] * e[deps])).ravel()
     r_flat = _spd_solve_right(alpha * ktk, alpha * xk, lambda_r, "R update")
@@ -223,13 +229,14 @@ class TrainResult:
 def train(ws, xs, model, hyper, log=None):
     """Full ALS loop: E sweeps, closed-form P and R updates, stopping rule.
 
-    E starts at zero (matching the test-time setting).  Every
-    e_reinit_period rounds E is reset to zeros and e_reinit_burst E-only
-    averaged sweeps run instead of that round's single sweep.  Training
-    stops when the relative objective improvement over one round drops to
-    rel_improvement_stop, or at max_rounds; it diverges on overflow.  The
-    returned model carries hyper; r above ALS_R_CAP is refused before any work.
+    E starts at zero (matching the test-time setting).  Every e_reinit_period
+    rounds E is reset to zeros and e_reinit_burst E-only averaged sweeps run
+    instead of that round's single sweep.  Training stops when the relative
+    objective improvement over one round drops to rel_improvement_stop, or at
+    max_rounds; it diverges on overflow.  The returned model carries hyper.
+    An empty or uneven corpus, and r > ALS_R_CAP, are refused before any work.
     """
+    check_corpus(ws, xs)
     _check_rank(hyper.r)
     _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()

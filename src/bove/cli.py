@@ -95,8 +95,6 @@ def cmd_encode(cfg):
 
 def cmd_train(cfg):
     c, d, sentences, vocab = _training_tensors(cfg)
-    if not sentences:
-        raise BoveError("no sentences to train on")
     _require(cfg, "model")
     hyper = cfg.hyper
     ws = [w for _, w, _ in sentences]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .als import log_round, numeric_errors_as
+from .als import check_corpus, log_round, numeric_errors_as
 from .encoding import runs
 from .errors import DivergenceError
 from .model import check_bounds
@@ -196,8 +196,9 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
 
     Single-threaded and fully deterministic given config.seed.  The trace
     records the summed sampled batch losses per epoch; diverges on overflow.
-    The returned model carries hyper.
+    The returned model carries hyper; an empty or uneven corpus is refused.
     """
+    check_corpus(ws, xs)
     model = model.copy()
     model.hyper = hyper
     rng = np.random.default_rng(config.seed)

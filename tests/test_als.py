@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from bove.als import (
     update_R,
 )
 from bove.encoding import from_dense, reconstruction_loss
-from bove.errors import DimensionMismatch, DivergenceError, SingularSystemError
+from bove.errors import BoveError, DimensionMismatch, DivergenceError, SingularSystemError
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
 from oracles import loss_gradient_E_dense, minimize_e_quadratic
@@ -51,6 +52,36 @@ def random_instance(rng, n_sentences=3, n=4, r=3, c=5, d=2, realizable=False):
     ws = [w for w, _ in pairs]
     xs = [x for _, x in pairs]
     return ws, xs, es
+
+
+def raises_exactly(error, message):
+    return pytest.raises(error, match="^%s$" % re.escape(message))
+
+
+class TestSolves:
+    """Every P, R and E solve goes through als._spd_solve_right."""
+
+    def test_results_are_c_contiguous(self):
+        rng = np.random.default_rng(8)
+        ws, xs, es = random_instance(rng)
+        p, r_tensor = rng.normal(size=(5, 3)), 0.5 * rng.normal(size=(2, 3, 3))
+        for result in (update_P(ws, es, 0.1), update_R(xs, es, 0.1),
+                       update_E_sentence(ws[0], xs[0], p, r_tensor, es[0], lambda_e=0.1)):
+            assert result.flags.c_contiguous
+
+    @pytest.mark.parametrize("gram, rhs, ridge, error, message", [
+        ([[1.0, np.nan], [np.nan, 1.0]], np.ones((3, 2)), 0.1, DivergenceError,
+         "Z system has a non-finite entry"),
+        (np.eye(2), [[1.0, np.inf], [0.0, 1.0]], 0.1, DivergenceError,
+         "Z system has a non-finite entry"),
+        (np.diag([1.0, -1.0]), np.ones((3, 2)), 0.1, DivergenceError,
+         "Z system is not positive definite"),
+        (np.diag([1.0, 0.0]), np.ones((3, 2)), 0.0, SingularSystemError,
+         "Z system is singular; set its regularizer > 0"),
+    ], ids=["non-finite-gram", "non-finite-rhs", "indefinite", "singular"])
+    def test_error_branches(self, gram, rhs, ridge, error, message):
+        with raises_exactly(error, message):
+            als._spd_solve_right(np.asarray(gram), np.asarray(rhs), ridge, "Z")
 
 
 class TestUpdateP:
@@ -122,6 +153,12 @@ class TestUpdateR:
         with pytest.raises(DimensionMismatch, match="cap"):
             update_R([x], [np.zeros((2, ALS_R_CAP + 1))], lambda_r=0.1)
 
+    def test_singular_without_ridge(self):
+        _, x = sparse_sentence(np.zeros((1, 3)), np.ones((2, 3, 3)))
+        with raises_exactly(SingularSystemError,
+                            "R update system is singular; set its regularizer > 0"):
+            update_R([x], [np.zeros((3, 2))], lambda_r=0.0)
+
     def test_kronecker_vec_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -170,6 +207,13 @@ class TestUpdateE:
             closed = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lam)
             oracle = minimize_e_quadratic(wd, xd, p, r_tensor, e_prev, alpha, lam)
             np.testing.assert_allclose(closed, oracle, rtol=1e-4, atol=1e-6)
+
+    def test_singular_without_ridge(self):
+        w, x = sparse_sentence(np.ones((2, 3)), np.ones((1, 3, 3)))
+        with raises_exactly(SingularSystemError,
+                            "E update system is singular; set its regularizer > 0"):
+            update_E_sentence(w, x, np.zeros((2, 2)), np.zeros((1, 2, 2)),
+                              np.zeros((3, 2)), lambda_e=0.0)
 
     def test_dimension_mismatch(self):
         w, x = sparse_sentence(np.zeros((2, 3)), np.zeros((1, 3, 3)))
@@ -354,6 +398,24 @@ class TestTrain:
         monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
         with pytest.raises(DimensionMismatch, match="trainer=sgd"):
             train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+
+    @pytest.mark.parametrize("n_w, n_x, message", [
+        (0, 0, "no sentences to train on"),
+        (4, 2, "corpus has 4 W tensors but 2 X tensors"),
+        (0, 2, "corpus has 0 W tensors but 2 X tensors"),
+    ], ids=["empty", "more-W", "no-W"])
+    def test_corpus_is_checked_before_any_sweep(self, monkeypatch, n_w, n_x, message):
+        ws, xs = self.make_corpus()
+        hyper = Hyperparams(r=3)
+        monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
+        with raises_exactly(BoveError, message):
+            train(ws[:n_w], xs[:n_x], init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+
+    def test_trained_P_and_R_are_c_contiguous(self):
+        ws, xs = self.make_corpus()
+        hyper = Hyperparams(r=3, max_rounds=2)
+        model = train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper).model
+        assert model.P.flags.c_contiguous and model.R.flags.c_contiguous
 
     def test_exact_recovery(self):
         ws, xs = self.make_corpus()

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from bove import sgd, synth
 from bove.als import corpus_objective
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor, from_dense
-from bove.errors import DivergenceError
+from bove.errors import BoveError, DivergenceError
 from bove.model import Hyperparams, init_for_training
 from bove.sgd import (
     SgdConfig,
@@ -535,6 +535,19 @@ class TestTrainSgd:
         np.testing.assert_array_equal(out.P, model.P)
         np.testing.assert_array_equal(out.R, model.R)
         assert trace == []
+
+    @pytest.mark.parametrize("n_w, n_x, message", [
+        (0, 0, "no sentences to train on"),
+        (4, 2, "corpus has 4 W tensors but 2 X tensors"),
+        (0, 2, "corpus has 0 W tensors but 2 X tensors"),
+    ], ids=["empty", "more-W", "no-W"])
+    def test_corpus_is_checked_before_any_step(self, monkeypatch, n_w, n_x, message):
+        ws, xs = micro_corpus(n_sentences=4)
+        hyper = Hyperparams(r=2)
+        monkeypatch.setattr(sgd, "sgd_step", None)  # a step would fail here
+        with pytest.raises(BoveError, match="^%s$" % message):
+            train_sgd(ws[:n_w], xs[:n_x], init_for_training(Dims(4, 2), hyper, seed=5),
+                      hyper, SgdConfig(epochs=1))
 
     def test_returns_the_hyperparameters_it_trained_with(self):
         ws, xs = micro_corpus()

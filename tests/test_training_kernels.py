@@ -109,13 +109,15 @@ def test_kernels_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
 
-def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2):
+def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2, sentences=1):
+    """One sentence, or `sentences` copies of it, each with its own E."""
     rng = np.random.default_rng(7)
     w, x = sentence(c, d, n, w_cells, w_values, x_cells, x_values)
     model = TypeEmbeddings(P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
                            frozen_p_rows=np.array([True] + [False] * (c - 1)),
                            hyper=Hyperparams(r=r, alpha=0.7))
-    return [w], [x], [rng.normal(size=(n, r))], model
+    return ([w] * sentences, [x] * sentences,
+            [rng.normal(size=(n, r)) for _ in range(sentences)], model)
 
 
 @pytest.mark.parametrize("corpus", [
@@ -128,8 +130,10 @@ def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2):
     fixed_corpus(list(itertools.product(range(3), range(3))), np.linspace(-1, 1, 9),
                  list(itertools.product(range(2), range(3), range(3))),
                  np.linspace(2, 0, 18)),
+    fixed_corpus([(0, 0), (1, 1), (2, 2)], [1.0, 1.0, 1.0],
+                 [(0, 0, 1), (1, 1, 2)], [1.0, 0.5], r=3, sentences=12),
 ], ids=["repeated-coordinates", "stored-zeros", "n=1", "no-relations",
-        "every-row-and-relation", "every-cell"])
+        "every-row-and-relation", "every-cell", "12-sentences-at-r=3"])
 def test_edge_cases_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
