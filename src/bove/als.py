@@ -140,20 +140,11 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 
-def damped_refreshes(refresh, e_start, steps):
-    """One raw refresh of e_start, then `steps` moves to the midpoint of E and
-    its refresh, which damps the raw iteration's overcompensation.  Callers
-    pass a refresh over their own module's update_E_sentence, counted apart."""
-    e = refresh(e_start)
-    for _ in range(steps):
-        e = 0.5 * (e + refresh(e))
-    return e
-
-
 def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
-    """Two consecutive E refreshes with P, R fixed, then their average."""
-    return damped_refreshes(
-        lambda e: update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e), e_current, 1)
+    """Two consecutive E refreshes with P, R fixed, then their average, which
+    damps the raw iteration's overcompensation."""
+    e = update_E_sentence(w, x, p, r_tensor, e_current, alpha, lambda_e)
+    return 0.5 * (e + update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e))
 
 
 def regularize_R_l1(r_tensor, tau):

@@ -264,6 +264,9 @@ class Vocabulary:
                     if line.startswith("#thresholds"):
                         for part in line.split("\t")[1:]:
                             key, val = part.split("=")
+                            if key not in ("word", "pos", "relation"):
+                                raise VocabularyError("%s line %d: unknown threshold %r"
+                                                      % (path, line_no, key))
                             setattr(vocab, key + "_threshold", int(val))
                         continue
                     ns, label, sid, cnt = line.split("\t")

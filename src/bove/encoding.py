@@ -278,6 +278,8 @@ def read_tensor_file(path):
                 raise BoveError("%s line %d: %s entry before the first 'sentence' line"
                                 % (path, line_no, tag))
             try:
+                if tag in ("dims", "sentence") and len(parts) > 3:
+                    raise ValueError("too many fields")
                 if tag == "dims":
                     if c is not None:
                         raise BoveError("%s line %d: a second 'dims' line"

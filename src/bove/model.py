@@ -263,9 +263,14 @@ def load_model(path):
 
 def write_bags(path, bags):
     """Write (sentence_id, E) pairs as an embedding-bag file.  Every id is
-    checked (encoding.check_sentence_id) before the file is opened."""
-    for sid, _ in bags:
+    checked (encoding.check_sentence_id), and every E for the n x r shape,
+    n and r at least 1, that read_bags accepts, before the file is opened."""
+    for sid, e in bags:
         check_sentence_id(sid)
+        shape = np.shape(e)
+        if len(shape) != 2 or min(shape) < 1:
+            raise DimensionMismatch("bag %s has shape %s; it must be n x r with n and r "
+                                    "at least 1" % (sid, shape))
     with open(path, "wb") as f:
         for sid, e in bags:
             e = np.ascontiguousarray(e, dtype="<f8")

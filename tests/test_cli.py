@@ -390,6 +390,13 @@ MALFORMED_INPUTS = {
         "scores.tsv", "p1\t0.5\t4.0\n", ("eval", "--mode", "sts"), "line 1"),
     "bag header without r": (
         "bags.bin", "a b\n", ("score", "--mode", "sts"), "record 1"),
+    "tensor dims line with an extra field": (
+        "tensors.txt", "dims 3 2 99\nsentence s0 1\nW 2 0 1\n", ("train",), "line 1"),
+    "tensor sentence line with an extra field": (
+        "tensors.txt", "dims 3 2\nsentence s0 1 junk\nW 2 0 1\n", ("train",), "line 2"),
+    "unknown vocabulary threshold": (
+        "vocab.txt", "#thresholds\tword=2\tbogus=5\n", ("encode",),
+        "vocab.txt line 1: unknown threshold 'bogus'"),
     "negative tensor dims": (
         "tensors.txt", "dims -3 2\n", ("train",), "line 1"),
     "negative sentence length": (

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,15 @@ class TestBuildVocabulary:
         assert loaded.counts == vocab.counts
         assert loaded.word_threshold == vocab.word_threshold
         assert loaded.raw_word_counts == vocab.raw_word_counts
+
+    @pytest.mark.parametrize("key", ["bogus", "word_threshold", "Word", ""])
+    def test_unknown_threshold_key_is_refused(self, tmp_path, key):
+        # only word, pos and relation thresholds exist; setattr would take any key
+        path = tmp_path / "vocab.txt"
+        path.write_text("p\tNN\t0\t4\n#thresholds\tword=2\t%s=5\n" % key)
+        with pytest.raises(VocabularyError,
+                           match=re.escape("vocab.txt line 2: unknown threshold %r" % key)):
+            Vocabulary.load(path)
 
 
 # Vocabulary.save output for small_vocab(), recorded before the namespace

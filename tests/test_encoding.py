@@ -164,6 +164,16 @@ class TestCoordinateText:
         assert w.nnz == 2 and entries_of(w) == {(0, 1): 1.0, (1, 0): 2.5}
         assert x.nnz == 1 and entries_of(x) == {(0, 1, 0): 1.25}
 
+    @pytest.mark.parametrize("text, where", [
+        ("dims 3 2 99\nsentence s0 1\nW 2 0 1\n", "line 1: malformed 'dims' line"),
+        ("dims 3 2\nsentence s0 1 junk\nW 2 0 1\n", "line 2: malformed 'sentence' line"),
+    ], ids=["dims", "sentence"])
+    def test_header_line_with_an_extra_field_is_refused(self, tmp_path, text, where):
+        path = tmp_path / "tensors.txt"
+        path.write_text(text)
+        with pytest.raises(BoveError, match=where):
+            read_tensor_file(path)
+
     def test_second_dims_line_is_refused(self, tmp_path):
         # s0 would otherwise be built with the second line's sizes
         path = tmp_path / "tensors.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bove import synth
+from bove import inference, synth
 from bove.als import update_E_sentence
 from bove.encoding import (
     SparsePropertyMatrix,
@@ -21,6 +21,19 @@ def relation_free(n):
                                 deps=np.array([], dtype=np.int64))
 
 
+def record_solves(monkeypatch):
+    """The (E in, E out) pair of each solve made from now on through
+    bove.inference's update_E_sentence."""
+    solves = []
+
+    def recorded(w, x, p, r_tensor, e_prev, alpha, lambda_e):
+        e_new = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lambda_e)
+        solves.append((e_prev, e_new))
+        return e_new
+    monkeypatch.setattr(inference, "update_E_sentence", recorded)
+    return solves
+
+
 def make_model(p, r_tensor, hyper):
     p = np.asarray(p, dtype=np.float64)
     r_tensor = np.asarray(r_tensor, dtype=np.float64)
@@ -34,8 +47,8 @@ def make_model(p, r_tensor, hyper):
 
 class TestInferBove:
     def test_relation_free_closed_form(self):
-        # with no relations every refresh returns the ridge solution, so
-        # averaging is a no-op at every iteration count
+        # with no relations and R = 0 every refresh returns the ridge
+        # solution, so every solve cap gives it
         rng = np.random.default_rng(0)
         p = rng.normal(size=(5, 3))
         w, _ = from_dense(rng.normal(size=(5, 4)), np.zeros((1, 4, 4)))
@@ -47,18 +60,56 @@ class TestInferBove:
             got = infer_bove(w, x, model, iters=iters)
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
-    @pytest.mark.parametrize("iters", [1, 2, 30])
-    def test_one_raw_refresh_then_midpoints(self, iters):
+    def test_one_solve_is_the_raw_refresh(self):
         data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, r=3)
         model, hyper = data.model, data.model.hyper
         for _, w, x in data.sentences:
-            e = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
-                                  hyper.alpha, hyper.lambda_e)
-            for _ in range(iters - 1):
-                e_next = update_E_sentence(w, x, model.P, model.R, e,
-                                           hyper.alpha, hyper.lambda_e)
-                e = 0.5 * (e + e_next)
-            np.testing.assert_array_equal(infer_bove(w, x, model, iters=iters), e)
+            raw = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
+                                    hyper.alpha, hyper.lambda_e)
+            np.testing.assert_array_equal(infer_bove(w, x, model, iters=1), raw)
+
+    @pytest.mark.parametrize("iters", [1, 2, 30])
+    def test_solves_never_exceed_the_cap(self, monkeypatch, iters):
+        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, r=3)
+        solves = record_solves(monkeypatch)
+        for _, w, x in data.sentences:
+            solves.clear()
+            infer_bove(w, x, data.model, iters=iters)
+            assert 1 <= len(solves) <= iters
+            assert not solves[0][0].any()  # the first solve refreshes zeros
+
+    def test_stops_below_the_cap_at_a_fixed_point(self, monkeypatch):
+        # the run returns its last refresh, which moved E by at most TOL of
+        # its norm; 500 solves of the 0.5-damped iteration stand in for the
+        # fixed point
+        data = synth.generate(5, n_sentences=4, n_tokens=6, c=12, d=3, r=4)
+        model, hyper = data.model, data.model.hyper
+        solves = record_solves(monkeypatch)
+        for _, w, x in data.sentences:
+            solves.clear()
+            e = infer_bove(w, x, model)
+            assert len(solves) < hyper.inference_iters
+            e_in, e_out = solves[-1]
+            np.testing.assert_array_equal(e, e_out)
+            assert np.linalg.norm(e_out - e_in) <= inference.TOL * np.linalg.norm(e_out)
+            want = np.zeros((w.n, hyper.r))
+            for step in range(500):
+                refreshed = update_E_sentence(w, x, model.P, model.R, want,
+                                              hyper.alpha, hyper.lambda_e)
+                want = refreshed if step == 0 else 0.5 * (want + refreshed)
+            assert np.linalg.norm(e - want) <= 1e-7 * np.linalg.norm(want)
+
+    def test_sentence_without_entries_stops_at_zero(self, monkeypatch):
+        # zero refreshes zero: the step and its bound are both 0, and no
+        # ratio of norms is taken (pytest turns warnings into errors)
+        empty = SparsePropertyMatrix(c=5, n=3, rows=[], cols=[])
+        hyper = Hyperparams(r=2, lambda_e=0.1)
+        rng = np.random.default_rng(5)
+        model = make_model(rng.normal(size=(5, 2)), rng.normal(size=(1, 2, 2)), hyper)
+        solves = record_solves(monkeypatch)
+        e = infer_bove(empty, relation_free(3), model)
+        np.testing.assert_array_equal(e, np.zeros((3, 2)))
+        assert len(solves) == 2
 
     @pytest.mark.parametrize("iters", [0, -3])
     def test_fewer_than_one_solve_is_refused(self, iters):

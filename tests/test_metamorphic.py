@@ -8,8 +8,9 @@ update_E_sentence solve are checked without a reference solver:
   leaves E unchanged;
 - orthogonal gauge: P -> PQ and R_k -> Q^T R_k Q give E -> EQ;
 - predicate relabeling: permuting P's rows and W's row ids leaves E
-  unchanged (one solve and the averaged step only, see
-  test_infer_bove_returns_a_fixed_point).
+  unchanged.
+One solve and the averaged step follow each relation to rounding (1e-12);
+infer_bove to INFER_BOUND, since it stops near the fixed point, not at it.
 The P and R steps follow the gauge and the relabelings too, and ALS
 training the gauge; ALS training on the sentences in another order
 permutes only the E store; and SGD's batch gradients are the sum of its
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from bove import synth
 from bove.als import averaged_E_step, train, update_E_sentence, update_P, update_R
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor
-from bove.inference import infer_bove
+from bove.inference import TOL, infer_bove
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 from bove.sgd import sample_cells, sampled_loss_and_grads
 
@@ -68,7 +69,7 @@ def instances(draw):
     coordinate; lambda_e is 0.1.  The arrays come from a drawn seed.  The
     cells are drawn as sentence_cells draws them, and P and R as synth draws
     its ground truth.  On stronger relation blocks (self-loops, or R of unit
-    scale) 30 damped solves need not contract, and then amplify rounding
+    scale) the averaged step need not contract, and then amplifies rounding
     past 1e-12.
     """
     c, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
@@ -110,8 +111,20 @@ def with_parameters(model, p, r_tensor):
                           hyper=model.hyper)
 
 
+# infer_bove returns E once a refresh moves it by at most TOL of its norm.
+# Such an E lies about |(I - J)^-1| TOL |E| from the fixed point, J the
+# refresh's Jacobian there, and two runs of one problem, whose rounding
+# differs, need not stop at the same solve.  On 2,000 drawn instances |E|
+# stayed below 2.8 times E's largest entry and |(I - J)^-1| had a median of
+# 2.2 and a 99th percentile of 74, so the infer relations are held to 1e3
+# TOL of the largest entry; over 20,000 draws of each the worst was 1.7e-6.
+# The cap lets nearly every draw converge (1 in 20,000 needed more solves).
+INFER_BOUND = 1e3 * TOL
+INFER_CAP = 1000
+
+
 def infer(w, x, model, e_start):
-    return infer_bove(w, x, model)
+    return infer_bove(w, x, model, iters=INFER_CAP)
 
 
 def averaged_step(w, x, model, e_start):
@@ -127,9 +140,11 @@ def one_solve(w, x, model, e_start):
 SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step, one_solve])
 
 
-def assert_close(got, want):
-    """Equal to 1e-12 relative to the largest entry of the reference."""
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+def assert_close(got, want, solve=None):
+    """Equal to 1e-12 (to INFER_BOUND for infer) relative to the largest
+    entry of the reference."""
+    bound = INFER_BOUND if solve is infer else 1e-12
+    np.testing.assert_allclose(got, want, rtol=0, atol=bound * np.abs(want).max())
 
 
 @SOLVERS
@@ -144,7 +159,7 @@ def test_token_relabeling_permutes_the_rows_of_E(solve, instance):
     renamed_start = np.empty_like(e_start)
     renamed_start[perm] = e_start
     got = solve(renamed_w, renamed_x, model, renamed_start)
-    assert_close(got[perm], solve(w, x, model, e_start))
+    assert_close(got[perm], solve(w, x, model, e_start), solve)
 
 
 @SOLVERS
@@ -155,7 +170,8 @@ def test_edge_reversal_leaves_E_unchanged(solve, instance):
     reversed_x = SparseRelationTensor(d=x.d, n=x.n, rels=x.rels, heads=x.deps,
                                       deps=x.heads, values=x.values)
     transposed = with_parameters(model, model.P, model.R.transpose(0, 2, 1))
-    assert_close(solve(w, reversed_x, transposed, e_start), solve(w, x, model, e_start))
+    assert_close(solve(w, reversed_x, transposed, e_start), solve(w, x, model, e_start),
+                 solve)
 
 
 @SOLVERS
@@ -164,10 +180,10 @@ def test_edge_reversal_leaves_E_unchanged(solve, instance):
 def test_orthogonal_gauge_rotates_E(solve, instance):
     w, x, model, e_start, _, _, q = instance
     rotated = with_parameters(model, model.P @ q, q.T @ model.R @ q)
-    assert_close(solve(w, x, rotated, e_start @ q), solve(w, x, model, e_start) @ q)
+    assert_close(solve(w, x, rotated, e_start @ q), solve(w, x, model, e_start) @ q, solve)
 
 
-@pytest.mark.parametrize("solve", [averaged_step, one_solve])
+@SOLVERS
 @settings(max_examples=100, deadline=None)
 @given(instance=instances())
 def test_predicate_relabeling_leaves_E_unchanged(solve, instance):
@@ -177,7 +193,7 @@ def test_predicate_relabeling_leaves_E_unchanged(solve, instance):
     renamed_p = np.empty_like(model.P)
     renamed_p[perm] = model.P
     renamed = with_parameters(model, renamed_p, model.R)
-    assert_close(solve(renamed_w, x, renamed, e_start), solve(w, x, model, e_start))
+    assert_close(solve(renamed_w, x, renamed, e_start), solve(w, x, model, e_start), solve)
 
 
 # The P and R steps: each ridge is invariant under the gauge and the
@@ -292,15 +308,13 @@ def test_sgd_batch_gradients_are_the_sum_of_one_sentence_gradients(corpus, k, se
         assert_close(g_e[s], one[3][s])
 
 
-@pytest.mark.xfail(strict=True, reason="30 damped solves need not contract; "
-                                       "converged inference is ROADMAP item 4")
 def test_infer_bove_returns_a_fixed_point():
     """One token with ten W entries and no edge, P and R at the scale of
     instances().  A fixed point exists (a 0.3-damped iteration reaches it to
     1e-16), but there the raw refresh's Jacobian has an eigenvalue of -4.77,
-    -1.89 after the 0.5 damping, so infer_bove's iteration oscillates: its
-    relative step is 0.76 at solve 30 and 0.80 at solve 400.  On draws of
-    this kind the infer cases of the relations above fail now and then."""
+    -1.89 after a 0.5 damping, so neither the raw nor the midpoint iteration
+    converges: the midpoint's relative step is 0.76 at solve 30 and 0.80 at
+    solve 400.  infer_bove's objective check reaches it within its cap."""
     w = SparsePropertyMatrix(c=3, n=1, rows=[0, 1, 0, 0, 2, 1, 1, 2, 0, 2], cols=[0] * 10,
                              values=[0.76, 0.92, 0.95, 1.46, 1.39, 0.78, 0.78, 0.92, 0.5, 0.81])
     x = SparseRelationTensor(d=2, n=1, rels=[], heads=[], deps=[])

@@ -293,6 +293,14 @@ class TestBags:
             write_bags(path, [("s0", np.ones((1, 2))), (sid, np.ones((1, 2)))])
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,), (1, 2, 2)])
+    def test_bag_the_reader_would_refuse_is_refused_before_writing(self, tmp_path, shape):
+        path = tmp_path / "bags.bin"
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "bag s1 has shape %s; it must be n x r with n and r at least 1" % (shape,))):
+            write_bags(path, [("s0", np.ones((1, 2))), ("s1", np.zeros(shape))])
+        assert not path.exists()
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "bags.bin"
         write_bags(path, [("s0", np.zeros((3, 3)))])
