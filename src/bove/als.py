@@ -1,10 +1,10 @@
 """Alternating least squares training of the factorization model.
 
-P and R have closed-form block updates built from streamed Gram sums; each
-sentence's E is refreshed by a damped (averaged) pair of least-squares
-solves.  Vectorization convention throughout: vec stacks matrix rows
-left-to-right (row-major), token pairs are enumerated row-major over
-(head, dependent), so vec(A.B.A^T) = (A kron A) . vec(B).
+P's closed-form update streams Gram sums over the sentences, R's contracts
+the stacked sentence Grams once; each sentence's E is refreshed by a damped
+(averaged) pair of least-squares solves.  Vectorization convention: vec
+stacks matrix rows left-to-right (row-major), token pairs are enumerated
+row-major over (head, dependent), so vec(A.B.A^T) = (A kron A) . vec(B).
 """
 
 import time
@@ -175,8 +175,9 @@ R_REGULARIZERS = {
 }
 
 
-def _regularizers(model, es, hyper):
+def _regularizers(model, es):
     """Sum of the P, R and E regularizer terms of the training objective."""
+    hyper = model.hyper
     penalty, _ = R_REGULARIZERS[hyper.r_regularizer]
     return (
         hyper.lambda_p * float(np.sum(model.P ** 2))
@@ -185,14 +186,14 @@ def _regularizers(model, es, hyper):
     )
 
 
-def corpus_objective(ws, xs, es, model, hyper, data_fit_only=False):
-    """Regularized (or pure data-fit) objective over the whole corpus."""
+def corpus_objective(ws, xs, es, model, data_fit_only=False):
+    """Regularized (or pure data-fit) objective over the corpus, under model.hyper."""
     data_fit = 0.0
     for w, x, e in zip(ws, xs, es):
-        data_fit += reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha)
+        data_fit += reconstruction_loss(w, x, model.P, model.R, e, model.hyper.alpha)
     if data_fit_only:
         return data_fit
-    return data_fit + _regularizers(model, es, hyper)
+    return data_fit + _regularizers(model, es)
 
 
 def log_round(log, round_no, trace, seconds, suffix=""):
@@ -217,24 +218,24 @@ class TrainResult:
 
 
 @numeric_errors_as(DivergenceError, "training diverged")
-def train(ws, xs, model, hyper, log=None):
-    """Full ALS loop: E sweeps, closed-form P and R updates, stopping rule.
+def train(ws, xs, model, log=None):
+    """Full ALS loop under model.hyper: E sweeps, P and R updates, stopping rule.
 
     E starts at zero (matching the test-time setting).  Every e_reinit_period
     rounds E is reset to zeros and e_reinit_burst E-only averaged sweeps run
     instead of that round's single sweep.  Training stops when the relative
     objective improvement over one round drops to rel_improvement_stop, or at
-    max_rounds; it diverges on overflow.  The returned model carries hyper.
+    max_rounds; it diverges on overflow.  It returns a trained copy of model.
     An empty or uneven corpus, and r > ALS_R_CAP, are refused before any work.
     """
     check_corpus(ws, xs)
+    hyper = model.hyper
     _check_rank(hyper.r)
     _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()
-    model.hyper = hyper
     es = [np.zeros((w.n, hyper.r)) for w in ws]
-    data_fit_trace = [corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)]
-    trace = [data_fit_trace[0] + _regularizers(model, es, hyper)]
+    data_fit_trace = [corpus_objective(ws, xs, es, model, data_fit_only=True)]
+    trace = [data_fit_trace[0] + _regularizers(model, es)]
     stopped = False
     for round_no in range(1, hyper.max_rounds + 1):
         t0 = time.perf_counter()
@@ -253,8 +254,8 @@ def train(ws, xs, model, hyper, log=None):
         model.R = update_R(xs, es, hyper.lambda_r, hyper.alpha)
         if shrink is not None:
             model.R = shrink(model.R, hyper.lambda_r)
-        data_fit = corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)
-        obj = data_fit + _regularizers(model, es, hyper)
+        data_fit = corpus_objective(ws, xs, es, model, data_fit_only=True)
+        obj = data_fit + _regularizers(model, es)
         if not np.isfinite(obj):
             raise DivergenceError("non-finite objective at round %d" % round_no)
         trace.append(obj)

@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import types
 
 from . import als, conll, encoding, inference, model as model_io, scoring, sgd, synth
 from .config import load_config
@@ -96,10 +95,9 @@ def cmd_encode(cfg):
 def cmd_train(cfg):
     c, d, sentences, vocab = _training_tensors(cfg)
     _require(cfg, "model")
-    hyper = cfg.hyper
     ws = [w for _, w, _ in sentences]
     xs = [x for _, _, x in sentences]
-    trained = model_io.init_for_training(types.SimpleNamespace(c=c, d=d), hyper, cfg.seed)
+    trained = model_io.init_for_training(c, d, cfg.hyper, cfg.seed)
     if cfg.vectors is not None:
         if vocab is None:
             raise ConfigError("pretrained vectors require a vocabulary, not tensors")
@@ -112,9 +110,9 @@ def cmd_train(cfg):
             log_file.flush()
 
         if cfg.trainer == "als":
-            trained = als.train(ws, xs, trained, hyper, log=log).model
+            trained = als.train(ws, xs, trained, log=log).model
         else:
-            trained, _, _ = sgd.train_sgd(ws, xs, trained, hyper, cfg.sgd, log=log)
+            trained, _, _ = sgd.train_sgd(ws, xs, trained, cfg.sgd, log=log)
     model_io.save_model(trained, cfg.model)
     print("wrote %s" % cfg.model)
     return EXIT_OK
@@ -192,7 +190,6 @@ def cmd_synth(cfg):
         n_tokens=cfg.synth_tokens,
         c=cfg.synth_predicates,
         d=cfg.synth_relations,
-        r=cfg.hyper.r,
         mode=cfg.synth_mode,
         threshold=cfg.synth_threshold,
         noise=cfg.synth_noise,

@@ -41,6 +41,9 @@ class _CoordinateTensor:
         for index, size, (_, _, counts) in zip(coords, self.shape, self.AXES):
             if len(index) and (index.min() < 0 or index.max() >= size):
                 raise DimensionMismatch("%s index out of range" % counts)
+        if math.prod(self.shape) > np.iinfo(np.int64).max:
+            raise DimensionMismatch("shape %s has more cells than an int64 index counts"
+                                    % (self.shape,))
         listed = np.ravel_multi_index(coords, self.shape)
         order = np.argsort(listed, kind="stable")  # a cell's copies keep their order
         listed = listed[order]
@@ -169,6 +172,8 @@ def check_operands(w, x, p, r_tensor, e):
     if r_tensor.shape != (x.d, r, r):
         raise DimensionMismatch("R shape %s incompatible with d=%d, r=%d"
                                 % (r_tensor.shape, x.d, r))
+    if e.ndim == 2 and e.shape[1] != r:
+        raise DimensionMismatch("E has rank %d but P has rank %d" % (e.shape[1], r))
     if e.shape != (w.n, r) or x.n != w.n:
         raise DimensionMismatch("token counts of W, X and E disagree: W n=%d, X n=%d, "
                                 "E shape %s for r=%d" % (w.n, x.n, e.shape, r))

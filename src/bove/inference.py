@@ -32,8 +32,8 @@ def _anderson(history):
     return e + MIXING * step - np.tensordot(gamma, d_e + MIXING * d_step, axes=1)
 
 
-def infer_bove(w, x, model, hyper=None, iters=None):
-    """Token embeddings (n x r) for one encoded sentence, P and R fixed.
+def infer_bove(w, x, model, iters=None):
+    """Token embeddings (n x r) for one sentence under model.hyper, P and R fixed.
 
     The first solve is the raw refresh of zeros.  Each later solve refreshes
     the current E; the refresh is returned once it moves E by at most TOL
@@ -44,8 +44,7 @@ def infer_bove(w, x, model, hyper=None, iters=None):
     given) is a cap, at which E is returned; a count below 1 raises
     ValueError.
     """
-    if hyper is None:
-        hyper = model.hyper
+    hyper = model.hyper
     total = iters if iters is not None else hyper.inference_iters
     if total < 1:
         raise ValueError("iters must be >= 1, got %d" % total)

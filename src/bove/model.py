@@ -6,6 +6,7 @@ pretrained word vectors can be pinned for an entire training run.
 """
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, fields, asdict
@@ -104,16 +105,15 @@ class TypeEmbeddings:
         )
 
 
-def init_for_training(vocab, hyper, seed):
-    """Fresh model: P uniform in [-0.5/r, 0.5/r], R all zeros, nothing frozen."""
+def init_for_training(c, d, hyper, seed):
+    """Fresh model for c predicates and d relations at rank hyper.r, carrying
+    hyper: P uniform in [-0.5/r, 0.5/r], R all zeros, nothing frozen."""
     rng = np.random.default_rng(seed)
     scale = 0.5 / hyper.r
-    p = rng.uniform(-scale, scale, size=(vocab.c, hyper.r))
-    r_tensor = np.zeros((vocab.d, hyper.r, hyper.r))
-    return TypeEmbeddings(
-        P=p, R=r_tensor,
-        frozen_p_rows=np.zeros(vocab.c, dtype=bool), hyper=hyper,
-    )
+    p = rng.uniform(-scale, scale, size=(c, hyper.r))
+    r_tensor = np.zeros((d, hyper.r, hyper.r))
+    return TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool),
+                          hyper=hyper)
 
 
 def read_word_vectors(path):
@@ -282,6 +282,7 @@ def read_bags(path):
     """Read an embedding-bag file back as a list of (sentence_id, E)."""
     bags = []
     with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size if f.seekable() else math.inf  # unknown for a pipe
         while True:
             header = f.readline()
             if not header:
@@ -299,8 +300,9 @@ def read_bags(path):
                     "bag record %d: n and r must be at least 1, got %r"
                     % (len(bags) + 1, header)
                 )
-            raw = f.read(n * r * 8)
-            if len(raw) != n * r * 8:
+            size = n * r * 8
+            left -= len(header) + size  # checked before a read of that size
+            if left < 0 or len(raw := f.read(size)) != size:
                 raise ModelTruncatedError("bag record for %s ended early" % sid)
             e = np.frombuffer(raw, dtype="<f8").reshape(n, r).copy()
             if not np.all(np.isfinite(e)):

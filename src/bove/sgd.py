@@ -96,17 +96,17 @@ def _add_rows(out, index, rows):
     np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
-def sampled_loss_and_grads(batch, samples, model, e_store, hyper, reg_scale):
+def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
     """Loss and analytic gradients of the sampled objective on one batch.
 
-    batch is a list of sentence indices; samples[s] the fixed cell draws for
-    sentence s.  Regularizer terms for P and R are scaled by reg_scale
-    (batch fraction of the corpus) so one epoch applies them once; the E
-    terms of batch sentences enter at full strength.  The per-cell gradient
-    rows scatter through the flat view of each target (`_add_rows`), which
-    matches np.add.at bit for bit.
+    The objective's weights are model.hyper's.  batch is a list of sentence
+    indices; samples[s] the fixed cell draws for sentence s.  Regularizer
+    terms for P and R are scaled by reg_scale (batch fraction of the corpus)
+    so one epoch applies them once; the E terms of batch sentences enter at
+    full strength.  The per-cell gradient rows scatter through the flat view
+    of each target (`_add_rows`), which matches np.add.at bit for bit.
     """
-    p, r_tensor = model.P, model.R
+    p, r_tensor, hyper = model.P, model.R, model.hyper
     # the batch sentences' E rows stacked: sentence s owns rows a..b
     e_all = np.concatenate([e_store[s] for s in batch])
     # the regularizer terms; each cell's terms are added to them
@@ -158,7 +158,7 @@ def sampled_loss_and_grads(batch, samples, model, e_store, hyper, reg_scale):
     return loss, g_p, g_r, g_e
 
 
-def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale):
+def sgd_step(batch, ws, xs, model, e_store, config, state, rng, reg_scale):
     """Sample cells for each batch sentence, then one adaptive gradient step.
 
     The step updates model.P, model.R, the batch's e_store rows and state in
@@ -170,9 +170,7 @@ def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
         s: sample_cells(ws[s], xs[s], config.negatives_per_positive, rng)
         for s in batch
     }
-    loss, g_p, g_r, g_e = sampled_loss_and_grads(
-        batch, samples, model, e_store, hyper, reg_scale
-    )
+    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite sampled loss in SGD step")
     steps = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
@@ -191,18 +189,18 @@ def sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
 
 
 @numeric_errors_as(DivergenceError, "training diverged")
-def train_sgd(ws, xs, model, hyper, config, log=None):
+def train_sgd(ws, xs, model, config, log=None):
     """Epoch loop over shuffled sentences; returns (model, e_store, trace).
 
     Single-threaded and fully deterministic given config.seed.  The trace
-    records the summed sampled batch losses per epoch; diverges on overflow.
-    The returned model carries hyper; an empty or uneven corpus is refused.
+    records the summed sampled batch losses per epoch, under model.hyper;
+    diverges on overflow.  The returned model is a trained copy of model; an
+    empty or uneven corpus is refused.
     """
     check_corpus(ws, xs)
     model = model.copy()
-    model.hyper = hyper
     rng = np.random.default_rng(config.seed)
-    e_store = [np.zeros((w.n, hyper.r)) for w in ws]
+    e_store = [np.zeros((w.n, model.hyper.r)) for w in ws]
     state = SgdState(np.zeros_like(model.P), np.zeros_like(model.R),
                      [np.zeros_like(e) for e in e_store])
     n = len(ws)
@@ -214,9 +212,8 @@ def train_sgd(ws, xs, model, hyper, config, log=None):
         for start in range(0, n, config.batch_size):
             batch = [int(s) for s in order[start:start + config.batch_size]]
             reg_scale = len(batch) / n
-            epoch_loss += sgd_step(
-                batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale
-            )
+            epoch_loss += sgd_step(batch, ws, xs, model, e_store, config, state, rng,
+                                   reg_scale)
         trace.append(epoch_loss)
         log_round(log, epoch + 1, trace, time.perf_counter() - t0, " sampled=true")
     return model, e_store, trace

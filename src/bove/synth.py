@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import from_dense
-from .errors import DimensionMismatch
 from .model import Hyperparams, TypeEmbeddings
 
 
@@ -25,16 +24,14 @@ class SynthData:
     sentences: list  # (sentence_id, W, X)
 
 
-def _truth(rng, n_tokens, c, d, r, n_sentences, hyper):
-    """Ground-truth model (P*, R*, nothing frozen; hyper defaults to
-    Hyperparams(r=r) and must have that r) and n_sentences draws of E*."""
-    if hyper is not None and hyper.r != r:
-        raise DimensionMismatch("hyper.r=%d differs from r=%d" % (hyper.r, r))
+def _truth(rng, n_tokens, c, d, n_sentences, hyper):
+    """Ground-truth model (P*, R*, nothing frozen, rank hyper.r, carrying
+    hyper) and n_sentences draws of E*."""
+    r = hyper.r
     p = rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r)
     r_tensor = rng.uniform(-1.0, 1.0, size=(d, r, r)) / r
     es = [rng.uniform(-1.0, 1.0, size=(n_tokens, r)) for _ in range(n_sentences)]
-    model = TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool),
-                           hyper=Hyperparams(r=r) if hyper is None else hyper)
+    model = TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=np.zeros(c, dtype=bool), hyper=hyper)
     return model, es
 
 
@@ -49,16 +46,16 @@ def _products(rng, model, e, noise):
     return w_dense, x_dense
 
 
-def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
-             mode="exact", threshold=0.5, noise=0.0, hyper=None):
-    """Sample ground truth P*, R*, E*_s and emit per-sentence tensors.
+def generate(seed, n_sentences=10, n_tokens=6, c=12, d=3,
+             mode="exact", threshold=0.5, noise=0.0, hyper=Hyperparams(r=6)):
+    """Sample ground truth P*, R*, E*_s (rank hyper.r) and emit per-sentence tensors.
 
     mode "exact": W_s = P* E*^T and X_s = E* R* E*^T verbatim (optionally
     with additive uniform noise of half-width `noise`).  mode "discrete":
     products min-max-scaled to [0, 1] and thresholded to indicators.
     """
     rng = np.random.default_rng(seed)
-    model, es = _truth(rng, n_tokens, c, d, r, n_sentences, hyper)
+    model, es = _truth(rng, n_tokens, c, d, n_sentences, hyper)
     sentences = []
     for idx, e in enumerate(es):
         w_dense, x_dense = _products(rng, model, e, noise)
@@ -79,26 +76,26 @@ def _binarize(dense, threshold):
 
 
 def make_pair_benchmark(seed, n_matched=50, n_mismatched=50,
-                        n_tokens=6, c=12, d=3, r=6, noise=0.05, hyper=None):
+                        n_tokens=6, c=12, d=3, noise=0.05, hyper=Hyperparams(r=6)):
     """Paraphrase-style benchmark: pairs sharing ground-truth E* vs not.
 
-    Every pair is two synthetic sentences; matched pairs reuse one E* (each
-    side gets independent tensor noise), mismatched pairs draw two unrelated
-    E*.  Returns (model, pairs) where pairs are
+    Every pair is two synthetic sentences of rank hyper.r; matched pairs
+    reuse one E* (each side gets independent tensor noise), mismatched pairs
+    draw two unrelated E*.  Returns (model, pairs) where pairs are
     (pair_id, (W1, X1), (W2, X2), is_matched).
     """
     rng = np.random.default_rng(seed)
-    model, _ = _truth(rng, n_tokens, c, d, r, 1, hyper)  # the unused E* keeps the stream
+    model, _ = _truth(rng, n_tokens, c, d, 1, hyper)  # the unused E* keeps the stream
 
     def tensors(e):
         return from_dense(*_products(rng, model, e, noise))
 
     pairs = []
     for i in range(n_matched):
-        e = rng.uniform(-1.0, 1.0, size=(n_tokens, r))
+        e = rng.uniform(-1.0, 1.0, size=(n_tokens, hyper.r))
         pairs.append(("match%d" % i, tensors(e), tensors(e), True))
     for i in range(n_mismatched):
-        e1 = rng.uniform(-1.0, 1.0, size=(n_tokens, r))
-        e2 = rng.uniform(-1.0, 1.0, size=(n_tokens, r))
+        e1 = rng.uniform(-1.0, 1.0, size=(n_tokens, hyper.r))
+        e2 = rng.uniform(-1.0, 1.0, size=(n_tokens, hyper.r))
         pairs.append(("mismatch%d" % i, tensors(e1), tensors(e2), False))
     return model, pairs

@@ -205,13 +205,14 @@ def similarity_by_two_directions(s1, s2):
     return 2.0 * a * b / (a + b)
 
 
-def sampled_loss_and_grads_by_cell(batch, samples, model, e_store, hyper, reg_scale):
-    """The sampled SGD objective and its gradients, one cell at a time.
+def sampled_loss_and_grads_by_cell(batch, samples, model, e_store, reg_scale):
+    """The sampled SGD objective and its gradients under model.hyper, one
+    cell at a time.
 
     Reads the same array rows as sgd.sampled_loss_and_grads: W rows
     (pred, tok, target, weight), X rows (rel, head, dep, target, weight).
     """
-    p, r_tensor = model.P, model.R
+    p, r_tensor, hyper = model.P, model.R, model.hyper
     alpha = hyper.alpha
     loss = 0.0
     g_p = np.zeros_like(p)

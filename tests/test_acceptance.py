@@ -44,12 +44,6 @@ from oracles import (
 )
 
 
-class Dims:
-    def __init__(self, c, d):
-        self.c = c
-        self.d = d
-
-
 def report(number, name, ok, detail):
     print("criterion %2d (%s): %s — %s" % (number, name, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d (%s): %s" % (number, name, detail)
@@ -147,12 +141,12 @@ def exact_fit_hyper():
 def test_criterion_04_synthetic_recovery():
     start = time.time()
     hyper = exact_fit_hyper()
-    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
+    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3,
                           mode="exact", hyper=hyper)
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
-    model = init_for_training(Dims(12, 3), hyper, seed=0)
-    result = train(ws, xs, model, hyper)
+    model = init_for_training(12, 3, hyper, seed=0)
+    result = train(ws, xs, model)
     ratio = result.data_fit_trace[-1] / result.data_fit_trace[0]
     elapsed = time.time() - start
     ok = ratio <= 1e-4 and elapsed < 60.0
@@ -163,22 +157,22 @@ def test_criterion_04_synthetic_recovery():
 
 def trained_exact_model():
     hyper = exact_fit_hyper()
-    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
+    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3,
                           mode="exact", hyper=hyper)
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
-    model = init_for_training(Dims(12, 3), hyper, seed=0)
-    return train(ws, xs, model, hyper).model, hyper
+    model = init_for_training(12, 3, hyper, seed=0)
+    return train(ws, xs, model).model, hyper
 
 
 def test_criterion_05_inference_self_consistency():
     model, hyper = trained_exact_model()
-    held_out = synth.generate(8, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
+    held_out = synth.generate(8, n_sentences=10, n_tokens=6, c=12, d=3,
                               mode="exact", hyper=hyper)
     worst = 1.0
     for _, w, x in held_out.sentences:
-        e30 = infer_bove(w, x, model, hyper=hyper, iters=30)
-        e500 = infer_bove(w, x, model, hyper=hyper, iters=500)
+        e30 = infer_bove(w, x, model, iters=30)
+        e500 = infer_bove(w, x, model, iters=500)
         l30 = reconstruction_loss(w, x, model.P, model.R, e30, alpha=hyper.alpha)
         l500 = reconstruction_loss(w, x, model.P, model.R, e500, alpha=hyper.alpha)
         if l500 > 0:
@@ -230,11 +224,11 @@ def test_criterion_07_sgd_gradient_check():
                           (rng.random((d, n, n)) < 0.4).astype(float))
         hyper = Hyperparams(r=r, alpha=float(rng.uniform(0.5, 1.5)),
                             lambda_p=0.1, lambda_r=0.1, lambda_e=0.1)
-        model = init_for_training(Dims(c, d), hyper, seed=int(rng.integers(100)))
+        model = init_for_training(c, d, hyper, seed=int(rng.integers(100)))
         model.R = rng.normal(size=model.R.shape) * 0.3
         e_store = [rng.normal(size=(n, r))]
         samples = {0: sample_cells(w, x, 2, rng)}
-        args = ([0], samples, model, e_store, hyper, 1.0)
+        args = ([0], samples, model, e_store, 1.0)
         _, g_p, g_r, g_e = sampled_loss_and_grads(*args)
 
         def loss():
@@ -260,17 +254,17 @@ def test_criterion_07_sgd_gradient_check():
 
 def test_criterion_08_cross_trainer_agreement():
     hyper = Hyperparams(r=6)
-    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3, r=6,
+    data = synth.generate(7, n_sentences=10, n_tokens=6, c=12, d=3,
                           mode="exact", hyper=hyper)
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
-    als_result = train(ws, xs, init_for_training(Dims(12, 3), hyper, seed=0), hyper)
-    obj_als = corpus_objective(ws, xs, als_result.e_store, als_result.model, hyper)
+    als_result = train(ws, xs, init_for_training(12, 3, hyper, seed=0))
+    obj_als = corpus_objective(ws, xs, als_result.e_store, als_result.model)
     sgd_model, sgd_es, _ = train_sgd(
-        ws, xs, init_for_training(Dims(12, 3), hyper, seed=0), hyper,
+        ws, xs, init_for_training(12, 3, hyper, seed=0),
         SgdConfig(batch_size=10, learning_rate=0.1, epochs=300, seed=2),
     )
-    obj_sgd = corpus_objective(ws, xs, sgd_es, sgd_model, hyper)
+    obj_sgd = corpus_objective(ws, xs, sgd_es, sgd_model)
     rel = abs(obj_sgd - obj_als) / obj_als
     ok = rel <= 0.05
     report(8, "cross-trainer agreement", ok,
@@ -296,13 +290,13 @@ def test_criterion_09_scoring_oracles():
 
 def test_criterion_10_stopping_rule():
     hyper = Hyperparams(r=4, rel_improvement_stop=0.001, max_rounds=500)
-    data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, r=4,
+    data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2,
                           mode="discrete", hyper=hyper)
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
     lines = []
-    result = train(ws, xs, init_for_training(Dims(10, 2), hyper, seed=0),
-                   hyper, log=lines.append)
+    result = train(ws, xs, init_for_training(10, 2, hyper, seed=0),
+                   log=lines.append)
     last_rel = (result.trace[-2] - result.trace[-1]) / result.trace[-2]
     ok = (result.stopped_by_rule
           and len(result.trace) - 1 < hyper.max_rounds

@@ -24,12 +24,6 @@ from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 from oracles import loss_gradient_E_dense, minimize_e_quadratic
 
 
-class Dims:
-    def __init__(self, c, d):
-        self.c = c
-        self.d = d
-
-
 def sparse_sentence(wd, xd):
     return from_dense(np.asarray(wd, float), np.asarray(xd, float))
 
@@ -227,6 +221,11 @@ class TestUpdateE:
         with pytest.raises(DimensionMismatch, match="token counts of W, X and E disagree"):
             update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 2)))
 
+    def test_rank_mismatch_names_both_ranks(self):
+        w, x = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
+        with pytest.raises(DimensionMismatch, match="^E has rank 3 but P has rank 2$"):
+            update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 3)))
+
     def test_loss_gradient_oracle_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         w, x = sparse_sentence(rng.normal(size=(5, 4)), rng.normal(size=(2, 4, 4)))
@@ -245,7 +244,7 @@ class TestUpdateE:
     def test_fixed_point_is_stationary_for_the_loss(self, alpha):
         # The solve weights each relation residual by alpha, as the loss does,
         # so its fixed point zeroes the loss's E gradient at every alpha.
-        data = synth.generate(3, n_sentences=1, n_tokens=5, c=10, d=2, r=4)
+        data = synth.generate(3, n_sentences=1, n_tokens=5, c=10, d=2, hyper=Hyperparams(r=4))
         _, w, x = data.sentences[0]
         p, r_tensor, lam = data.model.P, data.model.R, 0.1
         e = np.zeros((5, 4))
@@ -371,7 +370,7 @@ class TestRRegularizers:
 
 class TestTrain:
     def make_corpus(self, seed=0):
-        data = synth.generate(seed, n_sentences=6, n_tokens=4, c=8, d=2, r=3)
+        data = synth.generate(seed, n_sentences=6, n_tokens=4, c=8, d=2, hyper=Hyperparams(r=3))
         ws = [w for _, w, _ in data.sentences]
         xs = [x for _, _, x in data.sentences]
         return ws, xs
@@ -379,25 +378,25 @@ class TestTrain:
     def test_zero_rounds_noop(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=0)
-        model = init_for_training(Dims(8, 2), hyper, seed=0)
-        result = train(ws, xs, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=0)
+        result = train(ws, xs, model)
         assert len(result.trace) == 1
         np.testing.assert_array_equal(result.model.P, model.P)
         np.testing.assert_array_equal(result.model.R, model.R)
 
-    def test_returns_the_hyperparameters_it_trained_with(self):
+    def test_keeps_the_model_hyperparameters(self):
         ws, xs = self.make_corpus()
-        model = init_for_training(Dims(8, 2), Hyperparams(r=3), seed=0)
         hyper = Hyperparams(r=3, alpha=3.0, lambda_e=0.5, inference_iters=7, max_rounds=1)
-        assert train(ws, xs, model, hyper).model.hyper == hyper
-        assert model.hyper == Hyperparams(r=3)
+        model = init_for_training(8, 2, hyper, seed=0)
+        assert train(ws, xs, model).model.hyper is hyper
+        assert model.hyper is hyper
 
     def test_rank_cap_is_checked_before_any_sweep(self, monkeypatch):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=ALS_R_CAP + 1)
         monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
         with pytest.raises(DimensionMismatch, match="trainer=sgd"):
-            train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+            train(ws, xs, init_for_training(8, 2, hyper, seed=0))
 
     @pytest.mark.parametrize("n_w, n_x, message", [
         (0, 0, "no sentences to train on"),
@@ -409,12 +408,12 @@ class TestTrain:
         hyper = Hyperparams(r=3)
         monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
         with raises_exactly(BoveError, message):
-            train(ws[:n_w], xs[:n_x], init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+            train(ws[:n_w], xs[:n_x], init_for_training(8, 2, hyper, seed=0))
 
     def test_trained_P_and_R_are_c_contiguous(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=2)
-        model = train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper).model
+        model = train(ws, xs, init_for_training(8, 2, hyper, seed=0)).model
         assert model.P.flags.c_contiguous and model.R.flags.c_contiguous
 
     def test_exact_recovery(self):
@@ -423,15 +422,15 @@ class TestTrain:
             r=3, lambda_p=1e-6, lambda_r=1e-6, lambda_e=1e-6,
             max_rounds=200, rel_improvement_stop=0.0,
         )
-        model = init_for_training(Dims(8, 2), hyper, seed=1)
-        result = train(ws, xs, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=1)
+        result = train(ws, xs, model)
         assert result.data_fit_trace[-1] <= 1e-6 * result.data_fit_trace[0]
 
     def test_stopping_rule(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=500)
-        model = init_for_training(Dims(8, 2), hyper, seed=1)
-        result = train(ws, xs, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=1)
+        result = train(ws, xs, model)
         assert result.stopped_by_rule
         assert len(result.trace) - 1 < 500
         rel = (result.trace[-2] - result.trace[-1]) / result.trace[-2]
@@ -440,17 +439,17 @@ class TestTrain:
     def test_frozen_rows_bit_exact(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=10)
-        model = init_for_training(Dims(8, 2), hyper, seed=2)
+        model = init_for_training(8, 2, hyper, seed=2)
         model.frozen_p_rows[:3] = True
         frozen_before = model.P[:3].copy()
-        result = train(ws, xs, model, hyper)
+        result = train(ws, xs, model)
         np.testing.assert_array_equal(result.model.P[:3], frozen_before)
 
     def test_five_round_window_non_increasing(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=30, rel_improvement_stop=0.0)
-        model = init_for_training(Dims(8, 2), hyper, seed=3)
-        result = train(ws, xs, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=3)
+        result = train(ws, xs, model)
         trace = result.trace
         for i in range(len(trace) - 5):
             assert trace[i + 5] <= trace[i] * (1 + 1e-9)
@@ -467,17 +466,17 @@ class TestTrain:
             ws_p.append(wp)
             xs_p.append(xp)
         hyper = Hyperparams(r=3, max_rounds=8, rel_improvement_stop=0.0)
-        model = init_for_training(Dims(8, 2), hyper, seed=4)
-        base = train(ws, xs, model, hyper)
-        permuted = train(ws_p, xs_p, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=4)
+        base = train(ws, xs, model)
+        permuted = train(ws_p, xs_p, model)
         np.testing.assert_allclose(base.trace, permuted.trace, rtol=1e-8)
 
     def test_training_log_format(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=3, rel_improvement_stop=0.0)
-        model = init_for_training(Dims(8, 2), hyper, seed=5)
+        model = init_for_training(8, 2, hyper, seed=5)
         lines = []
-        train(ws, xs, model, hyper, log=lines.append)
+        train(ws, xs, model, log=lines.append)
         assert len(lines) == 3
         for line in lines:
             parts = dict(kv.split("=") for kv in line.split())
@@ -487,7 +486,7 @@ class TestTrain:
     def test_one_objective_pass_per_round(self, monkeypatch):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=4, rel_improvement_stop=0.0)
-        model = init_for_training(Dims(8, 2), hyper, seed=7)
+        model = init_for_training(8, 2, hyper, seed=7)
         calls = []
 
         def counted(*args, **kwargs):
@@ -495,11 +494,11 @@ class TestTrain:
             return corpus_objective(*args, **kwargs)
 
         monkeypatch.setattr(als, "corpus_objective", counted)
-        result = train(ws, xs, model, hyper)
+        result = train(ws, xs, model)
         assert len(calls) == hyper.max_rounds + 1
         assert len(result.trace) == hyper.max_rounds + 1
-        full = corpus_objective(ws, xs, result.e_store, result.model, hyper)
-        fit = corpus_objective(ws, xs, result.e_store, result.model, hyper,
+        full = corpus_objective(ws, xs, result.e_store, result.model)
+        fit = corpus_objective(ws, xs, result.e_store, result.model,
                                data_fit_only=True)
         assert result.trace[-1] == pytest.approx(full, rel=1e-12)
         assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
@@ -514,18 +513,17 @@ class TestTrain:
         ws[0] = replace(ws[0], values=values)
         hyper = Hyperparams(r=3, lambda_p=0.1, max_rounds=5)
         with pytest.raises(DivergenceError):
-            train(ws, xs, init_for_training(Dims(8, 2), hyper, seed=0), hyper)
+            train(ws, xs, init_for_training(8, 2, hyper, seed=0))
 
     def test_nuclear_regularizer_low_rank(self):
         ws, xs = self.make_corpus()
         hyper = Hyperparams(r=3, max_rounds=15, r_regularizer="nuclear",
                             lambda_r=0.5, rel_improvement_stop=0.0)
-        model = init_for_training(Dims(8, 2), hyper, seed=6)
-        result = train(ws, xs, model, hyper)
+        model = init_for_training(8, 2, hyper, seed=6)
+        result = train(ws, xs, model)
         hyper_l2 = Hyperparams(r=3, max_rounds=15, lambda_r=0.5,
                                rel_improvement_stop=0.0)
-        result_l2 = train(ws, xs, init_for_training(Dims(8, 2), hyper_l2, 6),
-                          hyper_l2)
+        result_l2 = train(ws, xs, init_for_training(8, 2, hyper_l2, 6))
         nuc = sum(np.linalg.svd(result.model.R[k], compute_uv=False).sum()
                   for k in range(2))
         l2 = sum(np.linalg.svd(result_l2.model.R[k], compute_uv=False).sum()
@@ -538,14 +536,14 @@ class TestTrain:
         by lambda_r, while the objective counts lambda_r pen(R) once.  Here
         the l1 trace reads 278.02, 135.50, 112.01, 125.86 and the nuclear
         one 278.02, 119.01, 90.62, 103.30; each run then stops on the rise."""
-        data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, r=4,
-                              mode="discrete")
+        data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2,
+                              hyper=Hyperparams(r=4), mode="discrete")
         ws = [w for _, w, _ in data.sentences]
         xs = [x for _, _, x in data.sentences]
         for regularizer in ("l1", "nuclear"):
             hyper = Hyperparams(r=4, r_regularizer=regularizer, lambda_r=0.1,
                                 max_rounds=10, rel_improvement_stop=0.0)
-            trace = train(ws, xs, init_for_training(Dims(10, 2), hyper, seed=0), hyper).trace
+            trace = train(ws, xs, init_for_training(10, 2, hyper, seed=0)).trace
             assert all(b <= a for a, b in zip(trace, trace[1:])), (regularizer, trace)
 
 
@@ -557,8 +555,8 @@ def test_corpus_objective_matches_loss_parts():
         P=rng.normal(size=(5, 3)), R=rng.normal(size=(2, 3, 3)),
         frozen_p_rows=np.zeros(5, dtype=bool), hyper=hyper,
     )
-    full = corpus_objective(ws, xs, es, model, hyper)
-    fit = corpus_objective(ws, xs, es, model, hyper, data_fit_only=True)
+    full = corpus_objective(ws, xs, es, model)
+    fit = corpus_objective(ws, xs, es, model, data_fit_only=True)
     reg = (0.1 * np.sum(model.P ** 2) + 0.2 * np.sum(model.R ** 2)
            + 0.3 * sum(np.sum(e ** 2) for e in es))
     assert full == pytest.approx(fit + reg, rel=1e-12)

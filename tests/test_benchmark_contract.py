@@ -85,7 +85,7 @@ def count_wrapped(monkeypatch):
 
 @pytest.mark.parametrize("iters", [1, 2, 5])
 def test_each_E_schedule_solves_through_its_own_module(monkeypatch, iters):
-    data = synth.generate(0, n_sentences=1, n_tokens=3, c=5, d=2, r=2)
+    data = synth.generate(0, n_sentences=1, n_tokens=3, c=5, d=2, hyper=model_io.Hyperparams(r=2))
     _, w, x = data.sentences[0]
     calls = count_wrapped(monkeypatch)
 

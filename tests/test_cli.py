@@ -147,7 +147,7 @@ class TestTrain:
     def test_log_streamed_before_divergence(self, workspace, monkeypatch):
         line = "round=1 objective=2.5 rel_improvement=0 seconds=0.010"
 
-        def diverging_train(ws, xs, model, hyper, log=None):
+        def diverging_train(ws, xs, model, log=None):
             log(line)
             raise DivergenceError("non-finite objective at round 2")
 
@@ -388,6 +388,9 @@ MALFORMED_INPUTS = {
         "line 4"),
     "short scores line": (
         "scores.tsv", "p1\t0.5\t4.0\n", ("eval", "--mode", "sts"), "line 1"),
+    "bag header sized beyond the file": (
+        "bags.bin", "a 100000000000 1\n", ("score", "--mode", "sts"),
+        "bag record for a ended early"),
     "bag header without r": (
         "bags.bin", "a b\n", ("score", "--mode", "sts"), "record 1"),
     "tensor dims line with an extra field": (
@@ -409,6 +412,9 @@ MALFORMED_INPUTS = {
         "tensors.txt", "dims 3 2\nsentence s0 1\nW 0 0 nan\n", ("train",), "line 3"),
     "tensor entry with an extra field": (
         "tensors.txt", "dims 3 2\nsentence s0 2\nX 0 0 1 1 1\n", ("train",), "line 3"),
+    "tensor sentence too long to index": (
+        "tensors.txt", "dims 3 2\nsentence s 100000000000\n", ("train",),
+        "tensors.txt line 2: sentence s: shape (2, 100000000000, 100000000000)"),
     "tensor W index out of range": (  # sentence s1 starts on line 4
         "tensors.txt", "dims 3 2\nsentence s0 1\nW 2 0 1\nsentence s1 2\nW 3 1 1\n",
         ("train",), "tensors.txt line 4: sentence s1: predicate index out of range"),

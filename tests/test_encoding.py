@@ -174,6 +174,14 @@ class TestCoordinateText:
         with pytest.raises(BoveError, match=where):
             read_tensor_file(path)
 
+    def test_sentence_too_long_to_index_is_located(self, tmp_path):
+        # W (3 x 10^11) can be indexed, X (2 x 10^11 x 10^11) cannot
+        path = tmp_path / "tensors.txt"
+        path.write_text("dims 3 2\nsentence s 100000000000\n")
+        with pytest.raises(DimensionMismatch, match="tensors.txt line 2: sentence s: shape "
+                           r"\(2, 100000000000, 100000000000\) has more cells"):
+            read_tensor_file(path)
+
     def test_second_dims_line_is_refused(self, tmp_path):
         # s0 would otherwise be built with the second line's sizes
         path = tmp_path / "tensors.txt"
@@ -298,6 +306,9 @@ class TestCoordinateCore:
         (lambda: SparseRelationTensor(d=1, n=2, rels=[0], heads=[0], deps=[0],
                                       values=[1.0, 2.0]),
          "coordinate arrays must have equal length"),
+        (lambda: SparseRelationTensor(d=2, n=10 ** 11, rels=[], heads=[], deps=[]),
+         re.escape("shape (2, 100000000000, 100000000000) has more cells than an int64 "
+                   "index counts")),
     ])
     def test_validation_messages(self, build, message):
         with pytest.raises(DimensionMismatch, match=message):

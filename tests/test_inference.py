@@ -61,7 +61,7 @@ class TestInferBove:
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_one_solve_is_the_raw_refresh(self):
-        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, r=3)
+        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3))
         model, hyper = data.model, data.model.hyper
         for _, w, x in data.sentences:
             raw = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
@@ -70,7 +70,7 @@ class TestInferBove:
 
     @pytest.mark.parametrize("iters", [1, 2, 30])
     def test_solves_never_exceed_the_cap(self, monkeypatch, iters):
-        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, r=3)
+        data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3))
         solves = record_solves(monkeypatch)
         for _, w, x in data.sentences:
             solves.clear()
@@ -82,7 +82,7 @@ class TestInferBove:
         # the run returns its last refresh, which moved E by at most TOL of
         # its norm; 500 solves of the 0.5-damped iteration stand in for the
         # fixed point
-        data = synth.generate(5, n_sentences=4, n_tokens=6, c=12, d=3, r=4)
+        data = synth.generate(5, n_sentences=4, n_tokens=6, c=12, d=3, hyper=Hyperparams(r=4))
         model, hyper = data.model, data.model.hyper
         solves = record_solves(monkeypatch)
         for _, w, x in data.sentences:
@@ -113,7 +113,7 @@ class TestInferBove:
 
     @pytest.mark.parametrize("iters", [0, -3])
     def test_fewer_than_one_solve_is_refused(self, iters):
-        data = synth.generate(4, n_sentences=1, n_tokens=4, c=6, d=2, r=3)
+        data = synth.generate(4, n_sentences=1, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3))
         _, w, x = data.sentences[0]
         with pytest.raises(ValueError, match="^iters must be >= 1, got %d$" % iters):
             infer_bove(w, x, data.model, iters=iters)
@@ -161,7 +161,7 @@ class TestInferBove:
         assert np.max(np.abs(ea - eb)) > 1e-6
 
     def test_objective_monotone_after_first_average(self):
-        data = synth.generate(6, n_sentences=100, n_tokens=5, c=10, d=3, r=4,
+        data = synth.generate(6, n_sentences=100, n_tokens=5, c=10, d=3, hyper=Hyperparams(r=4),
                               mode="discrete")
         model = data.model
         hyper = model.hyper
@@ -178,7 +178,7 @@ class TestInferBove:
         assert worst <= 1e-9
 
     def test_dimension_mismatch(self):
-        data = synth.generate(7, n_sentences=1, n_tokens=3, c=6, d=2, r=3)
+        data = synth.generate(7, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
         _, w, x = data.sentences[0]
         bad_w = SparsePropertyMatrix(c=w.c + 1, n=w.n, rows=w.rows, cols=w.cols,
                                      values=w.values)
@@ -188,12 +188,12 @@ class TestInferBove:
 
 class TestInferCorpus:
     def test_empty(self):
-        data = synth.generate(8, n_sentences=1, n_tokens=3, c=6, d=2, r=3)
+        data = synth.generate(8, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
         results, failures = infer_corpus([], data.model)
         assert results == [] and failures == []
 
     def test_identical_sentences_identical_bags(self):
-        data = synth.generate(9, n_sentences=1, n_tokens=4, c=6, d=2, r=3,
+        data = synth.generate(9, n_sentences=1, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3),
                               mode="discrete")
         sid, w, x = data.sentences[0]
         results, failures = infer_corpus([("a", w, x), ("b", w, x)], data.model)
@@ -201,7 +201,7 @@ class TestInferCorpus:
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
     def test_order_preserved_under_permutation(self):
-        data = synth.generate(10, n_sentences=5, n_tokens=4, c=8, d=2, r=3,
+        data = synth.generate(10, n_sentences=5, n_tokens=4, c=8, d=2, hyper=Hyperparams(r=3),
                               mode="discrete")
         forward, _ = infer_corpus(data.sentences, data.model)
         backward, _ = infer_corpus(data.sentences[::-1], data.model)
@@ -212,7 +212,7 @@ class TestInferCorpus:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_permuted_sentences_give_permuted_bags(self, seed):
-        data = synth.generate(13, n_sentences=6, n_tokens=4, c=8, d=2, r=3,
+        data = synth.generate(13, n_sentences=6, n_tokens=4, c=8, d=2, hyper=Hyperparams(r=3),
                               mode="discrete")
         forward, _ = infer_corpus(data.sentences, data.model)
         order = np.random.default_rng(seed).permutation(len(data.sentences))
@@ -223,7 +223,7 @@ class TestInferCorpus:
             np.testing.assert_array_equal(e, forward[i][1])
 
     def test_failures_collected_per_sentence(self):
-        data = synth.generate(11, n_sentences=2, n_tokens=3, c=6, d=2, r=3,
+        data = synth.generate(11, n_sentences=2, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3),
                               mode="discrete")
         sid, w, x = data.sentences[0]
         bad = SparsePropertyMatrix(c=w.c + 2, n=w.n, rows=w.rows, cols=w.cols,
@@ -237,7 +237,7 @@ class TestInferCorpus:
         assert isinstance(failures[0][1], DimensionMismatch)
 
     def test_fail_fast_raises(self):
-        data = synth.generate(12, n_sentences=1, n_tokens=3, c=6, d=2, r=3)
+        data = synth.generate(12, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
         sid, w, x = data.sentences[0]
         bad = SparsePropertyMatrix(c=w.c + 2, n=w.n, rows=w.rows, cols=w.cols,
                                    values=w.values)

@@ -11,8 +11,9 @@ update_E_sentence solve are checked without a reference solver:
   unchanged.
 One solve and the averaged step follow each relation to rounding (1e-12);
 infer_bove to INFER_BOUND, since it stops near the fixed point, not at it.
-The P and R steps follow the gauge and the relabelings too, and ALS
-training the gauge; ALS training on the sentences in another order
+The P and R steps follow the gauge and the relabelings too; freezing P
+rows leaves the P step's other rows as the mask-free solve gives them; ALS
+training follows the gauge; ALS training on the sentences in another order
 permutes only the E store; and SGD's batch gradients are the sum of its
 sentences' own.
 See Chen et al., "Metamorphic Testing: A Review of Challenges and
@@ -224,6 +225,18 @@ def test_predicate_relabeling_permutes_the_rows_of_P(corpus):
 
 @settings(max_examples=100, deadline=None)
 @given(corpus=corpora())
+def test_frozen_rows_leave_the_other_rows_of_P_to_the_free_solve(corpus):
+    """update_P with a frozen mask equals the mask-free solve bit for bit on
+    the unfrozen rows and p_current on the frozen ones: each P row is its
+    own least-squares problem, so no frozen row's value reaches another's."""
+    free = update_P(corpus.ws, corpus.es, LAMBDA)
+    got = update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen)
+    assert got[~corpus.frozen].tobytes() == free[~corpus.frozen].tobytes()
+    assert got[corpus.frozen].tobytes() == corpus.p[corpus.frozen].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora())
 def test_orthogonal_gauge_rotates_R(corpus):
     q = corpus.q
     got = update_R(corpus.xs, [e @ q for e in corpus.es], LAMBDA, corpus.alpha)
@@ -245,16 +258,16 @@ def test_relation_relabeling_permutes_the_slices_of_R(corpus):
 def test_als_train_from_a_rotated_start_rotates_P_and_R(seed):
     """Five ALS rounds from P Q and Q^T R_k Q end at P Q and Q^T R_k Q of the
     rounds from P and R, with the same objective trace, to 1e-10."""
-    data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, r=4)
+    data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2, hyper=Hyperparams(r=4))
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
     hyper = Hyperparams(r=4, max_rounds=5, rel_improvement_stop=0.0)
-    start = init_for_training(types.SimpleNamespace(c=10, d=2), hyper, seed=0)
+    start = init_for_training(10, 2, hyper, seed=0)
     rng = np.random.default_rng(seed)
     start.R = rng.uniform(-1.0, 1.0, size=start.R.shape) / hyper.r
     q, _ = np.linalg.qr(rng.normal(size=(hyper.r, hyper.r)))
-    base = train(ws, xs, start, hyper)
-    rotated = train(ws, xs, with_parameters(start, start.P @ q, q.T @ start.R @ q), hyper)
+    base = train(ws, xs, start)
+    rotated = train(ws, xs, with_parameters(start, start.P @ q, q.T @ start.R @ q))
     for got, want in ((rotated.model.P, base.model.P @ q),
                       (rotated.model.R, q.T @ base.model.R @ q)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
@@ -266,12 +279,12 @@ def test_als_train_from_a_rotated_start_rotates_P_and_R(seed):
 def test_als_train_on_a_permuted_corpus_permutes_the_E_store(seed, perm):
     """Five ALS rounds on the sentences in another order give the same P, R
     and objective trace, and the E store in that order, to 1e-10."""
-    data = synth.generate(seed, n_sentences=6, n_tokens=5, c=10, d=2, r=4,
-                          mode="discrete")
+    data = synth.generate(seed, n_sentences=6, n_tokens=5, c=10, d=2,
+                          hyper=Hyperparams(r=4), mode="discrete")
     hyper = Hyperparams(r=4, max_rounds=5, rel_improvement_stop=0.0)
-    start = init_for_training(types.SimpleNamespace(c=10, d=2), hyper, seed=0)
+    start = init_for_training(10, 2, hyper, seed=0)
     base, permuted = (train([data.sentences[s][1] for s in sentences],
-                            [data.sentences[s][2] for s in sentences], start, hyper)
+                            [data.sentences[s][2] for s in sentences], start)
                       for sentences in (range(6), perm))
     pairs = [(permuted.model.P, base.model.P), (permuted.model.R, base.model.R)]
     pairs += [(e, base.e_store[s]) for e, s in zip(permuted.e_store, perm, strict=True)]
@@ -294,9 +307,8 @@ def test_sgd_batch_gradients_are_the_sum_of_one_sentence_gradients(corpus, k, se
         hyper=Hyperparams(r=r, alpha=corpus.alpha, lambda_p=0.0, lambda_r=0.0, lambda_e=0.1))
     batch = [int(s) for s in rng.permutation(len(corpus.ws))]
     samples = {s: sample_cells(corpus.ws[s], corpus.xs[s], k, rng) for s in batch}
-    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, corpus.es,
-                                                 model.hyper, 1.0)
-    alone = [sampled_loss_and_grads([s], samples, model, corpus.es, model.hyper, 1.0)
+    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, corpus.es, 1.0)
+    alone = [sampled_loss_and_grads([s], samples, model, corpus.es, 1.0)
              for s in batch]
     assert loss == pytest.approx(sum(one[0] for one in alone), rel=1e-12, abs=0)
     # the sentences' gradients can cancel, so the sum is held to 1e-12 of

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -35,12 +37,6 @@ def write_word_vectors(path, vectors):
         f.write("%d %d\n" % (len(vectors), dim))
         for word, vec in vectors.items():
             f.write(word + " " + " ".join("%.17g" % v for v in vec) + "\n")
-
-
-class Dims:
-    def __init__(self, c, d):
-        self.c = c
-        self.d = d
 
 
 def random_model(seed=0, c=5, d=2, r=3):
@@ -94,23 +90,23 @@ class TestHyperparams:
 
 class TestInit:
     def test_r_is_zero(self):
-        model = init_for_training(Dims(3, 2), Hyperparams(r=2), seed=0)
+        model = init_for_training(3, 2, Hyperparams(r=2), seed=0)
         assert not model.R.any()
 
     def test_shapes(self):
-        model = init_for_training(Dims(3, 2), Hyperparams(r=1), seed=0)
+        model = init_for_training(3, 2, Hyperparams(r=1), seed=0)
         assert model.P.shape == (3, 1)
         assert model.R.shape == (2, 1, 1)
         assert model.frozen_p_rows.shape == (3,)
         assert not model.frozen_p_rows.any()
 
     def test_seed_determinism(self):
-        a = init_for_training(Dims(4, 2), Hyperparams(r=3), seed=7)
-        b = init_for_training(Dims(4, 2), Hyperparams(r=3), seed=7)
+        a = init_for_training(4, 2, Hyperparams(r=3), seed=7)
+        b = init_for_training(4, 2, Hyperparams(r=3), seed=7)
         np.testing.assert_array_equal(a.P, b.P)
 
     def test_scale(self):
-        model = init_for_training(Dims(100, 1), Hyperparams(r=4), seed=0)
+        model = init_for_training(100, 1, Hyperparams(r=4), seed=0)
         assert np.abs(model.P).max() <= 0.5 / 4
 
 
@@ -127,7 +123,7 @@ class TestPretrained:
     def test_matched_rows_frozen(self, tmp_path):
         vocab = make_vocab()
         hyper = Hyperparams(r=3)
-        model = init_for_training(vocab, hyper, seed=0)
+        model = init_for_training(vocab.c, vocab.d, hyper, seed=0)
         vec = np.array([1.0, -2.0, 3.0])
         path = tmp_path / "vecs.txt"
         write_word_vectors(path, {"bank": vec})
@@ -138,7 +134,7 @@ class TestPretrained:
 
     def test_unmatched_rows_untouched(self, tmp_path):
         vocab = make_vocab()
-        model = init_for_training(vocab, Hyperparams(r=2), seed=0)
+        model = init_for_training(vocab.c, vocab.d, Hyperparams(r=2), seed=0)
         path = tmp_path / "vecs.txt"
         write_word_vectors(path, {"unrelated": np.array([1.0, 2.0])})
         out = load_pretrained(model, path, vocab)
@@ -147,7 +143,7 @@ class TestPretrained:
 
     def test_pos_predicates_never_frozen(self, tmp_path):
         vocab = make_vocab()
-        model = init_for_training(vocab, Hyperparams(r=2), seed=0)
+        model = init_for_training(vocab.c, vocab.d, Hyperparams(r=2), seed=0)
         path = tmp_path / "vecs.txt"
         # same string as the PoS tag; only the word predicate may match
         write_word_vectors(path, {"NN": np.array([9.0, 9.0])})
@@ -156,7 +152,7 @@ class TestPretrained:
 
     def test_dimension_mismatch(self, tmp_path):
         vocab = make_vocab()
-        model = init_for_training(vocab, Hyperparams(r=8), seed=0)
+        model = init_for_training(vocab.c, vocab.d, Hyperparams(r=8), seed=0)
         path = tmp_path / "vecs.txt"
         write_word_vectors(path, {"bank": np.zeros(10)})
         with pytest.raises(DimensionMismatch):
@@ -252,11 +248,16 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="hyperparameter r=8 .* stored r=6"):
             load_model(path)
 
-    @pytest.mark.parametrize("generate", [synth.generate, synth.make_pair_benchmark])
-    def test_synth_refuses_a_hyper_of_another_r(self, generate):
-        # a P of r=6 columns with hyper.r=8 would save but not load
-        with pytest.raises(DimensionMismatch, match="hyper.r=8 differs from r=6"):
-            generate(1, r=6, hyper=Hyperparams(r=8))
+    @pytest.mark.parametrize("truth", [lambda hyper: synth.generate(1, hyper=hyper).model,
+                                       lambda hyper: synth.make_pair_benchmark(1, hyper=hyper)[0]],
+                             ids=["generate", "make_pair_benchmark"])
+    def test_synth_model_takes_its_rank_from_hyper(self, tmp_path, truth):
+        # the ground truth has hyper.r columns, so it saves and loads
+        hyper = Hyperparams(r=8)
+        model = truth(hyper)
+        assert model.r == 8 and model.hyper is hyper
+        save_model(model, tmp_path / "model.bove")
+        assert load_model(tmp_path / "model.bove").hyper == hyper
 
     def test_checksum_failure(self, tmp_path):
         path = tmp_path / "model.bove"
@@ -308,6 +309,28 @@ class TestBags:
         path.write_bytes(blob[:-8])
         with pytest.raises(ModelTruncatedError):
             read_bags(path)
+
+    def test_header_sized_beyond_the_file_is_refused_before_reading(self, tmp_path):
+        # 10^11 values would be 800 GB; the header is checked against the
+        # 16 bytes left, so no read of that size is made
+        path = tmp_path / "bags.bin"
+        write_bags(path, [("s0", np.ones((1, 2)))])
+        path.write_bytes(path.read_bytes() + b"a 100000000000 1\n" + bytes(16))
+        with pytest.raises(ModelTruncatedError, match="^bag record for a ended early$"):
+            read_bags(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_to_its_end(self, tmp_path):
+        # a pipe has no size to check a header against, so its reads decide
+        path = tmp_path / "bags.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=write_bags, args=(path, [("s0", np.ones((2, 3)))]))
+        writer.start()
+        bags = read_bags(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert [sid for sid, _ in bags] == ["s0"]
+        np.testing.assert_array_equal(bags[0][1], np.ones((2, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):

@@ -24,30 +24,20 @@ from bove.sgd import (
 from oracles import adagrad_step, sampled_loss_and_grads_by_cell
 
 
-class Dims:
-    def __init__(self, c, d):
-        self.c = c
-        self.d = d
-
-
 def micro_corpus(seed=0, n_sentences=2, n=3, c=4, d=2, r=2, mode="discrete"):
     data = synth.generate(seed, n_sentences=n_sentences, n_tokens=n, c=c, d=d,
-                          r=r, mode=mode)
+                          hyper=Hyperparams(r=r), mode=mode)
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
     return ws, xs
 
 
-def finite_difference_check(batch, samples, model, e_store, hyper, reg_scale, h=1e-5):
+def finite_difference_check(batch, samples, model, e_store, reg_scale, h=1e-5):
     """Max relative error between analytic and central-difference gradients."""
-    _, g_p, g_r, g_e = sampled_loss_and_grads(
-        batch, samples, model, e_store, hyper, reg_scale
-    )
+    _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
 
     def loss():
-        return sampled_loss_and_grads(
-            batch, samples, model, e_store, hyper, reg_scale
-        )[0]
+        return sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)[0]
 
     worst = 0.0
     arrays = [(model.P, g_p), (model.R, g_r)]
@@ -76,29 +66,26 @@ class TestGradients:
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2, alpha=0.7, lambda_p=0.3, lambda_r=0.2,
                             lambda_e=0.15)
-        model = init_for_training(Dims(4, 2), hyper, seed=1)
+        model = init_for_training(4, 2, hyper, seed=1)
         model.R = rng.normal(size=model.R.shape) * 0.3
         e_store = [rng.normal(size=(3, 2)) for _ in ws]
         batch = [0, 1]
         samples = {s: sample_cells(ws[s], xs[s], 3, rng) for s in batch}
-        worst = finite_difference_check(
-            batch, samples, model, e_store, hyper, reg_scale=1.0
-        )
+        worst = finite_difference_check(batch, samples, model, e_store, reg_scale=1.0)
         assert worst < 1e-4
 
     def test_zero_gradient_at_exact_fit(self):
         # positive-only sampling (k=0), no regularizers, ground-truth model
-        data = synth.generate(3, n_sentences=1, n_tokens=3, c=4, d=2, r=2)
         hyper = Hyperparams(r=2, alpha=1.0, lambda_p=0.0, lambda_r=0.0,
                             lambda_e=0.0)
+        data = synth.generate(3, n_sentences=1, n_tokens=3, c=4, d=2, hyper=hyper)
         sid, w, x = data.sentences[0]
         model = data.model.copy()
         e_store = [data.e_true[0]]
         rng = np.random.default_rng(0)
         samples = {0: sample_cells(w, x, 0, rng)}
-        loss, g_p, g_r, g_e = sampled_loss_and_grads(
-            [0], samples, model, e_store, hyper, reg_scale=1.0
-        )
+        loss, g_p, g_r, g_e = sampled_loss_and_grads([0], samples, model, e_store,
+                                                     reg_scale=1.0)
         assert loss == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(g_p, 0, atol=1e-12)
         np.testing.assert_allclose(g_r, 0, atol=1e-12)
@@ -114,13 +101,13 @@ class TestGradients:
                                  values=[0.3, 0.7, -1.0])
         hyper = Hyperparams(r=2, alpha=0.7, lambda_p=0.0, lambda_r=0.0, lambda_e=0.0)
         rng = np.random.default_rng(5)
-        model = init_for_training(Dims(3, 2), hyper, seed=6)
+        model = init_for_training(3, 2, hyper, seed=6)
         model.R = rng.normal(size=model.R.shape)
         e_store = [rng.normal(size=(2, 2))]
 
         def at_k0(w, x):
             samples = {0: sample_cells(w, x, 0, np.random.default_rng(0))}
-            return sampled_loss_and_grads([0], samples, model, e_store, hyper, 1.0)
+            return sampled_loss_and_grads([0], samples, model, e_store, 1.0)
 
         loss, g_p, g_r, g_e = at_k0(w, x)
         w_dense, x_dense = w.to_dense(), x.to_dense()
@@ -138,13 +125,11 @@ class TestGradients:
         rng = np.random.default_rng(1)
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=2)
+        model = init_for_training(4, 2, hyper, seed=2)
         model.frozen_p_rows[0] = True
         e_store = [rng.normal(size=(3, 2)) for _ in ws]
         samples = {s: sample_cells(ws[s], xs[s], 2, rng) for s in (0, 1)}
-        _, g_p, _, _ = sampled_loss_and_grads(
-            [0, 1], samples, model, e_store, hyper, reg_scale=1.0
-        )
+        _, g_p, _, _ = sampled_loss_and_grads([0, 1], samples, model, e_store, reg_scale=1.0)
         np.testing.assert_array_equal(g_p[0], 0.0)
 
 
@@ -179,7 +164,7 @@ class TestAgainstCellLoop:
         hyper = Hyperparams(r=r, alpha=data.uniform(0, 2),
                             lambda_p=data.uniform(0, 1), lambda_r=data.uniform(0, 1),
                             lambda_e=data.uniform(0, 1))
-        model = init_for_training(Dims(c, d), hyper, seed=seed)
+        model = init_for_training(c, d, hyper, seed=seed)
         model.R = data.normal(size=model.R.shape)
         model.frozen_p_rows[:] = frozen[:c]
         e_store = [data.normal(size=(n, r)) for n, _, _ in sentences]
@@ -187,9 +172,9 @@ class TestAgainstCellLoop:
         samples = {s: sample_cells(ws[s], xs[s], k, data) for s in batch}
         reg_scale = data.uniform(0, 1)
         loss, g_p, g_r, g_e = sampled_loss_and_grads(
-            batch, samples, model, e_store, hyper, reg_scale)
+            batch, samples, model, e_store, reg_scale)
         ref_loss, ref_p, ref_r, ref_e = sampled_loss_and_grads_by_cell(
-            batch, samples, model, e_store, hyper, reg_scale)
+            batch, samples, model, e_store, reg_scale)
         assert loss == pytest.approx(ref_loss, rel=1e-10)
         assert_close(g_p, ref_p)
         assert_close(g_r, ref_r)
@@ -207,7 +192,7 @@ def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
     """Sentences of n tokens with 2 W entries and 2 X entries per token (a
     dependency edge into every token, and an adjacency edge), a model at
     rank r, E rows and the rng that draws the rest: (ws, xs, model,
-    e_store, hyper, rng)."""
+    e_store, rng)."""
     rng = np.random.default_rng(seed)
     tokens = np.arange(n)
     ws = [SparsePropertyMatrix(c=c, n=n, rows=rng.integers(c, size=2 * n),
@@ -216,20 +201,19 @@ def batch_instance(n, c=300, d=40, r=50, sentences=8, seed=0):
         d=d, n=n, rels=np.r_[rng.integers(d - 1, size=n), np.full(n - 1, d - 1)],
         heads=np.r_[rng.integers(n, size=n), tokens[:-1]],
         deps=np.r_[tokens, tokens[1:]]) for _ in range(sentences)]
-    hyper = Hyperparams(r=r)
-    model = init_for_training(Dims(c, d), hyper, seed=seed)
+    model = init_for_training(c, d, Hyperparams(r=r), seed=seed)
     model.R = rng.normal(size=model.R.shape) / r
     e_store = [rng.normal(size=(n, r)) for _ in range(sentences)]
-    return ws, xs, model, e_store, hyper, rng
+    return ws, xs, model, e_store, rng
 
 
 def sampled_batch(n, **sizes):
     """batch_instance(n, **sizes) with one sampled batch of all its
-    sentences: (batch, samples, model, e_store, hyper)."""
-    ws, xs, model, e_store, hyper, rng = batch_instance(n, **sizes)
+    sentences: (batch, samples, model, e_store)."""
+    ws, xs, model, e_store, rng = batch_instance(n, **sizes)
     batch = list(range(len(ws)))
     samples = {s: sample_cells(ws[s], xs[s], 5, rng) for s in batch}
-    return batch, samples, model, e_store, hyper
+    return batch, samples, model, e_store
 
 
 def traced_peak(call):
@@ -253,12 +237,12 @@ def step_peak(n):
     """tracemalloc peak of one sgd_step on batch_instance(n)'s fresh
     tensors: it samples every sentence, builds each tensor's positive cells
     and updates P, R, E and the accumulators in place."""
-    ws, xs, model, e_store, hyper, rng = batch_instance(n)
+    ws, xs, model, e_store, rng = batch_instance(n)
     state = SgdState(np.zeros_like(model.P), np.zeros_like(model.R),
                      [np.zeros_like(e) for e in e_store])
     batch = list(range(len(ws)))
-    return traced_peak(lambda: sgd_step(batch, ws, xs, model, e_store, hyper,
-                                        SgdConfig(), state, rng, 0.5))
+    return traced_peak(lambda: sgd_step(batch, ws, xs, model, e_store, SgdConfig(),
+                                        state, rng, 0.5))
 
 
 class TestBatchScaling:
@@ -279,7 +263,7 @@ class TestAdaptiveStep:
         # P and R in either memory order, two frozen P rows, accumulators
         # that already hold squared gradients, and a batch of two of three
         # sentences in shuffled order
-        ws, xs, model, e_store, hyper, rng = batch_instance(6, c=7, d=3, r=4, sentences=3)
+        ws, xs, model, e_store, rng = batch_instance(6, c=7, d=3, r=4, sentences=3)
         model.frozen_p_rows[[0, 3]] = True
         model.P, model.R = (np.array(a, order=order) for a in (model.P, model.R))
         state = SgdState(np.array(rng.random(model.P.shape), order=order),
@@ -290,14 +274,13 @@ class TestAdaptiveStep:
         ref_rng.bit_generator.state = rng.bit_generator.state
         samples = {s: sample_cells(ws[s], xs[s], config.negatives_per_positive, ref_rng)
                    for s in batch}
-        _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store,
-                                                  hyper, reg_scale)
+        _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
         pairs = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
         pairs += [(e_store[s], state.acc_e[s], g_e[s]) for s in batch]
         expected = [adagrad_step(param, acc, grad, config.learning_rate, sgd.ADAPT_EPS)
                     for param, acc, grad in pairs]
         untouched = e_store[1].copy(), state.acc_e[1].copy()
-        sgd_step(batch, ws, xs, model, e_store, hyper, config, state, rng, reg_scale)
+        sgd_step(batch, ws, xs, model, e_store, config, state, rng, reg_scale)
         pairs = [(model.P, state.acc_p), (model.R, state.acc_r)]
         pairs += [(e_store[s], state.acc_e[s]) for s in batch]
         for (param, acc), (ref_param, ref_acc) in zip(pairs, expected, strict=True):
@@ -336,17 +319,17 @@ class TestAddRows:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_trainer_matches_the_add_at_reference(self, monkeypatch, seed):
-        data = synth.generate(seed, n_sentences=6, n_tokens=5, c=8, d=3, r=3,
-                              mode="discrete")
+        data = synth.generate(seed, n_sentences=6, n_tokens=5, c=8, d=3,
+                              hyper=Hyperparams(r=3), mode="discrete")
         ws = [w for _, w, _ in data.sentences]
         xs = [x for _, _, x in data.sentences]
         hyper = Hyperparams(r=4)
-        model = init_for_training(Dims(8, 3), hyper, seed=seed)
+        model = init_for_training(8, 3, hyper, seed=seed)
         model.frozen_p_rows[0] = True
         config = SgdConfig(epochs=4, seed=seed, batch_size=3)
-        runs = [train_sgd(ws, xs, model, hyper, config)]
+        runs = [train_sgd(ws, xs, model, config)]
         monkeypatch.setattr(sgd, "_add_rows", np.add.at)
-        runs.append(train_sgd(ws, xs, model, hyper, config))
+        runs.append(train_sgd(ws, xs, model, config))
         (out, e_store, trace), (ref, ref_e, ref_trace) = runs
         np.testing.assert_array_equal(out.P, ref.P)
         np.testing.assert_array_equal(out.R, ref.R)
@@ -358,13 +341,11 @@ class TestAddRows:
     def test_fortran_ordered_operands_give_the_same_gradients(self, batch):
         # one F-ordered E block stacks to an F-ordered array, yet the
         # gradient targets the rows scatter into are C-ordered
-        _, samples, model, e_store, hyper = sampled_batch(6, c=7, d=3, r=4, sentences=2)
-        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store,
-                                                     hyper, 0.5)
+        _, samples, model, e_store = sampled_batch(6, c=7, d=3, r=4, sentences=2)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, 0.5)
         model.P, model.R = np.asfortranarray(model.P), np.asfortranarray(model.R)
         f_loss, f_p, f_r, f_e = sampled_loss_and_grads(
-            batch, samples, model, [np.asfortranarray(e) for e in e_store],
-            hyper, 0.5)
+            batch, samples, model, [np.asfortranarray(e) for e in e_store], 0.5)
         assert f_loss == pytest.approx(loss, rel=1e-12)
         assert_close(f_p, g_p)
         assert_close(f_r, g_r)
@@ -395,7 +376,7 @@ class TestSampling:
         ws, xs = micro_corpus(n=3, d=2)
         hyper = Hyperparams(r=2, alpha=1.0, lambda_p=0.0, lambda_r=0.0,
                             lambda_e=0.0)
-        model = init_for_training(Dims(4, 2), hyper, seed=4)
+        model = init_for_training(4, 2, hyper, seed=4)
         model.R = rng.normal(size=model.R.shape) * 0.2
         e = rng.normal(size=(3, 2))
         w, x = ws[0], xs[0]
@@ -529,9 +510,9 @@ class TestTrainSgd:
     def test_zero_epochs_noop(self):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=5)
+        model = init_for_training(4, 2, hyper, seed=5)
         cfg = SgdConfig(epochs=0)
-        out, _, trace = train_sgd(ws, xs, model, hyper, cfg)
+        out, _, trace = train_sgd(ws, xs, model, cfg)
         np.testing.assert_array_equal(out.P, model.P)
         np.testing.assert_array_equal(out.R, model.R)
         assert trace == []
@@ -546,45 +527,45 @@ class TestTrainSgd:
         hyper = Hyperparams(r=2)
         monkeypatch.setattr(sgd, "sgd_step", None)  # a step would fail here
         with pytest.raises(BoveError, match="^%s$" % message):
-            train_sgd(ws[:n_w], xs[:n_x], init_for_training(Dims(4, 2), hyper, seed=5),
-                      hyper, SgdConfig(epochs=1))
+            train_sgd(ws[:n_w], xs[:n_x], init_for_training(4, 2, hyper, seed=5),
+                      SgdConfig(epochs=1))
 
-    def test_returns_the_hyperparameters_it_trained_with(self):
+    def test_keeps_the_model_hyperparameters(self):
         ws, xs = micro_corpus()
-        model = init_for_training(Dims(4, 2), Hyperparams(r=2), seed=5)
         hyper = Hyperparams(r=2, alpha=3.0, lambda_e=0.5, inference_iters=7)
-        out, _, _ = train_sgd(ws, xs, model, hyper, SgdConfig(epochs=1))
-        assert out.hyper == hyper
-        assert model.hyper == Hyperparams(r=2)
+        model = init_for_training(4, 2, hyper, seed=5)
+        out, _, _ = train_sgd(ws, xs, model, SgdConfig(epochs=1))
+        assert out.hyper is hyper
+        assert model.hyper is hyper
 
     def test_seed_determinism(self):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
         cfg = SgdConfig(epochs=5, seed=11)
-        model = init_for_training(Dims(4, 2), hyper, seed=6)
-        a, _, _ = train_sgd(ws, xs, model, hyper, cfg)
-        b, _, _ = train_sgd(ws, xs, model, hyper, cfg)
+        model = init_for_training(4, 2, hyper, seed=6)
+        a, _, _ = train_sgd(ws, xs, model, cfg)
+        b, _, _ = train_sgd(ws, xs, model, cfg)
         np.testing.assert_array_equal(a.P, b.P)
         np.testing.assert_array_equal(a.R, b.R)
 
     def test_frozen_rows_unchanged_after_steps(self):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=7)
+        model = init_for_training(4, 2, hyper, seed=7)
         model.frozen_p_rows[1] = True
         frozen_before = model.P[1].copy()
         cfg = SgdConfig(epochs=50, seed=3, batch_size=2)
-        out, _, _ = train_sgd(ws, xs, model, hyper, cfg)
+        out, _, _ = train_sgd(ws, xs, model, cfg)
         np.testing.assert_array_equal(out.P[1], frozen_before)
 
     def test_objective_decreases(self):
         ws, xs = micro_corpus(seed=9, n_sentences=4)
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=8)
+        model = init_for_training(4, 2, hyper, seed=8)
         cfg = SgdConfig(epochs=100, seed=1, learning_rate=0.1)
-        out, e_store, trace = train_sgd(ws, xs, model, hyper, cfg)
-        start = corpus_objective(ws, xs, [np.zeros((3, 2))] * 4, model, hyper)
-        end = corpus_objective(ws, xs, e_store, out, hyper)
+        out, e_store, trace = train_sgd(ws, xs, model, cfg)
+        start = corpus_objective(ws, xs, [np.zeros((3, 2))] * 4, model)
+        end = corpus_objective(ws, xs, e_store, out)
         assert end < start
 
     def test_reproduces_recorded_trace(self):
@@ -595,9 +576,9 @@ class TestTrainSgd:
         ws, xs = micro_corpus(seed=4, n_sentences=3, n=3, c=5, d=3, r=3)
         ws2, xs2 = micro_corpus(seed=5, n_sentences=2, n=5, c=5, d=3, r=3)
         hyper = Hyperparams(r=3, alpha=0.8)
-        model = init_for_training(Dims(5, 3), hyper, seed=2)
+        model = init_for_training(5, 3, hyper, seed=2)
         cfg = SgdConfig(epochs=6, seed=13, batch_size=2, negatives_per_positive=3)
-        out, e_store, trace = train_sgd(ws + ws2, xs + xs2, model, hyper, cfg)
+        out, e_store, trace = train_sgd(ws + ws2, xs + xs2, model, cfg)
         assert trace == pytest.approx([
             152.80582795473924, 152.4513438578552, 150.5554678741661,
             146.0604267005805, 139.1160644463311, 130.12793166525165], rel=1e-9)
@@ -614,28 +595,28 @@ class TestTrainSgd:
         values[0] = value
         ws[0] = replace(ws[0], values=values)
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=5)
+        model = init_for_training(4, 2, hyper, seed=5)
         with pytest.raises(DivergenceError):
-            train_sgd(ws, xs, model, hyper, SgdConfig(epochs=3))
+            train_sgd(ws, xs, model, SgdConfig(epochs=3))
 
     def test_log_marks_sampled(self):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=9)
+        model = init_for_training(4, 2, hyper, seed=9)
         lines = []
-        train_sgd(ws, xs, model, hyper, SgdConfig(epochs=2), log=lines.append)
+        train_sgd(ws, xs, model, SgdConfig(epochs=2), log=lines.append)
         assert len(lines) == 2
         assert all("sampled=true" in line for line in lines)
 
     def test_log_records_epoch_wall_time(self, monkeypatch):
         ws, xs = micro_corpus()
         hyper = Hyperparams(r=2)
-        model = init_for_training(Dims(4, 2), hyper, seed=9)
+        model = init_for_training(4, 2, hyper, seed=9)
         ticks = iter([10.0, 11.5, 20.0, 20.25])
         monkeypatch.setattr(sgd, "time", types.SimpleNamespace(
             perf_counter=lambda: next(ticks)))
         lines = []
-        train_sgd(ws, xs, model, hyper, SgdConfig(epochs=2), log=lines.append)
+        train_sgd(ws, xs, model, SgdConfig(epochs=2), log=lines.append)
         seconds = [dict(kv.split("=") for kv in line.split())["seconds"]
                    for line in lines]
         assert seconds == ["1.500", "0.250"]
