@@ -32,25 +32,24 @@ def numeric_errors_as(error, what):
 
 
 def _spd_solve_right(gram, rhs, ridge, what):
-    """Solve Z (gram + ridge I) = rhs for Z, returned C-contiguous.
-
-    gram must be symmetric PSD; with ridge == 0 a singular gram is an error
-    (deterministic behavior, no pseudo-inverse).  A Cholesky factorization
-    checks positive definiteness; numpy has no triangular solve, so LU solves.
+    """Solve Z (gram + ridge I) = rhs for Z, returned C-contiguous; the ridge
+    is added to gram in place, so gram is overwritten.  gram must be symmetric
+    PSD; with ridge == 0 a singular gram is an error (no pseudo-inverse).  A
+    Cholesky factorization checks positive definiteness; numpy has no
+    triangular solve, so LU solves.
     """
-    a = gram.copy()
-    a.flat[::len(a) + 1] += ridge
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+    gram.flat[::len(gram) + 1] += ridge
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise DivergenceError("%s system has a non-finite entry" % what)
     try:
-        np.linalg.cholesky(a)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         if ridge > 0:
             raise DivergenceError("%s system is not positive definite" % what) from None
         raise SingularSystemError(
             "%s system is singular; set its regularizer > 0" % what
         ) from None
-    return np.ascontiguousarray(np.linalg.solve(a, rhs.T).T)
+    return np.ascontiguousarray(np.linalg.solve(gram, rhs.T).T)
 
 
 def update_P(ws, es, lambda_p, p_current=None, frozen=None):
@@ -110,7 +109,9 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     for x, e in zip(xs, es):
         for k, _, heads, deps, values in x.relation_slices():
             xk[k] += (e[heads].T @ (values[:, None] * e[deps])).ravel()
-    r_flat = _spd_solve_right(alpha * ktk, alpha * xk, lambda_r, "R update")
+    ktk *= alpha
+    xk *= alpha
+    r_flat = _spd_solve_right(ktk, xk, lambda_r, "R update")
     return r_flat.reshape(d, r, r)
 
 

@@ -75,7 +75,8 @@ class TestSolves:
     ], ids=["non-finite-gram", "non-finite-rhs", "indefinite", "singular"])
     def test_error_branches(self, gram, rhs, ridge, error, message):
         with raises_exactly(error, message):
-            als._spd_solve_right(np.asarray(gram), np.asarray(rhs), ridge, "Z")
+            # _spd_solve_right overwrites its gram: each case gets its own
+            als._spd_solve_right(np.array(gram), np.array(rhs), ridge, "Z")
 
 
 class TestUpdateP:

@@ -199,6 +199,53 @@ class TestInvariance:
         assert_scores_equal(s1, s2, s1 @ q, s2 @ q)
 
 
+def scores_by_norm_and_mean(s1, s2):
+    """score_entailment and score_similarity through np.linalg.norm and np.mean."""
+    def unit_rows(bag):
+        norms = np.linalg.norm(bag, axis=1, keepdims=True)
+        return np.where(norms == 0.0, 0.0, bag / np.where(norms == 0.0, 1.0, norms))
+
+    sims = unit_rows(np.asarray(s1, dtype=np.float64)) @ unit_rows(
+        np.asarray(s2, dtype=np.float64)).T
+    a, b = float(np.mean(sims.max(axis=0))), float(np.mean(sims.max(axis=1)))
+    return a, 0.0 if a <= 0.0 or b <= 0.0 else 2.0 * a * b / (a + b)
+
+
+@st.composite
+def wide_bag_pairs(draw):
+    """Two bags of width 1, 20 or 50 and 1-12 rows from a drawn seed; each row
+    is zero or scaled by 1, 1e-170 (its squares underflow) or 1e150."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = draw(st.sampled_from([1, 20, 50]))
+    scale = st.sampled_from([0.0, 1.0, 1e-170, 1e150])
+    bags = []
+    for _ in range(2):
+        n = draw(st.integers(1, 12))  # 8 or more: np.add.reduce sums pairwise
+        scales = draw(st.lists(scale, min_size=n, max_size=n))
+        bags.append(rng.normal(size=(n, r)) * np.array(scales)[:, None])
+    return bags
+
+
+class TestPerPairKernel:
+    """The scores equal their np.linalg.norm / np.mean form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(bag_pairs(), wide_bag_pairs()))
+    def test_scores_equal_the_norm_and_mean_form(self, bags):
+        s1, s2 = bags
+        got = np.array([score_entailment(s1, s2), score_similarity(s1, s2)])
+        assert got.tobytes() == np.array(scores_by_norm_and_mean(s1, s2)).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 20, 50])
+    def test_zero_rows_and_single_rows(self, r):
+        rng = np.random.default_rng(r)
+        s1, s2 = rng.normal(size=(3, r)), rng.normal(size=(1, r))
+        s1[1] = 0.0
+        for pair in ((s1, s2), (s2, s1), (s2, s2), (s1, np.zeros((1, r)))):
+            got = np.array([score_entailment(*pair), score_similarity(*pair)])
+            assert got.tobytes() == np.array(scores_by_norm_and_mean(*pair)).tobytes()
+
+
 class TestPearson:
     def test_perfect_positive(self):
         assert pearson([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)

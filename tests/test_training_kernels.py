@@ -17,6 +17,7 @@ from bove.encoding import (
     reconstruction_loss,
 )
 from bove.model import Hyperparams, TypeEmbeddings
+from bove.synth import generate
 
 from oracles import (
     reconstruction_loss_dense,
@@ -161,8 +162,7 @@ def long_sentence():
 KERNELS = {
     "update_P": lambda ws, xs, es, model: update_P(ws, es, 0.1),
     "update_R": lambda ws, xs, es, model: update_R(xs, es, 0.1),
-    "corpus_objective": lambda ws, xs, es, model: corpus_objective(
-        ws, xs, es, model, model.hyper),
+    "corpus_objective": lambda ws, xs, es, model: corpus_objective(ws, xs, es, model),
     "update_E_sentence": lambda ws, xs, es, model: update_E_sentence(
         ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
 }
@@ -203,3 +203,13 @@ def test_kernel_peak_grows_at_most_linearly_with_the_entries(name):
 def test_objective_memory_stays_small_on_a_long_sentence():
     # 3,200 tokens: one n x n slice product alone would be 82 MB
     assert traced_peak(KERNELS["corpus_objective"], sentence_of_length(3200)) < 5e6
+
+
+def test_update_R_peak_is_two_kronecker_grams():
+    # the r^2 x r^2 Gram and one factor or LU copy of it; no scaled or
+    # ridged copy of the Gram beside them
+    r = 30
+    data = generate(3, n_sentences=8, n_tokens=12, c=20, d=3, hyper=Hyperparams(r=r))
+    xs = [x for _, _, x in data.sentences]
+    es = [np.random.default_rng(1).normal(size=(12, r)) for _ in xs]
+    assert traced_peak(update_R, (xs, es, 0.1, 0.7)) < 2.5 * r ** 4 * 8
