@@ -39,9 +39,7 @@ def cosine(u, v):
 def _unit_rows(bag):
     bag = np.asarray(bag, dtype=np.float64)
     norms = np.sqrt(np.add.reduce(bag * bag, axis=1, keepdims=True))  # as np.linalg.norm
-    if norms.all():
-        return bag / norms
-    return np.where(norms == 0.0, 0.0, bag / np.where(norms == 0.0, 1.0, norms))
+    return np.divide(bag, norms, out=np.zeros_like(bag), where=norms != 0.0)
 
 
 def _cosines(s1, s2):
@@ -59,16 +57,13 @@ def _cosines(s1, s2):
     return _unit_rows(s1) @ _unit_rows(s2).T
 
 
-def _mean(v):
-    return float(np.add.reduce(v) / len(v))  # np.mean's sum and division, without its wrapper
-
-
 def score_entailment(s1, s2):
     """Directional alignment score: mean over s2 rows of the best cosine in s1.
 
     Asymmetric; s1 is the entailing bag, s2 the entailed one.
     """
-    return _mean(_cosines(s1, s2).max(axis=0))
+    best = _cosines(s1, s2).max(axis=0)
+    return float(np.add.reduce(best) / len(best))  # np.mean's sum and division
 
 
 def score_similarity(s1, s2):
@@ -77,7 +72,8 @@ def score_similarity(s1, s2):
     One cosine matrix gives both: its column maxima align s2, its row maxima s1.
     """
     sims = _cosines(s1, s2)
-    a, b = _mean(sims.max(axis=0)), _mean(sims.max(axis=1))
+    a = float(np.add.reduce(sims.max(axis=0)) / sims.shape[1])  # np.mean's sum and division
+    b = float(np.add.reduce(sims.max(axis=1)) / sims.shape[0])
     if a <= 0.0 or b <= 0.0:
         return 0.0
     return 2.0 * a * b / (a + b)
