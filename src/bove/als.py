@@ -1,10 +1,9 @@
 """Alternating least squares training of the factorization model.
 
-P's closed-form update streams Gram sums over the sentences, R's contracts
-the stacked sentence Grams once; each sentence's E is refreshed by a damped
-(averaged) pair of least-squares solves.  Vectorization convention: vec
-stacks matrix rows left-to-right (row-major), token pairs are enumerated
-row-major over (head, dependent), so vec(A.B.A^T) = (A kron A) . vec(B).
+P's closed-form update streams Gram sums over the sentences; R's normal
+equations are solved for every relation slice at once by preconditioned
+conjugate gradients; each sentence's E is refreshed by a damped (averaged)
+pair of least-squares solves.
 """
 
 import time
@@ -14,9 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import check_operands, reconstruction_loss
-from .errors import BoveError, DimensionMismatch, DivergenceError, SingularSystemError
+from .errors import BoveError, DivergenceError, SingularSystemError
 
-ALS_R_CAP = 100
+# update_R's conjugate gradients stop at a residual this small relative to
+# the right-hand side's, or after this many iterations without a new lowest
+# residual; ending above the last bound is a divergence.
+_CG_TOL = 1e-15
+_CG_PATIENCE = 100
+_CG_ACCEPT = 1e-8
 
 
 @contextmanager
@@ -74,13 +78,6 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     return p_new
 
 
-def _check_rank(r):
-    """Refuse r above ALS_R_CAP, where update_R's r^2 x r^2 solve is too large."""
-    if r > ALS_R_CAP:
-        raise DimensionMismatch("r=%d exceeds the ALS cap of %d (r^2 x r^2 solve); "
-                                "use the SGD trainer, trainer=sgd" % (r, ALS_R_CAP))
-
-
 def check_corpus(ws, xs):
     """Refuse a corpus with no sentence, or with unequal W and X counts."""
     if len(ws) != len(xs):
@@ -89,30 +86,98 @@ def check_corpus(ws, xs):
         raise BoveError("no sentences to train on")
 
 
-def update_R(xs, es, lambda_r, alpha=1.0):
-    """Exact minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
+def _sandwich(a, z, b, left, out):
+    """Write a Z_k b into out for every relation slice Z_k of z, where z and
+    out are (r, d, r) arrays holding slice k at [:, k, :]: two plain GEMMs
+    over all d slices, the first into left, an (r, d r) buffer.  out may be
+    z.  Written into buffers the caller keeps, since a fresh output array
+    per product costs as much as the product."""
+    r, d, _ = z.shape
+    np.matmul(a, z.reshape(r, -1), out=left)
+    np.matmul(left.reshape(r * d, r), b, out=out.reshape(r * d, r))
+    return out
 
-    Solved through the Kronecker reformulation: each relation slice is the
-    row-major matricization of one row of R' = alpha X'E' (alpha E'^T E' +
-    lambda_r I)^-1 with E'_s = E_s kron E_s.  Requires an r^2 x r^2 solve,
-    hence the cap ALS_R_CAP on r.  Normal equations: ktk = sum G_s kron G_s
-    (r^2 x r^2, G_s = E_s^T E_s) is one contraction of the stacked Grams, and
-    xk = sum X'_s (E_s kron E_s) (d x r^2), row k summing v vec(e_h e_t^T)
-    over X's entries (k, h, t, v).
+
+def update_R(xs, es, lambda_r, alpha=1.0):
+    """Minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
+
+    Its normal equations, one per relation slice k,
+        sum_s G_s R_k G_s + (lambda_r / alpha) R_k = B_k,
+    with G_s = E_s^T E_s and B_k = sum_s E_s^T X_sk E_s (one product
+    E[heads]^T (v E[deps]) per relation of each sentence), are solved for
+    every k at once by preconditioned conjugate gradients, in O((d + S) r^2)
+    memory: no r^2 x r^2 array is formed.  The iteration runs in the
+    eigenbasis of the mean Gram, Q diag(g) Q^T, where the preconditioner
+    (S mean Gram kron mean Gram + lambda_r / alpha)^-1 is an elementwise
+    divide by S g_a g_b + lambda_r / alpha.  B is scaled to a largest entry
+    of 1, so tiny or huge X entries neither underflow nor overflow.  The
+    iteration stops at a residual of _CG_TOL relative to B's, or once the
+    residual has not fallen for _CG_PATIENCE iterations; ending above
+    _CG_ACCEPT relative is a DivergenceError.
+
+    With lambda_r = 0, a mean Gram singular to working precision (smallest
+    eigenvalue at most r eps times the largest) is a SingularSystemError.
+    A system singular only through directions that some sentences span and
+    others lack (E_1 = [[1, 0]], E_2 = [[0, 1]]) has many minimizers; the
+    one returned is the one conjugate gradients reach from R = 0, of least
+    preconditioner-weighted norm.  Where the mean Gram is a multiple of the
+    identity, as in that example, it is the minimizer of least Frobenius
+    norm, with R_k zero off the diagonal.
     """
     r = es[0].shape[1]
-    _check_rank(r)
     d = xs[0].d
     grams = np.stack([e.T @ e for e in es])
-    ktk = np.einsum("sac,sbd->abcd", grams, grams, optimize=True).reshape(r * r, r * r)
-    xk = np.zeros((d, r * r))
+    b = np.zeros((r, d, r))
     for x, e in zip(xs, es):
         for k, _, heads, deps, values in x.relation_slices():
-            xk[k] += (e[heads].T @ (values[:, None] * e[deps])).ravel()
-    ktk *= alpha
-    xk *= alpha
-    r_flat = _spd_solve_right(ktk, xk, lambda_r, "R update")
-    return r_flat.reshape(d, r, r)
+            b[:, k] += e[heads].T @ (values[:, None] * e[deps])
+    if not (np.isfinite(grams).all() and np.isfinite(b).all()):
+        raise DivergenceError("R update system has a non-finite entry")
+    g, q = np.linalg.eigh(grams.mean(axis=0))
+    if lambda_r == 0 and not (alpha > 0 and g[0] > r * np.finfo(float).eps * g[-1]):
+        raise SingularSystemError("R update system is singular; set its regularizer > 0")
+    scale = np.abs(b).max()
+    if alpha == 0 or scale == 0:
+        return np.zeros((d, r, r))
+    ridge = lambda_r / alpha
+    grams = q.T @ grams @ q
+    g = np.maximum(g, 0.0)
+    precond = 1.0 / (len(es) * g[:, None, None] * g + ridge)
+    left, product = np.empty((r, d * r)), np.empty_like(b)
+    b /= scale
+    res = _sandwich(q.T, b, q, left, b)
+    rhs_norm = np.linalg.norm(res)
+
+    def normal_operator(z, out):
+        np.multiply(z, ridge, out=out)
+        for h in grams:
+            out += _sandwich(h, z, h, left, product)
+        return out
+
+    z = np.zeros_like(res)
+    y = res * precond
+    p = y.copy()
+    ap = np.empty_like(res)
+    ry = np.vdot(res, y)
+    best, stalled = np.inf, 0
+    while True:
+        step = ry / np.vdot(p, normal_operator(p, ap))
+        z += step * p
+        res -= step * ap
+        norm = np.linalg.norm(res)
+        best, stalled = (norm, 0) if norm < best else (best, stalled + 1)
+        if norm <= _CG_TOL * rhs_norm or stalled == _CG_PATIENCE:
+            break
+        np.multiply(res, precond, out=y)
+        ry, ry_prev = np.vdot(res, y), ry
+        p *= ry / ry_prev
+        p += y
+    if not norm <= _CG_ACCEPT * rhs_norm:
+        raise DivergenceError("R update did not converge: residual %.3g relative to "
+                              "the right-hand side" % (norm / rhs_norm))
+    z = _sandwich(q, z, q.T, left, z)
+    z *= scale
+    return z.transpose(1, 0, 2).copy()
 
 
 def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
@@ -227,11 +292,10 @@ def train(ws, xs, model, log=None):
     instead of that round's single sweep.  Training stops when the relative
     objective improvement over one round drops to rel_improvement_stop, or at
     max_rounds; it diverges on overflow.  It returns a trained copy of model.
-    An empty or uneven corpus, and r > ALS_R_CAP, are refused before any work.
+    An empty or uneven corpus is refused before any work.
     """
     check_corpus(ws, xs)
     hyper = model.hyper
-    _check_rank(hyper.r)
     _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()
     es = [np.zeros((w.n, hyper.r)) for w in ws]

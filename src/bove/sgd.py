@@ -1,10 +1,11 @@
 """Mini-batch SGD trainer with adaptive per-parameter learning rates.
 
-The alternative trainer for embedding sizes where the ALS r^2 x r^2 solve
-is too expensive.  Positive cells of each sentence's tensors are always
-visited; zero cells are subsampled (k uniform draws per positive, each a
-rank in the zero cells' row-major order) and importance-weighted so the
-sampled loss is an unbiased estimate of the full-tensor objective.
+The alternative to ALS: a step solves no system and touches only its
+batch's sampled cells, so its cost follows the batch, not the corpus.
+Positive cells of each sentence's tensors are always visited; zero cells
+are subsampled (k uniform draws per positive, each a rank in the zero
+cells' row-major order) and importance-weighted so the sampled loss is an
+unbiased estimate of the full-tensor objective.
 """
 
 import math

@@ -79,8 +79,11 @@ def update_P_dense(ws, es, lambda_p, p_current=None, frozen=None):
 
 
 def update_R_dense(xs, es, lambda_r, alpha=1.0):
-    """als.update_R from dense X: the Kronecker normal equations, with row k
-    of the right-hand side vec(E_s^T X_sk E_s)."""
+    """als.update_R as one exact solve of the Kronecker normal equations from
+    dense X: (alpha sum_s G_s kron G_s + lambda_r I) vec(R_k) = alpha sum_s
+    vec(E_s^T X_sk E_s), with G_s = E_s^T E_s and vec stacking rows, so that
+    vec(A B A^T) = (A kron A) vec(B).  It holds r^2 x r^2 arrays: 1.7 GB
+    with its solve's copy at r = 101."""
     r, d = es[0].shape[1], xs[0].d
     ktk = lambda_r * np.eye(r * r)
     xk = np.zeros((d, r * r))

@@ -6,7 +6,6 @@ import pytest
 
 from bove import als, synth
 from bove.als import (
-    ALS_R_CAP,
     R_REGULARIZERS,
     averaged_E_step,
     corpus_objective,
@@ -53,7 +52,8 @@ def raises_exactly(error, message):
 
 
 class TestSolves:
-    """Every P, R and E solve goes through als._spd_solve_right."""
+    """The P and E solves go through als._spd_solve_right; every solve's
+    result is C-contiguous."""
 
     def test_results_are_c_contiguous(self):
         rng = np.random.default_rng(8)
@@ -143,16 +143,45 @@ class TestUpdateR:
         r_new = update_R([x], [np.array([[2.0]])], lambda_r=0.0)
         assert r_new[0, 0, 0] == pytest.approx(0.25)
 
-    def test_r_cap(self):
-        _, x = sparse_sentence(np.zeros((1, 2)), np.zeros((1, 2, 2)))
-        with pytest.raises(DimensionMismatch, match="cap"):
-            update_R([x], [np.zeros((2, ALS_R_CAP + 1))], lambda_r=0.1)
-
     def test_singular_without_ridge(self):
         _, x = sparse_sentence(np.zeros((1, 3)), np.ones((2, 3, 3)))
         with raises_exactly(SingularSystemError,
                             "R update system is singular; set its regularizer > 0"):
             update_R([x], [np.zeros((3, 2))], lambda_r=0.0)
+
+    def test_shared_null_direction_without_ridge(self):
+        # no sentence spans the second axis, so the mean Gram is singular
+        _, x = sparse_sentence(np.zeros((1, 2)), np.ones((2, 2, 2)))
+        with raises_exactly(SingularSystemError,
+                            "R update system is singular; set its regularizer > 0"):
+            update_R([x], [np.array([[1.0, 0.0], [2.0, 0.0]])], lambda_r=0.0)
+
+    def test_sentence_specific_null_directions_give_the_least_norm_minimizer(self):
+        # E_1 = [[1, 0]] and E_2 = [[0, 1]]: the mean Gram is I / 2, but the
+        # summed Kronecker Gram is singular.  Each sentence fixes one diagonal
+        # entry of every R_k; the off-diagonals are free, and the minimizer of
+        # least norm, the one documented, leaves them at zero.
+        x1, x2 = [[[2.0]], [[-1.0]]], [[[0.5]], [[3.0]]]
+        xs = [sparse_sentence(np.zeros((1, 1)), xd)[1] for xd in (x1, x2)]
+        r_new = update_R(xs, [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])],
+                         lambda_r=0.0, alpha=0.7)
+        np.testing.assert_allclose(r_new, [np.diag([2.0, 0.5]), np.diag([-1.0, 3.0])],
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("e_bad, x_bad", [(np.nan, 1.0), (1.0, np.nan)],
+                             ids=["in-E", "in-X"])
+    def test_non_finite_system(self, e_bad, x_bad):
+        _, x = sparse_sentence(np.zeros((1, 2)), [[[1.0, x_bad], [1.0, 1.0]]])
+        with raises_exactly(DivergenceError, "R update system has a non-finite entry"):
+            update_R([x], [np.array([[1.0, e_bad], [3.0, 4.0]])], lambda_r=0.1)
+
+    def test_unconverged_iteration_is_a_divergence(self, monkeypatch):
+        # stopping after the first step, whose residual is not yet small
+        monkeypatch.setattr(als, "_CG_PATIENCE", 0)
+        rng = np.random.default_rng(4)
+        _, xs, es = random_instance(rng)
+        with pytest.raises(DivergenceError, match="^R update did not converge: residual"):
+            update_R(xs, es, lambda_r=0.1)
 
     def test_kronecker_vec_identity(self):
         rng = np.random.default_rng(3)
@@ -391,13 +420,6 @@ class TestTrain:
         model = init_for_training(8, 2, hyper, seed=0)
         assert train(ws, xs, model).model.hyper is hyper
         assert model.hyper is hyper
-
-    def test_rank_cap_is_checked_before_any_sweep(self, monkeypatch):
-        ws, xs = self.make_corpus()
-        hyper = Hyperparams(r=ALS_R_CAP + 1)
-        monkeypatch.setattr(als, "averaged_E_step", None)  # a sweep would fail here
-        with pytest.raises(DimensionMismatch, match="trainer=sgd"):
-            train(ws, xs, init_for_training(8, 2, hyper, seed=0))
 
     @pytest.mark.parametrize("n_w, n_x, message", [
         (0, 0, "no sentences to train on"),

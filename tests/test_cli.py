@@ -130,12 +130,6 @@ class TestTrain:
         model = load_model(str(workspace / "model.bin"))
         assert model.P.shape[1] == 4
 
-    def test_r_over_cap_advises_sgd(self, workspace, capsys):
-        config = write_config(workspace, **{"hyper.r": "101"})
-        run(config, "build-vocab")
-        assert run(config, "train") == EXIT_DATA
-        assert "sgd" in capsys.readouterr().err
-
     def test_training_log(self, workspace):
         config = write_config(workspace,
                               **{"paths.log": str(workspace / "train.log")})

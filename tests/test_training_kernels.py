@@ -205,11 +205,76 @@ def test_objective_memory_stays_small_on_a_long_sentence():
     assert traced_peak(KERNELS["corpus_objective"], sentence_of_length(3200)) < 5e6
 
 
-def test_update_R_peak_is_two_kronecker_grams():
-    # the r^2 x r^2 Gram and one factor or LU copy of it; no scaled or
-    # ridged copy of the Gram beside them
-    r = 30
-    data = generate(3, n_sentences=8, n_tokens=12, c=20, d=3, hyper=Hyperparams(r=r))
+def r_step_corpus(r, d, n_sentences, n_tokens=12, seed=1):
+    """n_sentences generated sentences of n_tokens tokens and d relations,
+    each with its own E drawn from seed."""
+    data = generate(3, n_sentences=n_sentences, n_tokens=n_tokens, c=20, d=d,
+                    hyper=Hyperparams(r=r))
+    rng = np.random.default_rng(seed)
     xs = [x for _, _, x in data.sentences]
-    es = [np.random.default_rng(1).normal(size=(12, r)) for _ in xs]
-    assert traced_peak(update_R, (xs, es, 0.1, 0.7)) < 2.5 * r ** 4 * 8
+    return xs, [rng.normal(size=(n_tokens, r)) for _ in xs]
+
+
+def normal_equation_residual(xs, es, lambda_r, alpha, r_tensor):
+    """||alpha sum_s G_s R_k G_s + lambda_r R_k - B|| / ||B||, with G_s = E_s^T E_s
+    and B_k = alpha sum_s E_s^T X_sk E_s from the dense X."""
+    lhs = lambda_r * r_tensor
+    rhs = np.zeros_like(r_tensor)
+    for x, e in zip(xs, es):
+        g = e.T @ e
+        lhs += alpha * g @ r_tensor @ g
+        rhs += alpha * np.einsum("ia,kij,jb->kab", e, x.to_dense(), e)
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
+
+def test_update_R_peak_is_linear_in_d_and_S():
+    # O((d + S) r^2): the iterate and its few companions are d x r x r, the
+    # stacked sentence Grams S x r x r.  One r^2 x r^2 array alone would be
+    # r^4 x 8 bytes, 6.5 MB at r = 30.
+    r = 30
+    for d, n_sentences in ((3, 8), (20, 2)):
+        xs, es = r_step_corpus(r, d, n_sentences)
+        assert traced_peak(update_R, (xs, es, 0.1, 0.7)) < 8 * (d + n_sentences) * r ** 2 * 8
+
+
+def test_update_R_runs_above_the_old_rank_cap():
+    # r = 101, one past the retired ALS cap: the dense Kronecker system and
+    # its factor would take 2 x 101^4 x 8 bytes, 1.7 GB
+    r, d = 101, 2
+    xs, es = r_step_corpus(r, d, 4)
+    got = traced_peak(update_R, (xs, es, 0.1, 0.7))
+    assert got < 8 * (d + len(xs)) * r ** 2 * 8
+    assert normal_equation_residual(xs, es, 0.1, 0.7, update_R(xs, es, 0.1, 0.7)) < 1e-12
+
+
+MAGNITUDES = (1e-148, 1.0, 1e100)
+
+
+@st.composite
+def r_systems(draw):
+    """update_R's inputs at r <= 30: 1-3 sentences of 1-4 tokens, each with
+    up to 8 X entries or none, the entries' magnitudes drawn from
+    MAGNITUDES, and E, alpha and lambda_r from a drawn seed.  With
+    lambda_r = 0 one more sentence of 2r tokens makes the system
+    nonsingular."""
+    r, d = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    ridge = draw(st.booleans())
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    if not ridge:
+        lengths.append(2 * r)
+    xs = []
+    for n in lengths:
+        token = st.integers(0, n - 1)
+        cells = draw(st.lists(st.tuples(st.integers(0, d - 1), token, token), max_size=8))
+        values = [draw(st.floats(-4, 4, allow_nan=False)) * draw(st.sampled_from(MAGNITUDES))
+                  for _ in cells]
+        xs.append(sentence(1, d, n, [], [], cells, values)[1])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    es = [rng.normal(size=(n, r)) for n in lengths]
+    return xs, es, rng.uniform(0.1, 1) if ridge else 0.0, rng.uniform(0.1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r_systems())
+def test_update_R_matches_the_dense_solve(system):
+    assert_matches(update_R(*system), update_R_dense(*system))
