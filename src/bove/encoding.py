@@ -208,6 +208,43 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     return w_fit + alpha * x_fit
 
 
+def relation_gram(r_tensor, m):
+    """sum_k R_k M R_k^T + R_k^T M R_k (r x r), two products over all d slices.
+    <relation_gram(R, A), B> = 2 sum_k <R_k, A R_k B> for symmetric A and B."""
+    return (np.tensordot(r_tensor @ m, r_tensor, axes=([0, 2], [0, 2]))
+            + np.tensordot(r_tensor, m @ r_tensor, axes=([0, 1], [0, 1])))
+
+
+def loss_along(w, x, p, r_tensor, e, direction, alpha=1.0):
+    """(a1, a2, a3, a4) with reconstruction_loss(E + t D) - reconstruction_loss(E)
+    = a1 t + a2 t^2 + a3 t^3 + a4 t^4 for the direction D, read from the
+    entries.  With M = E^T E, C = E^T D, S = C + C^T, N = D^T D and G =
+    relation_gram, E + t D has Gram M + t S + t^2 N, so W's squared
+    predictions change by t <P^T P, S> + t^2 <P^T P, N> and X's by
+    t <G(M), S> + t^2 (<G(S), S> / 2 + <G(M), N>) + t^3 <G(S), N>
+    + t^4 <G(N), N> / 2; each entry's value v adds -2 v times the change of
+    its prediction.  The coefficients are not a difference of two losses, so
+    a1 keeps its sign for steps far below the rounding of the loss."""
+    p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
+    direction = check_operands(w, x, p, r_tensor, direction)[2]
+    m, c, n = e.T @ e, e.T @ direction, direction.T @ direction
+    s = c + c.T
+    pp = p.T @ p
+    g_m, g_s, g_n = (relation_gram(r_tensor, a) for a in (m, s, n))
+    paired = "j,ja,ja->"  # sum_j v_j (left_j . right_j)
+    x_linear = x_square = 0.0
+    for k, _, heads, deps, values in x.relation_slices():
+        d_heads = direction[heads] @ r_tensor[k]
+        x_linear += (np.einsum(paired, values, d_heads, e[deps])
+                     + np.einsum(paired, values, e[heads] @ r_tensor[k], direction[deps]))
+        x_square += np.einsum(paired, values, d_heads, direction[deps])
+    w_linear = np.einsum(paired, w.values, p[w.rows], direction[w.cols])
+    a1 = np.sum(pp * s) - 2.0 * w_linear + alpha * (np.sum(g_m * s) - 2.0 * x_linear)
+    a2 = np.sum(pp * n) + alpha * (0.5 * np.sum(g_s * s) + np.sum(g_m * n) - 2.0 * x_square)
+    a3, a4 = alpha * np.sum(g_s * n), 0.5 * alpha * np.sum(g_n * n)
+    return float(a1), float(a2), float(a3), float(a4)
+
+
 # Tensor dump: "dims c d", then per sentence "sentence <id> <n>" followed by
 # one "<tag> <index per axis> <value>" line per entry of W and of X.
 _TAGS = {"W": SparsePropertyMatrix, "X": SparseRelationTensor}

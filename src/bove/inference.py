@@ -4,8 +4,12 @@ A sentence's bag is a fixed point of the least-squares refresh
 (update_E_sentence), which is a stationary point of the sentence's E
 objective, the reconstruction loss plus lambda_e ||E||^2.  The refresh alone
 need not contract there, so infer_bove accelerates it by Anderson mixing
-(Walker & Ni, SIAM J. Numer. Anal. 2011) and keeps a move only if the
-objective falls.
+(Walker & Ni, SIAM J. Numer. Anal. 2011) and moves E by an exact line
+search: along any direction the objective is a quartic in the step, so each
+move goes to that quartic's minimum (the "enhanced line search" of tensor
+ALS; Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008).  The
+quartic's coefficients are read from the entries, not taken as a difference
+of two losses, so a step far below the loss's rounding is still seen.
 """
 
 from collections import deque
@@ -13,7 +17,7 @@ from collections import deque
 import numpy as np
 
 from .als import update_E_sentence
-from .encoding import reconstruction_loss
+from .encoding import loss_along
 
 TOL = 1e-8  # converged: the refresh moves E by at most TOL of its norm
 DEPTH = 5  # Anderson history: step differences kept
@@ -32,17 +36,33 @@ def _anderson(history):
     return e + MIXING * step - np.tensordot(gamma, d_e + MIXING * d_step, axes=1)
 
 
+def _quartic_minimizer(a):
+    """The t > 0 that minimizes a1 t + a2 t^2 + a3 t^3 + a4 t^4 for a = (a1,
+    a2, a3, a4), taken among the real parts of the roots of its derivative;
+    0 where it does not descend: a1 >= 0, or a coefficient is not finite
+    (np.roots refuses a NaN)."""
+    if not (np.isfinite(a).all() and a[0] < 0):
+        return 0.0
+    t = np.roots([4.0 * a[3], 3.0 * a[2], 2.0 * a[1], a[0]]).real
+    t = t[t > 0]
+    if not len(t):
+        return 0.0
+    return float(t[np.argmin(np.polyval([a[3], a[2], a[1], a[0], 0.0], t))])
+
+
 def infer_bove(w, x, model, iters=None):
     """Token embeddings (n x r) for one sentence under model.hyper, P and R fixed.
 
     The first solve is the raw refresh of zeros.  Each later solve refreshes
     the current E; the refresh is returned once it moves E by at most TOL
-    of its norm.  Otherwise E moves to the Anderson candidate if that lowers
-    the E objective, or else to the first of E + t (refresh - E), t = 1,
-    1/2, ..., that does; E is returned when none does before the step falls
-    below TOL.  The solve count (hyper.inference_iters unless iters is
-    given) is a cap, at which E is returned; a count below 1 raises
-    ValueError.
+    of its norm.  Otherwise E moves along the line to the Anderson candidate,
+    to the minimum of the E objective on that line (a quartic in the step:
+    encoding.loss_along plus the ridge's terms).  If the objective does not
+    fall along that line, the history is dropped and E moves the same way
+    along refresh - E, which descends wherever E is not a fixed point: the
+    refresh minimizes a linearized objective with the same gradient at E.
+    The solve count (hyper.inference_iters unless iters is given) is a cap,
+    at which E is returned; a count below 1 raises ValueError.
     """
     hyper = model.hyper
     total = iters if iters is not None else hyper.inference_iters
@@ -52,32 +72,26 @@ def infer_bove(w, x, model, iters=None):
     def refresh(e):
         return update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)
 
-    def objective(e):
-        return (reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha)
-                + hyper.lambda_e * float(np.sum(e ** 2)))
+    def line_search(e, direction):
+        a1, a2, a3, a4 = loss_along(w, x, model.P, model.R, e, direction, hyper.alpha)
+        # lambda_e ||E + t D||^2 adds 2 lambda_e <E, D> t + lambda_e ||D||^2 t^2
+        return _quartic_minimizer((a1 + 2.0 * hyper.lambda_e * np.sum(e * direction),
+                                   a2 + hyper.lambda_e * np.sum(direction ** 2), a3, a4))
 
     e = refresh(np.zeros((w.n, hyper.r)))
-    loss = objective(e)
     history = deque(maxlen=DEPTH + 1)
     for _ in range(total - 1):
         refreshed = refresh(e)
         step = refreshed - e
-        size, floor = np.linalg.norm(step), TOL * np.linalg.norm(refreshed)
-        if size <= floor:
+        if np.linalg.norm(step) <= TOL * np.linalg.norm(refreshed):
             return refreshed
         history.append((e, step))
-        candidate = _anderson(history)
-        candidate_loss = objective(candidate)
-        if not candidate_loss < loss:  # a NaN objective does not fall either
+        direction = _anderson(history) - e
+        t = line_search(e, direction)
+        if not t:
             history.clear()
-            t = 1.0
-            while not candidate_loss < loss:
-                if t * size <= floor:
-                    return e
-                candidate = e + t * step
-                candidate_loss = objective(candidate)
-                t *= 0.5
-        e, loss = candidate, candidate_loss
+            direction, t = step, line_search(e, step)
+        e = e + t * direction
     return e
 
 

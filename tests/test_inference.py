@@ -10,8 +10,10 @@ from bove.encoding import (
     reconstruction_loss,
 )
 from bove.errors import DimensionMismatch
-from bove.inference import infer_bove, infer_corpus
+from bove.inference import _quartic_minimizer, infer_bove, infer_corpus
 from bove.model import Hyperparams, TypeEmbeddings
+
+from test_metamorphic import sentence_tensors
 
 
 def relation_free(n):
@@ -32,6 +34,25 @@ def record_solves(monkeypatch):
         return e_new
     monkeypatch.setattr(inference, "update_E_sentence", recorded)
     return solves
+
+
+def drawn_sentence(rng):
+    """(W, X, model) drawn from rng as tests/test_metamorphic.py's
+    instances() draws them: c <= 5, d <= 3, n <= 6 tokens and r <= 5, 1-12 W
+    cells, at most n - 1 edges and no self-loop, each may repeat a cell,
+    entries in [0.5, 1.5), P and R at synth's scale and lambda_e = 0.1."""
+    c, d, n, r = (int(rng.integers(1, top + 1)) for top in (5, 3, 6, 5))
+    w_cells = [(rng.integers(c), rng.integers(n)) for _ in range(rng.integers(1, 13))]
+    x_cells = [(rng.integers(d), head, (head + rng.integers(1, max(n - 1, 1) + 1)) % n)
+               for head in rng.integers(n, size=rng.integers(n))]
+    for cells in (w_cells, x_cells):
+        if cells and rng.random() < 0.5:
+            cells.append(cells[0])
+    w, x = sentence_tensors(c, d, n, w_cells, x_cells, rng)
+    model = make_model(rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r),
+                       rng.uniform(-1.0, 1.0, size=(d, r, r)) / r,
+                       Hyperparams(r=r, alpha=rng.uniform(0.5, 1.5), lambda_e=0.1))
+    return w, x, model
 
 
 def make_model(p, r_tensor, hyper):
@@ -177,6 +198,21 @@ class TestInferBove:
             worst = max(worst, max(np.diff(losses)))
         assert worst <= 1e-9
 
+    def test_drawn_sentences_stop_at_a_fixed_point(self, monkeypatch):
+        # a step rule that compares two computed losses cannot see a change
+        # below their rounding, so it leaves with a step above TOL or crawls
+        # to the cap: the halving rule on that comparison did so on 40 of
+        # these 500 draws
+        rng = np.random.default_rng(28)
+        solves = record_solves(monkeypatch)
+        other = 0
+        for _ in range(500):
+            w, x, model = drawn_sentence(rng)
+            solves.clear()
+            e = infer_bove(w, x, model, iters=1000)
+            other += not (len(solves) < 1000 and e is solves[-1][1])
+        assert other < 5
+
     def test_dimension_mismatch(self):
         data = synth.generate(7, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
         _, w, x = data.sentences[0]
@@ -184,6 +220,27 @@ class TestInferBove:
                                      values=w.values)
         with pytest.raises(DimensionMismatch):
             infer_bove(bad_w, x, data.model)
+
+
+class TestQuarticMinimizer:
+    def test_no_descent_is_no_step(self):
+        for a1 in (0.0, 1.0):
+            assert _quartic_minimizer((a1, -1.0, 0.0, 1.0)) == 0.0
+
+    def test_non_finite_coefficients_are_no_step(self):
+        # np.roots raises LinAlgError on a NaN coefficient
+        for bad in (np.nan, np.inf):
+            assert _quartic_minimizer((-1.0, bad, 0.0, 1.0)) == 0.0
+            assert _quartic_minimizer((bad, 1.0, 0.0, 1.0)) == 0.0
+
+    def test_pure_quadratic_steps_to_its_vertex(self):
+        assert _quartic_minimizer((-3.0, 2.0, 0.0, 0.0)) == pytest.approx(0.75, rel=1e-15)
+
+    def test_the_lower_of_two_minima(self):
+        # the derivative of t^4 - 8 t^3 + 22 t^2 - 24 t is 4 (t - 1)(t - 2)(t - 3):
+        # equal minima at 1 and 3, and a slope of -0.1 more makes 3's the lower
+        assert 3.0 < _quartic_minimizer((-24.1, 22.0, -8.0, 1.0)) < 3.1
+        assert _quartic_minimizer((-23.9, 22.0, -8.0, 1.0)) < 1.0
 
 
 class TestInferCorpus:

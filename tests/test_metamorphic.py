@@ -326,7 +326,7 @@ def test_infer_bove_returns_a_fixed_point():
     1e-16), but there the raw refresh's Jacobian has an eigenvalue of -4.77,
     -1.89 after a 0.5 damping, so neither the raw nor the midpoint iteration
     converges: the midpoint's relative step is 0.76 at solve 30 and 0.80 at
-    solve 400.  infer_bove's objective check reaches it within its cap."""
+    solve 400.  infer_bove's exact line search reaches it within its cap."""
     w = SparsePropertyMatrix(c=3, n=1, rows=[0, 1, 0, 0, 2, 1, 1, 2, 0, 2], cols=[0] * 10,
                              values=[0.76, 0.92, 0.95, 1.46, 1.39, 0.78, 0.78, 0.92, 0.5, 0.81])
     x = SparseRelationTensor(d=2, n=1, rels=[], heads=[], deps=[])

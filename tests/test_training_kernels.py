@@ -1,6 +1,7 @@
-"""The coordinate-form training kernels (update_P, update_R, the objective and
-the E solve) against their dense forms, a guard that they never densify W or
-X, and a contract that their memory grows linearly with the entries."""
+"""The coordinate-form training kernels (update_P, update_R, the objective,
+its quartic along a direction and the E solve) against their dense forms, a
+guard that they never densify W or X, and a contract that their memory grows
+linearly with the entries."""
 
 import itertools
 import tracemalloc
@@ -14,17 +15,20 @@ from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
     _CoordinateTensor,
+    loss_along,
     reconstruction_loss,
 )
 from bove.model import Hyperparams, TypeEmbeddings
 from bove.synth import generate
 
 from oracles import (
+    loss_gradient_E_dense,
     reconstruction_loss_dense,
     update_E_sentence_dense,
     update_P_dense,
     update_R_dense,
 )
+from test_metamorphic import instances
 
 
 def sentence(c, d, n, w_cells, w_values, x_cells, x_values):
@@ -110,6 +114,27 @@ def test_kernels_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
 
+@settings(max_examples=150, deadline=None)
+@given(instance=instances(), seed=st.integers(0, 2 ** 32 - 1))
+def test_loss_along_is_the_loss_on_the_line(instance, seed):
+    """f(E) + a1 t + a2 t^2 + a3 t^3 + a4 t^4 is the dense loss at E + t D to
+    1e-10 of the larger loss, and a1 is <grad f(E), D> of the loss alone
+    (lambda_e = 0), on sentences drawn as the E solve's metamorphic
+    relations draw them: n = 1, no edge and repeated cells included."""
+    w, x, model, e, _, _, _ = instance
+    direction = np.random.default_rng(seed).normal(size=e.shape)
+    p, r_tensor, alpha = model.P, model.R, model.hyper.alpha
+    a = loss_along(w, x, p, r_tensor, e, direction, alpha)
+    at_e = reconstruction_loss_dense(w, x, p, r_tensor, e, alpha)
+    for t in (-1.0, 0.5, 1.0, 2.0):
+        along = reconstruction_loss_dense(w, x, p, r_tensor, e + t * direction, alpha)
+        assert at_e + np.polyval([*a[::-1], 0.0], t) == \
+            pytest.approx(along, rel=0, abs=1e-10 * max(at_e, along))
+    gradient = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lambda_e=0.0)
+    assert a[0] == pytest.approx(np.sum(gradient * direction), rel=0,
+                                 abs=1e-10 * np.linalg.norm(gradient) * np.linalg.norm(direction))
+
+
 def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2, sentences=1):
     """One sentence, or `sentences` copies of it, each with its own E."""
     rng = np.random.default_rng(7)
@@ -165,6 +190,8 @@ KERNELS = {
     "corpus_objective": lambda ws, xs, es, model: corpus_objective(ws, xs, es, model),
     "update_E_sentence": lambda ws, xs, es, model: update_E_sentence(
         ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
+    "loss_along": lambda ws, xs, es, model: loss_along(
+        ws[0], xs[0], model.P, model.R, es[0], es[0][::-1]),
 }
 
 
