@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import check_operands, reconstruction_loss
+from .encoding import add_rows, check_operands, entry_rows, reconstruction_loss, runs
 from .errors import BoveError, DivergenceError, SingularSystemError
 
 # update_R's conjugate gradients stop at a residual this small relative to
@@ -69,7 +69,7 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     we = np.zeros((c, r))
     for w, e in zip(ws, es):
         ete += e.T @ e
-        np.add.at(we, w.rows, w.values[:, None] * e[w.cols])
+        add_rows(we, w.rows, w.values[:, None] * e[w.cols])
     p_new = _spd_solve_right(ete, we, lambda_p, "P update")
     if frozen is not None and frozen.any():
         if p_current is None:
@@ -129,8 +129,8 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     grams = np.stack([e.T @ e for e in es])
     b = np.zeros((r, d, r))
     for x, e in zip(xs, es):
-        for k, _, heads, deps, values in x.relation_slices():
-            b[:, k] += e[heads].T @ (values[:, None] * e[deps])
+        for k, at in runs(x.rels, d):
+            b[:, k] += e[x.heads[at]].T @ (x.values[at, None] * e[x.deps[at]])
     if not (np.isfinite(grams).all() and np.isfinite(b).all()):
         raise DivergenceError("R update system has a non-finite entry")
     g, q = np.linalg.eigh(grams.mean(axis=0))
@@ -188,8 +188,8 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     to both the targets and the design blocks of the relation systems, so
     each relation residual carries the loss's weight alpha:
         E_new = Y F^T (F F^T + lambda_e I)^-1
-    realized without materializing Y or F: Y F^T is scattered from the
-    entries of W and X, as update_P and update_R read them.
+    realized without materializing Y or F: Y F^T is scattered (add_rows)
+    from W's entries and from X's entry rows (entry_rows).
     """
     p, r_tensor, e_prev = check_operands(w, x, p, r_tensor, e_prev)
     m = e_prev.T @ e_prev
@@ -197,12 +197,12 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     gram = p.T @ p
     gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
     gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
-    # Y F^T
-    rhs = np.zeros_like(e_prev)
-    np.add.at(rhs, w.cols, w.values[:, None] * p[w.rows])
-    for k, _, heads, deps, values in x.relation_slices():
-        np.add.at(rhs, heads, alpha * values[:, None] * (e_prev[deps] @ r_tensor[k].T))
-        np.add.at(rhs, deps, alpha * values[:, None] * (e_prev[heads] @ r_tensor[k]))
+    # Y F^T, scattered into a C-ordered target whatever e_prev's order
+    rhs = np.zeros(e_prev.shape)
+    add_rows(rhs, w.cols, w.values[:, None] * p[w.rows])
+    weights = alpha * x.values[:, None]
+    add_rows(rhs, x.heads, weights * entry_rows(x, r_tensor, e_prev, transposed=True))
+    add_rows(rhs, x.deps, weights * entry_rows(x, r_tensor, e_prev))
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 

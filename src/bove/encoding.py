@@ -122,11 +122,6 @@ class SparseRelationTensor(_CoordinateTensor):
     deps: np.ndarray
     values: np.ndarray = field(default=None)
 
-    def relation_slices(self):
-        """(relation, entry slice, heads, deps, values) of each relation with an entry."""
-        for k, at in runs(self.rels, self.d):
-            yield k, at, self.heads[at], self.deps[at], self.values[at]
-
 
 def runs(keys, count):
     """(key, slice) of each nonempty run of each key in range(count) in the
@@ -134,6 +129,29 @@ def runs(keys, count):
     bounds = np.searchsorted(keys, np.arange(count + 1))
     for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
         yield int(k), slice(bounds[k], bounds[k + 1])
+
+
+def entry_rows(x, r_tensor, e, transposed=False):
+    """Row j is e[heads_j] R_k for X's entry j of relation k, or, transposed,
+    e[deps_j] R_k^T: one product per relation with an entry (nnz x r)."""
+    index = x.deps if transposed else x.heads
+    rows = np.empty((x.nnz, e.shape[1]))
+    for k, at in runs(x.rels, x.d):
+        rows[at] = e[index[at]] @ (r_tensor[k].T if transposed else r_tensor[k])
+    return rows
+
+
+def add_rows(out, index, rows):
+    """out[index] += rows, summing repeated indices, as np.add.at(out,
+    index, rows) does and bit for bit: one 1-D add.at over out's flat view,
+    which numpy runs much faster than the 2-D form, with each element still
+    taking its terms in index order.  A target that is not C-contiguous has
+    no flat view (reshape would copy it and drop the sums), so it raises."""
+    if not out.flags.c_contiguous:
+        raise ValueError("add_rows needs a C-contiguous target")
+    width = out.shape[1]
+    flat = index[:, None] * width + np.arange(width)
+    np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
 def from_dense(w_dense, x_dense):
@@ -195,22 +213,20 @@ def _fit(tensor, total, predicted):
 def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over every cell, read from the
     entries: with M = E^T E, the squared predictions sum to <P^T P, M> over W
-    and sum_k <R_k, M R_k M> over X; W entry (i, t) is predicted p_i . e_t and
-    X entry (k, h, t) e_h R_k e_t.  Memory is O(nnz r + d r^2)."""
+    and <relation_gram(R, M), M> / 2 over X; W entry (i, t) is predicted
+    p_i . e_t and X entry (k, h, t) e_h R_k e_t.  Memory is O(nnz r + d r^2)."""
     p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
     m = e.T @ e
     w_fit = _fit(w, float(np.sum((p.T @ p) * m)),
                  np.einsum("ja,ja->j", p[w.rows], e[w.cols]))
-    x_predicted = np.empty(x.nnz)
-    for k, at, heads, deps, _ in x.relation_slices():
-        x_predicted[at] = np.einsum("ja,ja->j", e[heads] @ r_tensor[k], e[deps])
-    x_fit = _fit(x, float(np.sum(r_tensor * (m @ r_tensor @ m))), x_predicted)
+    x_fit = _fit(x, 0.5 * float(np.sum(relation_gram(r_tensor, m) * m)),
+                 np.einsum("ja,ja->j", entry_rows(x, r_tensor, e), e[x.deps]))
     return w_fit + alpha * x_fit
 
 
 def relation_gram(r_tensor, m):
-    """sum_k R_k M R_k^T + R_k^T M R_k (r x r), two products over all d slices.
-    <relation_gram(R, A), B> = 2 sum_k <R_k, A R_k B> for symmetric A and B."""
+    """G(M) = sum_k R_k M R_k^T + R_k^T M R_k (r x r), two products over all d
+    slices; for symmetric A, B, <G(A), B> = sum_k <R_k, A R_k B> + <R_k, B R_k A>."""
     return (np.tensordot(r_tensor @ m, r_tensor, axes=([0, 2], [0, 2]))
             + np.tensordot(r_tensor, m @ r_tensor, axes=([0, 1], [0, 1])))
 
@@ -232,12 +248,10 @@ def loss_along(w, x, p, r_tensor, e, direction, alpha=1.0):
     pp = p.T @ p
     g_m, g_s, g_n = (relation_gram(r_tensor, a) for a in (m, s, n))
     paired = "j,ja,ja->"  # sum_j v_j (left_j . right_j)
-    x_linear = x_square = 0.0
-    for k, _, heads, deps, values in x.relation_slices():
-        d_heads = direction[heads] @ r_tensor[k]
-        x_linear += (np.einsum(paired, values, d_heads, e[deps])
-                     + np.einsum(paired, values, e[heads] @ r_tensor[k], direction[deps]))
-        x_square += np.einsum(paired, values, d_heads, direction[deps])
+    e_rows, d_rows = (entry_rows(x, r_tensor, a) for a in (e, direction))
+    x_linear = (np.einsum(paired, x.values, d_rows, e[x.deps])
+                + np.einsum(paired, x.values, e_rows, direction[x.deps]))
+    x_square = np.einsum(paired, x.values, d_rows, direction[x.deps])
     w_linear = np.einsum(paired, w.values, p[w.rows], direction[w.cols])
     a1 = np.sum(pp * s) - 2.0 * w_linear + alpha * (np.sum(g_m * s) - 2.0 * x_linear)
     a2 = np.sum(pp * n) + alpha * (0.5 * np.sum(g_s * s) + np.sum(g_m * n) - 2.0 * x_square)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .als import check_corpus, log_round, numeric_errors_as
-from .encoding import runs
+from .encoding import add_rows, runs
 from .errors import DivergenceError
 from .model import check_bounds
 
@@ -84,19 +84,6 @@ def sample_cells(w, x, k, rng):
     return _sample(w, k, rng), _sample(x, k, rng)
 
 
-def _add_rows(out, index, rows):
-    """out[index] += rows, summing repeated indices, as np.add.at(out,
-    index, rows) does and bit for bit: one 1-D add.at over out's flat view,
-    which numpy runs much faster than the 2-D form, with each element still
-    taking its terms in index order.  A target that is not C-contiguous has
-    no flat view (reshape would copy it and drop the sums), so it raises."""
-    if not out.flags.c_contiguous:
-        raise ValueError("_add_rows needs a C-contiguous target")
-    width = out.shape[1]
-    flat = index[:, None] * width + np.arange(width)
-    np.add.at(out.reshape(-1), flat.reshape(-1), rows.reshape(-1))
-
-
 def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
     """Loss and analytic gradients of the sampled objective on one batch.
 
@@ -105,7 +92,7 @@ def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
     terms for P and R are scaled by reg_scale (batch fraction of the corpus)
     so one epoch applies them once; the E terms of batch sentences enter at
     full strength.  The per-cell gradient rows scatter through the flat view
-    of each target (`_add_rows`), which matches np.add.at bit for bit.
+    of each target (`encoding.add_rows`), which matches np.add.at bit for bit.
     """
     p, r_tensor, hyper = model.P, model.R, model.hyper
     # the batch sentences' E rows stacked: sentence s owns rows a..b
@@ -114,8 +101,7 @@ def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
     loss = (reg_scale * (hyper.lambda_p * float(np.sum(p ** 2))
                          + hyper.lambda_r * float(np.sum(r_tensor ** 2)))
             + hyper.lambda_e * float(np.sum(e_all ** 2)))
-    # g_p and g_all in C order, whatever the model's and e_store's, so that
-    # _add_rows can scatter into them
+    # g_p and g_all in C order, whatever the model's and e_store's, as add_rows needs
     g_p = np.multiply(2.0 * reg_scale * hyper.lambda_p, p, order="C")
     g_r = 2.0 * reg_scale * hyper.lambda_r * r_tensor
     g_all = np.multiply(2.0 * hyper.lambda_e, e_all, order="C")
@@ -129,12 +115,12 @@ def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
         loss += float(weight @ resid ** 2)
         coef = (2.0 * weight * resid)[:, None]
         # each row block is scaled in place and scattered, and the next
-        # replaces it, so at most one is alive beside _add_rows' index
+        # replaces it, so at most one is alive beside add_rows' index
         rows *= coef
-        _add_rows(g_all, t, rows)
+        add_rows(g_all, t, rows)
         rows = e_all[t]
         rows *= coef
-        _add_rows(g_p, i, rows)
+        add_rows(g_p, i, rows)
     del rows  # nor does the last stay alive through the X cells
     # X cells of the whole batch with head and dep as rows of e_all, taken
     # one relation at a time so no temporary holds a row per batch cell
@@ -150,11 +136,11 @@ def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
         loss += hyper.alpha * float(weight @ resid ** 2)
         coef = (2.0 * hyper.alpha * weight * resid)[:, None]
         rows *= coef
-        _add_rows(g_all, t, rows)
+        add_rows(g_all, t, rows)
         e_t *= coef
         g_r[k] += e_all[h].T @ e_t
         rows = e_t @ r_tensor[k].T
-        _add_rows(g_all, h, rows)
+        add_rows(g_all, h, rows)
     g_p[model.frozen_p_rows] = 0.0
     return loss, g_p, g_r, g_e
 

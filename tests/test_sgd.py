@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bove import sgd, synth
+from bove import encoding, sgd, synth
 from bove.als import corpus_objective
 from bove.encoding import SparsePropertyMatrix, SparseRelationTensor, from_dense
 from bove.errors import BoveError, DivergenceError
@@ -307,14 +307,14 @@ class TestAddRows:
         rows = rng.normal(size=(m, width)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
         expected = out.copy()
         np.add.at(expected, index, rows)
-        sgd._add_rows(out, index, rows)
+        encoding.add_rows(out, index, rows)
         assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("target", [np.zeros((3, 4)).T, np.zeros((4, 6))[:, ::2]],
                              ids=["transposed", "strided"])
     def test_non_contiguous_target_raises(self, target):
         with pytest.raises(ValueError, match="C-contiguous"):
-            sgd._add_rows(target, np.array([0, 1]), np.ones((2, target.shape[1])))
+            encoding.add_rows(target, np.array([0, 1]), np.ones((2, target.shape[1])))
         assert not target.any()
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -328,7 +328,7 @@ class TestAddRows:
         model.frozen_p_rows[0] = True
         config = SgdConfig(epochs=4, seed=seed, batch_size=3)
         runs = [train_sgd(ws, xs, model, config)]
-        monkeypatch.setattr(sgd, "_add_rows", np.add.at)
+        monkeypatch.setattr(sgd, "add_rows", np.add.at)
         runs.append(train_sgd(ws, xs, model, config))
         (out, e_store, trace), (ref, ref_e, ref_trace) = runs
         np.testing.assert_array_equal(out.P, ref.P)

@@ -1,22 +1,24 @@
 """The coordinate-form training kernels (update_P, update_R, the objective,
-its quartic along a direction and the E solve) against their dense forms, a
-guard that they never densify W or X, and a contract that their memory grows
-linearly with the entries."""
+its quartic along a direction, the E solve and the X entry rows they share)
+against their dense forms, a guard that they never densify W or X, and a
+contract that their memory grows linearly with the entries."""
 
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bove.als import corpus_objective, update_E_sentence, update_P, update_R
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
     _CoordinateTensor,
+    entry_rows,
     loss_along,
     reconstruction_loss,
+    relation_gram,
 )
 from bove.model import Hyperparams, TypeEmbeddings
 from bove.synth import generate
@@ -164,6 +166,106 @@ def test_edge_cases_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
 
+def entry_rows_by_entry(x, r_tensor, e, transposed):
+    """entry_rows one entry at a time: e_h R_k, or e_t R_k^T, for each
+    (k, h, t) in X's entry order."""
+    rows = np.zeros((x.nnz, e.shape[1]))
+    for j, (k, h, t) in enumerate(zip(*x.coords)):
+        rows[j] = e[t] @ r_tensor[k].T if transposed else e[h] @ r_tensor[k]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora(), transposed=st.booleans())
+@example(corpus=fixed_corpus([(0, 0)], [1.0], [(1, 0, 0), (0, 0, 0)], [1.0, 2.0], n=1),
+         transposed=True)
+@example(corpus=fixed_corpus([(1, 2)], [1.0], [], []), transposed=False)
+@example(corpus=fixed_corpus([(0, 1)], [1.0], [(1, 0, 2), (1, 0, 2), (0, 2, 1)],
+                             [1.0, -1.0, 0.5]), transposed=True)
+@example(corpus=fixed_corpus([(2, 0)], [0.0], [(0, 1, 1), (1, 2, 0)], [0.0, 3.0]),
+         transposed=False)
+def test_entry_rows_match_a_loop_over_the_entries(corpus, transposed):
+    # drawn and pinned: n = 1, no X entry, a repeated cell (one entry
+    # holding the summed value) and stored zeros, which keep their rows
+    _, xs, es, model = corpus
+    for x, e in zip(xs, es):
+        got = entry_rows(x, model.R, e, transposed)
+        assert got.shape == (x.nnz, e.shape[1])
+        np.testing.assert_allclose(got, entry_rows_by_entry(x, model.R, e, transposed),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def relation_gram_by_einsum(r_tensor, m):
+    """sum_k R_k M R_k^T + R_k^T M R_k as update_E_sentence's Gram reads it."""
+    return (np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
+            + np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor))
+
+
+def gram_operands(d, r, zero, seed):
+    """R (d x r x r, all zero if zero) and three r x r matrices from seed."""
+    rng = np.random.default_rng(seed)
+    r_tensor = np.zeros((d, r, r)) if zero else rng.normal(size=(d, r, r))
+    return r_tensor, rng.normal(size=(3, r, r))
+
+
+gram_sizes = given(d=st.integers(1, 4), r=st.integers(1, 6), zero=st.booleans(),
+                   seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@gram_sizes
+@example(d=1, r=1, zero=False, seed=0)
+@example(d=1, r=1, zero=True, seed=1)
+@example(d=1, r=4, zero=False, seed=2)
+@example(d=3, r=1, zero=False, seed=3)
+@example(d=3, r=4, zero=True, seed=4)
+def test_relation_gram_is_its_einsum_definition(d, r, zero, seed):
+    r_tensor, (a, _, _) = gram_operands(d, r, zero, seed)
+    for m in (a, a + a.T):  # non-symmetric and symmetric
+        assert_matches(relation_gram(r_tensor, m), relation_gram_by_einsum(r_tensor, m))
+
+
+@settings(max_examples=150, deadline=None)
+@gram_sizes
+@example(d=1, r=1, zero=False, seed=0)
+@example(d=2, r=3, zero=True, seed=1)
+def test_relation_gram_pairs_as_documented(d, r, zero, seed):
+    # <G(A), B> = sum_k <R_k, A R_k B> + <R_k, B R_k A> for symmetric A and
+    # B, so 2 sum_k <R_k, A R_k A> at B = A (the objective's X total), each
+    # to 1e-12 of its bound 2 sum_k ||R_k||^2 ||A|| ||B||
+    r_tensor, (a, b, _) = gram_operands(d, r, zero, seed)
+    a, b = a + a.T, b + b.T
+    bound = 2e-12 * np.sum(r_tensor ** 2) * np.linalg.norm(a)
+    assert np.sum(relation_gram(r_tensor, a) * b) == pytest.approx(
+        np.sum(r_tensor * (a @ r_tensor @ b)) + np.sum(r_tensor * (b @ r_tensor @ a)),
+        rel=0, abs=bound * np.linalg.norm(b))
+    assert np.sum(relation_gram(r_tensor, a) * a) == pytest.approx(
+        2.0 * np.sum(r_tensor * (a @ r_tensor @ a)), rel=0, abs=bound * np.linalg.norm(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_fortran_ordered_operands_give_the_same_results(corpus):
+    # the kernels' row scatters need C-ordered targets, whatever the
+    # order of the P, R and E they are given
+    ws, xs, es, model = corpus
+    hyper = model.hyper
+    f_p, f_r = np.asfortranarray(model.P), np.asfortranarray(model.R)
+    f_es = [np.asfortranarray(e) for e in es]
+    assert_matches(update_P(ws, f_es, hyper.lambda_p, f_p, model.frozen_p_rows),
+                   update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows))
+    for w, x, e, f_e in zip(ws, xs, es, f_es):
+        c_ordered, f_ordered = (w, x, model.P, model.R, e), (w, x, f_p, f_r, f_e)
+        assert_matches(update_E_sentence(*f_ordered, hyper.alpha, hyper.lambda_e),
+                       update_E_sentence(*c_ordered, hyper.alpha, hyper.lambda_e))
+        assert reconstruction_loss(*f_ordered, hyper.alpha) == pytest.approx(
+            reconstruction_loss(*c_ordered, hyper.alpha), rel=1e-10)
+        direction = e[::-1] + 1.0
+        assert_matches(
+            np.array(loss_along(*f_ordered, np.asfortranarray(direction), hyper.alpha)),
+            np.array(loss_along(*c_ordered, direction, hyper.alpha)))
+
+
 def sentence_of_length(n, c=300, d=40, r=10):
     """One sentence of n tokens with a word and a PoS entry per token, and
     two labeled edges into each token but the first: one from a random
@@ -192,6 +294,9 @@ KERNELS = {
         ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
     "loss_along": lambda ws, xs, es, model: loss_along(
         ws[0], xs[0], model.P, model.R, es[0], es[0][::-1]),
+    "entry_rows": lambda ws, xs, es, model: entry_rows(xs[0], model.R, es[0]),
+    "entry_rows_transposed": lambda ws, xs, es, model: entry_rows(
+        xs[0], model.R, es[0], transposed=True),
 }
 
 
