@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import add_rows, check_operands, entry_rows, reconstruction_loss, runs
+from .encoding import add_rows, check_operands, entry_scatter, reconstruction_loss, runs
 from .errors import BoveError, DivergenceError, SingularSystemError
 
 # update_R's conjugate gradients stop at a residual this small relative to
@@ -188,8 +188,7 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     to both the targets and the design blocks of the relation systems, so
     each relation residual carries the loss's weight alpha:
         E_new = Y F^T (F F^T + lambda_e I)^-1
-    realized without materializing Y or F: Y F^T is scattered (add_rows)
-    from W's entries and from X's entry rows (entry_rows).
+    realized without materializing Y or F, Y F^T by encoding.entry_scatter.
     """
     p, r_tensor, e_prev = check_operands(w, x, p, r_tensor, e_prev)
     m = e_prev.T @ e_prev
@@ -197,12 +196,7 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     gram = p.T @ p
     gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
     gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
-    # Y F^T, scattered into a C-ordered target whatever e_prev's order
-    rhs = np.zeros(e_prev.shape)
-    add_rows(rhs, w.cols, w.values[:, None] * p[w.rows])
-    weights = alpha * x.values[:, None]
-    add_rows(rhs, x.heads, weights * entry_rows(x, r_tensor, e_prev, transposed=True))
-    add_rows(rhs, x.deps, weights * entry_rows(x, r_tensor, e_prev))
+    rhs = entry_scatter(w, x, p, r_tensor, e_prev, alpha)
     return _spd_solve_right(gram, rhs, lambda_e, "E update")
 
 

@@ -131,14 +131,14 @@ def runs(keys, count):
         yield int(k), slice(bounds[k], bounds[k + 1])
 
 
-def entry_rows(x, r_tensor, e, transposed=False):
-    """Row j is e[heads_j] R_k for X's entry j of relation k, or, transposed,
-    e[deps_j] R_k^T: one product per relation with an entry (nnz x r)."""
-    index = x.deps if transposed else x.heads
-    rows = np.empty((x.nnz, e.shape[1]))
+def entry_rows(x, r_tensor, e):
+    """(forward, backward), each nnz x r, from one runs pass: row j is
+    e[heads_j] R_k and e[deps_j] R_k^T for X's entry j of relation k."""
+    forward, backward = np.empty((2, x.nnz, e.shape[1]))
     for k, at in runs(x.rels, x.d):
-        rows[at] = e[index[at]] @ (r_tensor[k].T if transposed else r_tensor[k])
-    return rows
+        forward[at] = e[x.heads[at]] @ r_tensor[k]
+        backward[at] = e[x.deps[at]] @ r_tensor[k].T
+    return forward, backward
 
 
 def add_rows(out, index, rows):
@@ -220,41 +220,49 @@ def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
     w_fit = _fit(w, float(np.sum((p.T @ p) * m)),
                  np.einsum("ja,ja->j", p[w.rows], e[w.cols]))
     x_fit = _fit(x, 0.5 * float(np.sum(relation_gram(r_tensor, m) * m)),
-                 np.einsum("ja,ja->j", entry_rows(x, r_tensor, e), e[x.deps]))
+                 np.einsum("ja,ja->j", entry_rows(x, r_tensor, e)[0], e[x.deps]))
     return w_fit + alpha * x_fit
 
 
 def relation_gram(r_tensor, m):
-    """G(M) = sum_k R_k M R_k^T + R_k^T M R_k (r x r), two products over all d
-    slices; for symmetric A, B, <G(A), B> = sum_k <R_k, A R_k B> + <R_k, B R_k A>."""
+    """G(M) = sum_k R_k M R_k^T + R_k^T M R_k (r x r), self-adjoint: <G(A), B> =
+    <A, G(B)>; for symmetric A, B both are sum_k <R_k, A R_k B> + <R_k, B R_k A>."""
     return (np.tensordot(r_tensor @ m, r_tensor, axes=([0, 2], [0, 2]))
             + np.tensordot(r_tensor, m @ r_tensor, axes=([0, 1], [0, 1])))
+
+
+def entry_scatter(w, x, p, r_tensor, e, alpha):
+    """Y F^T at E (n x r), the E solve's right-hand side, from the entries: one
+    of value v adds v p_i to row t for W's (i, t), and alpha v e_t R_k^T to
+    row h and alpha v e_h R_k to row t for X's (k, h, t)."""
+    out = np.zeros(e.shape)  # C-ordered whatever e's order, as add_rows needs
+    add_rows(out, w.cols, w.values[:, None] * p[w.rows])
+    forward, backward = entry_rows(x, r_tensor, e)
+    add_rows(out, x.heads, alpha * x.values[:, None] * backward)
+    add_rows(out, x.deps, alpha * x.values[:, None] * forward)
+    return out
 
 
 def loss_along(w, x, p, r_tensor, e, direction, alpha=1.0):
     """(a1, a2, a3, a4) with reconstruction_loss(E + t D) - reconstruction_loss(E)
     = a1 t + a2 t^2 + a3 t^3 + a4 t^4 for the direction D, read from the
-    entries.  With M = E^T E, C = E^T D, S = C + C^T, N = D^T D and G =
-    relation_gram, E + t D has Gram M + t S + t^2 N, so W's squared
-    predictions change by t <P^T P, S> + t^2 <P^T P, N> and X's by
-    t <G(M), S> + t^2 (<G(S), S> / 2 + <G(M), N>) + t^3 <G(S), N>
-    + t^4 <G(N), N> / 2; each entry's value v adds -2 v times the change of
-    its prediction.  The coefficients are not a difference of two losses, so
-    a1 keeps its sign for steps far below the rounding of the loss."""
+    entries.  E + t D has Gram M + t S + t^2 N (M = E^T E, S = E^T D + D^T E,
+    N = D^T D), so the squared predictions change by t <P^T P, S> + t^2 <P^T P, N>
+    over W and, G = relation_gram being self-adjoint, t <M, G(S)> + t^2 (<G(S), S>
+    / 2 + <M, G(N)>) + t^3 <G(S), N> + t^4 <G(N), N> / 2 over X.  The entries add
+    -2 t <Y F^T, D> (entry_scatter) and -2 t^2 alpha v d_h R_k d_t for X's (k, h, t)
+    of value v.  The coefficients are not a difference of two losses, so a1 keeps
+    its sign for steps far below the rounding of the loss."""
     p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
     direction = check_operands(w, x, p, r_tensor, direction)[2]
-    m, c, n = e.T @ e, e.T @ direction, direction.T @ direction
+    m, c, n, pp = e.T @ e, e.T @ direction, direction.T @ direction, p.T @ p
     s = c + c.T
-    pp = p.T @ p
-    g_m, g_s, g_n = (relation_gram(r_tensor, a) for a in (m, s, n))
-    paired = "j,ja,ja->"  # sum_j v_j (left_j . right_j)
-    e_rows, d_rows = (entry_rows(x, r_tensor, a) for a in (e, direction))
-    x_linear = (np.einsum(paired, x.values, d_rows, e[x.deps])
-                + np.einsum(paired, x.values, e_rows, direction[x.deps]))
-    x_square = np.einsum(paired, x.values, d_rows, direction[x.deps])
-    w_linear = np.einsum(paired, w.values, p[w.rows], direction[w.cols])
-    a1 = np.sum(pp * s) - 2.0 * w_linear + alpha * (np.sum(g_m * s) - 2.0 * x_linear)
-    a2 = np.sum(pp * n) + alpha * (0.5 * np.sum(g_s * s) + np.sum(g_m * n) - 2.0 * x_square)
+    g_s, g_n = relation_gram(r_tensor, s), relation_gram(r_tensor, n)
+    x_square = np.einsum("j,ja,ja->", x.values, entry_rows(x, r_tensor, direction)[0],
+                         direction[x.deps])
+    a1 = (np.sum(pp * s) + alpha * np.sum(m * g_s)
+          - 2.0 * np.sum(entry_scatter(w, x, p, r_tensor, e, alpha) * direction))
+    a2 = np.sum(pp * n) + alpha * (0.5 * np.sum(g_s * s) + np.sum(m * g_n) - 2.0 * x_square)
     a3, a4 = alpha * np.sum(g_s * n), 0.5 * alpha * np.sum(g_n * n)
     return float(a1), float(a2), float(a3), float(a4)
 

@@ -1,7 +1,8 @@
 """The coordinate-form training kernels (update_P, update_R, the objective,
-its quartic along a direction, the E solve and the X entry rows they share)
-against their dense forms, a guard that they never densify W or X, and a
-contract that their memory grows linearly with the entries."""
+its quartic along a direction, the E solve, and the X entry rows and the
+entry scatter they share) against their dense forms, a guard that they
+never densify W or X, and a contract that their memory grows linearly with
+the entries."""
 
 import itertools
 import tracemalloc
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bove.encoding
 from bove.als import corpus_objective, update_E_sentence, update_P, update_R
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
     _CoordinateTensor,
     entry_rows,
+    entry_scatter,
     loss_along,
     reconstruction_loss,
     relation_gram,
@@ -91,8 +94,7 @@ def assert_matches(got, want):
     """Equal to 1e-10 relative to the largest entry of the reference, or to
     1e-10 absolute where that entry is below 1: repeated coordinates may
     cancel, and a cancelled sum is 0 only up to rounding."""
-    np.testing.assert_allclose(got, want, rtol=0,
-                               atol=1e-10 * max(np.abs(want).max(), 1.0))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max(initial=1.0))
 
 
 def check_against_dense(ws, xs, es, model):
@@ -166,33 +168,60 @@ def test_edge_cases_match_dense_forms(corpus):
     check_against_dense(*corpus)
 
 
-def entry_rows_by_entry(x, r_tensor, e, transposed):
-    """entry_rows one entry at a time: e_h R_k, or e_t R_k^T, for each
-    (k, h, t) in X's entry order."""
-    rows = np.zeros((x.nnz, e.shape[1]))
+def entry_rows_by_entry(x, r_tensor, e):
+    """entry_rows one entry at a time: (e_h R_k, e_t R_k^T) for each (k, h, t)
+    in X's entry order."""
+    forward, backward = np.zeros((2, x.nnz, e.shape[1]))
     for j, (k, h, t) in enumerate(zip(*x.coords)):
-        rows[j] = e[t] @ r_tensor[k].T if transposed else e[h] @ r_tensor[k]
-    return rows
+        forward[j], backward[j] = e[h] @ r_tensor[k], e[t] @ r_tensor[k].T
+    return forward, backward
+
+
+# drawn and pinned: n = 1, no X entry, a repeated cell (one entry holding the
+# summed value) and stored zeros, which keep their rows
+entry_examples = (
+    fixed_corpus([(0, 0)], [1.0], [(1, 0, 0), (0, 0, 0)], [1.0, 2.0], n=1),
+    fixed_corpus([(1, 2)], [1.0], [], []),
+    fixed_corpus([(0, 1)], [1.0], [(1, 0, 2), (1, 0, 2), (0, 2, 1)], [1.0, -1.0, 0.5]),
+    fixed_corpus([(2, 0)], [0.0], [(0, 1, 1), (1, 2, 0)], [0.0, 3.0]),
+)
+
+
+def pinned_entry_examples(test):
+    for corpus in entry_examples:
+        test = example(corpus=corpus)(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None)
-@given(corpus=corpora(), transposed=st.booleans())
-@example(corpus=fixed_corpus([(0, 0)], [1.0], [(1, 0, 0), (0, 0, 0)], [1.0, 2.0], n=1),
-         transposed=True)
-@example(corpus=fixed_corpus([(1, 2)], [1.0], [], []), transposed=False)
-@example(corpus=fixed_corpus([(0, 1)], [1.0], [(1, 0, 2), (1, 0, 2), (0, 2, 1)],
-                             [1.0, -1.0, 0.5]), transposed=True)
-@example(corpus=fixed_corpus([(2, 0)], [0.0], [(0, 1, 1), (1, 2, 0)], [0.0, 3.0]),
-         transposed=False)
-def test_entry_rows_match_a_loop_over_the_entries(corpus, transposed):
-    # drawn and pinned: n = 1, no X entry, a repeated cell (one entry
-    # holding the summed value) and stored zeros, which keep their rows
+@given(corpus=corpora())
+@pinned_entry_examples
+def test_entry_rows_match_a_loop_over_the_entries(corpus):
+    # both orientations come from the one call
     _, xs, es, model = corpus
     for x, e in zip(xs, es):
-        got = entry_rows(x, model.R, e, transposed)
-        assert got.shape == (x.nnz, e.shape[1])
-        np.testing.assert_allclose(got, entry_rows_by_entry(x, model.R, e, transposed),
-                                   rtol=1e-12, atol=1e-12)
+        got = entry_rows(x, model.R, e)
+        assert len(got) == 2
+        for rows, want in zip(got, entry_rows_by_entry(x, model.R, e)):
+            assert rows.shape == (x.nnz, e.shape[1])
+            assert_matches(rows, want)
+
+
+def entry_scatter_dense(w, x, p, r_tensor, e, alpha):
+    """W^T P + alpha sum_k (X_k E R_k^T + X_k^T E R_k) from the dense W and X."""
+    xd = x.to_dense()
+    return w.to_dense().T @ p + alpha * sum(xd[k] @ e @ r_tensor[k].T + xd[k].T @ e @ r_tensor[k]
+                                            for k in range(x.d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+@pinned_entry_examples
+def test_entry_scatter_is_its_dense_form(corpus):
+    ws, xs, es, model = corpus
+    for w, x, e in zip(ws, xs, es):
+        args = (w, x, model.P, model.R, e, model.hyper.alpha)
+        assert_matches(entry_scatter(*args), entry_scatter_dense(*args))
 
 
 def relation_gram_by_einsum(r_tensor, m):
@@ -241,6 +270,35 @@ def test_relation_gram_pairs_as_documented(d, r, zero, seed):
         rel=0, abs=bound * np.linalg.norm(b))
     assert np.sum(relation_gram(r_tensor, a) * a) == pytest.approx(
         2.0 * np.sum(r_tensor * (a @ r_tensor @ a)), rel=0, abs=bound * np.linalg.norm(a))
+
+
+@settings(max_examples=150, deadline=None)
+@gram_sizes
+@example(d=1, r=1, zero=False, seed=0)
+@example(d=1, r=1, zero=True, seed=1)
+@example(d=1, r=3, zero=False, seed=2)
+def test_relation_gram_is_self_adjoint(d, r, zero, seed):
+    # <G(A), B> = <A, G(B)> for non-symmetric A and B, to 1e-12 of the bound
+    # 2 sum_k ||R_k||^2 ||A|| ||B|| on either side
+    r_tensor, (a, b, _) = gram_operands(d, r, zero, seed)
+    bound = 2e-12 * np.sum(r_tensor ** 2) * np.linalg.norm(a) * np.linalg.norm(b)
+    assert np.sum(relation_gram(r_tensor, a) * b) == pytest.approx(
+        np.sum(a * relation_gram(r_tensor, b)), rel=0, abs=bound)
+
+
+def test_loss_along_builds_two_relation_grams(monkeypatch):
+    # G is self-adjoint, so <G(M), S> and <G(M), N> are read as <M, G(S)>
+    # and <M, G(N)>: one call builds G(S) and G(N) only
+    built = []
+
+    def counted(r_tensor, m):
+        built.append(m)
+        return relation_gram(r_tensor, m)
+
+    monkeypatch.setattr(bove.encoding, "relation_gram", counted)
+    (w,), (x,), (e,), model = sentence_of_length(12)
+    loss_along(w, x, model.P, model.R, e, e[::-1])
+    assert len(built) == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,8 +353,8 @@ KERNELS = {
     "loss_along": lambda ws, xs, es, model: loss_along(
         ws[0], xs[0], model.P, model.R, es[0], es[0][::-1]),
     "entry_rows": lambda ws, xs, es, model: entry_rows(xs[0], model.R, es[0]),
-    "entry_rows_transposed": lambda ws, xs, es, model: entry_rows(
-        xs[0], model.R, es[0], transposed=True),
+    "entry_scatter": lambda ws, xs, es, model: entry_scatter(
+        ws[0], xs[0], model.P, model.R, es[0], model.hyper.alpha),
 }
 
 
