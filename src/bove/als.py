@@ -181,14 +181,16 @@ def update_R(xs, es, lambda_r, alpha=1.0):
 
 
 def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
-    """One linearized least-squares refresh of a sentence's token embeddings.
+    """One linearized least-squares refresh of a sentence's token embeddings,
+    and the system it solved: (E_new, H).
 
     Solves the three stacked systems (properties, relations with the old E
     on the right, transposed relations likewise), with sqrt(alpha) applied
     to both the targets and the design blocks of the relation systems, so
     each relation residual carries the loss's weight alpha:
-        E_new = Y F^T (F F^T + lambda_e I)^-1
+        E_new = Y F^T H^-1,  H = F F^T + lambda_e I
     realized without materializing Y or F, Y F^T by encoding.entry_scatter.
+    The E objective's gradient at E_prev is -2 (E_new - E_prev) H.
     """
     p, r_tensor, e_prev = check_operands(w, x, p, r_tensor, e_prev)
     m = e_prev.T @ e_prev
@@ -197,14 +199,14 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
     gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     rhs = entry_scatter(w, x, p, r_tensor, e_prev, alpha)
-    return _spd_solve_right(gram, rhs, lambda_e, "E update")
+    return _spd_solve_right(gram, rhs, lambda_e, "E update"), gram
 
 
 def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
     """Two consecutive E refreshes with P, R fixed, then their average, which
     damps the raw iteration's overcompensation."""
-    e = update_E_sentence(w, x, p, r_tensor, e_current, alpha, lambda_e)
-    return 0.5 * (e + update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e))
+    e = update_E_sentence(w, x, p, r_tensor, e_current, alpha, lambda_e)[0]
+    return 0.5 * (e + update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e)[0])
 
 
 def regularize_R_l1(r_tensor, tau):

@@ -243,26 +243,24 @@ def entry_scatter(w, x, p, r_tensor, e, alpha):
     return out
 
 
-def loss_along(w, x, p, r_tensor, e, direction, alpha=1.0):
-    """(a1, a2, a3, a4) with reconstruction_loss(E + t D) - reconstruction_loss(E)
-    = a1 t + a2 t^2 + a3 t^3 + a4 t^4 for the direction D, read from the
-    entries.  E + t D has Gram M + t S + t^2 N (M = E^T E, S = E^T D + D^T E,
-    N = D^T D), so the squared predictions change by t <P^T P, S> + t^2 <P^T P, N>
-    over W and, G = relation_gram being self-adjoint, t <M, G(S)> + t^2 (<G(S), S>
-    / 2 + <M, G(N)>) + t^3 <G(S), N> + t^4 <G(N), N> / 2 over X.  The entries add
-    -2 t <Y F^T, D> (entry_scatter) and -2 t^2 alpha v d_h R_k d_t for X's (k, h, t)
-    of value v.  The coefficients are not a difference of two losses, so a1 keeps
-    its sign for steps far below the rounding of the loss."""
-    p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
-    direction = check_operands(w, x, p, r_tensor, direction)[2]
-    m, c, n, pp = e.T @ e, e.T @ direction, direction.T @ direction, p.T @ p
+def loss_along(x, r_tensor, e, gram, step, direction, alpha=1.0):
+    """(a1, a2, a3, a4) with f(E + t D) - f(E) = a1 t + a2 t^2 + a3 t^3 + a4 t^4
+    for the E objective f = reconstruction_loss + lambda_e ||E||^2 and the
+    direction D, read from one refresh at E: (E_new, H) = update_E_sentence(..., E,
+    ...), gram = H and step = E_new - E.  f's gradient at E is -2 step H, so
+    a1 = -2 <step H, D>.  E + t D has Gram M + t S + t^2 N (S = E^T D + D^T E,
+    N = D^T D), and G = relation_gram is self-adjoint, so a2 = <H, N> +
+    alpha (<G(S), S> / 2 - 2 sum v d_h R_k d_t) over X's entries (k, h, t) of
+    value v, a3 = alpha <G(S), N> and a4 = alpha <G(N), N> / 2.  The
+    coefficients are not a difference of two losses, so a1 keeps its sign for
+    steps far below the rounding of the loss."""
+    c, n = e.T @ direction, direction.T @ direction
     s = c + c.T
     g_s, g_n = relation_gram(r_tensor, s), relation_gram(r_tensor, n)
     x_square = np.einsum("j,ja,ja->", x.values, entry_rows(x, r_tensor, direction)[0],
                          direction[x.deps])
-    a1 = (np.sum(pp * s) + alpha * np.sum(m * g_s)
-          - 2.0 * np.sum(entry_scatter(w, x, p, r_tensor, e, alpha) * direction))
-    a2 = np.sum(pp * n) + alpha * (0.5 * np.sum(g_s * s) + np.sum(m * g_n) - 2.0 * x_square)
+    a1 = -2.0 * np.sum((step @ gram) * direction)
+    a2 = np.sum(gram * n) + alpha * (0.5 * np.sum(g_s * s) - 2.0 * x_square)
     a3, a4 = alpha * np.sum(g_s * n), 0.5 * alpha * np.sum(g_n * n)
     return float(a1), float(a2), float(a3), float(a4)
 

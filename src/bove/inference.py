@@ -8,8 +8,8 @@ need not contract there, so infer_bove accelerates it by Anderson mixing
 search: along any direction the objective is a quartic in the step, so each
 move goes to that quartic's minimum (the "enhanced line search" of tensor
 ALS; Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 2008).  The
-quartic's coefficients are read from the entries, not taken as a difference
-of two losses, so a step far below the loss's rounding is still seen.
+quartic's coefficients come from the system the refresh solved, not from a
+difference of two losses, so a step far below the loss's rounding is seen.
 """
 
 from collections import deque
@@ -56,13 +56,13 @@ def infer_bove(w, x, model, iters=None):
     The first solve is the raw refresh of zeros.  Each later solve refreshes
     the current E; the refresh is returned once it moves E by at most TOL
     of its norm.  Otherwise E moves along the line to the Anderson candidate,
-    to the minimum of the E objective on that line (a quartic in the step:
-    encoding.loss_along plus the ridge's terms).  If the objective does not
+    to the minimum of the E objective on that line, a quartic in the step
+    (encoding.loss_along on the refresh's system).  If the objective does not
     fall along that line, the history is dropped and E moves the same way
-    along refresh - E, which descends wherever E is not a fixed point: the
-    refresh minimizes a linearized objective with the same gradient at E.
-    The solve count (hyper.inference_iters unless iters is given) is a cap,
-    at which E is returned; a count below 1 raises ValueError.
+    along step = refresh - E, which descends wherever E is not a fixed point:
+    its slope is -2 <step H, step> < 0, H positive definite.  The solve count
+    (hyper.inference_iters unless iters is given) is a cap, at which E is
+    returned; a count below 1 raises ValueError.
     """
     hyper = model.hyper
     total = iters if iters is not None else hyper.inference_iters
@@ -72,25 +72,20 @@ def infer_bove(w, x, model, iters=None):
     def refresh(e):
         return update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)
 
-    def line_search(e, direction):
-        a1, a2, a3, a4 = loss_along(w, x, model.P, model.R, e, direction, hyper.alpha)
-        # lambda_e ||E + t D||^2 adds 2 lambda_e <E, D> t + lambda_e ||D||^2 t^2
-        return _quartic_minimizer((a1 + 2.0 * hyper.lambda_e * np.sum(e * direction),
-                                   a2 + hyper.lambda_e * np.sum(direction ** 2), a3, a4))
-
-    e = refresh(np.zeros((w.n, hyper.r)))
+    e = refresh(np.zeros((w.n, hyper.r)))[0]
     history = deque(maxlen=DEPTH + 1)
     for _ in range(total - 1):
-        refreshed = refresh(e)
+        refreshed, gram = refresh(e)
         step = refreshed - e
         if np.linalg.norm(step) <= TOL * np.linalg.norm(refreshed):
             return refreshed
         history.append((e, step))
         direction = _anderson(history) - e
-        t = line_search(e, direction)
+        t = _quartic_minimizer(loss_along(x, model.R, e, gram, step, direction, hyper.alpha))
         if not t:
             history.clear()
-            direction, t = step, line_search(e, step)
+            direction = step
+            t = _quartic_minimizer(loss_along(x, model.R, e, gram, step, step, hyper.alpha))
         e = e + t * direction
     return e
 

@@ -195,7 +195,7 @@ def test_criterion_06_averaging_damping():
     raw = [np.array([[1.0]])]
     avg = [np.array([[1.0]])]
     for _ in range(10):
-        raw.append(update_E_sentence(w, x, p, r_tensor, raw[-1], 1.0, 1.0))
+        raw.append(update_E_sentence(w, x, p, r_tensor, raw[-1], 1.0, 1.0)[0])
         avg.append(averaged_E_step(w, x, p, r_tensor, avg[-1], 1.0, 1.0))
     raw_vals = [float(e[0, 0]) for e in raw]
     avg_err = [abs(float(e[0, 0])) for e in avg]

@@ -60,7 +60,7 @@ class TestSolves:
         ws, xs, es = random_instance(rng)
         p, r_tensor = rng.normal(size=(5, 3)), 0.5 * rng.normal(size=(2, 3, 3))
         for result in (update_P(ws, es, 0.1), update_R(xs, es, 0.1),
-                       update_E_sentence(ws[0], xs[0], p, r_tensor, es[0], lambda_e=0.1)):
+                       update_E_sentence(ws[0], xs[0], p, r_tensor, es[0], lambda_e=0.1)[0]):
             assert result.flags.c_contiguous
 
     @pytest.mark.parametrize("gram, rhs, ridge, error, message", [
@@ -201,7 +201,7 @@ class TestUpdateE:
         wd = rng.normal(size=(3, 4))
         w, x = sparse_sentence(wd, np.zeros((1, 4, 4)))
         e_new = update_E_sentence(w, x, np.eye(3), np.zeros((1, 3, 3)),
-                                  np.zeros((4, 3)), alpha=0.7, lambda_e=0.0)
+                                  np.zeros((4, 3)), alpha=0.7, lambda_e=0.0)[0]
         np.testing.assert_allclose(e_new, wd.T, atol=1e-10)
 
     def test_zero_previous_ignores_relations(self):
@@ -213,7 +213,7 @@ class TestUpdateE:
         w, x = sparse_sentence(wd, xd)
         lam = 0.2
         e_new = update_E_sentence(w, x, p, r_tensor, np.zeros((4, 3)),
-                                  alpha=1.0, lambda_e=lam)
+                                  alpha=1.0, lambda_e=lam)[0]
         expected = wd.T @ p @ np.linalg.inv(p.T @ p + lam * np.eye(3))
         np.testing.assert_allclose(e_new, expected, rtol=1e-9)
 
@@ -228,7 +228,7 @@ class TestUpdateE:
             e_prev = rng.normal(size=(n, r))
             w, x = sparse_sentence(wd, xd)
             alpha, lam = 0.8, 0.3
-            closed = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lam)
+            closed = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lam)[0]
             oracle = minimize_e_quadratic(wd, xd, p, r_tensor, e_prev, alpha, lam)
             np.testing.assert_allclose(closed, oracle, rtol=1e-4, atol=1e-6)
 
@@ -279,7 +279,7 @@ class TestUpdateE:
         p, r_tensor, lam = data.model.P, data.model.R, 0.1
         e = np.zeros((5, 4))
         for _ in range(1000):
-            e_next = e + 0.3 * (update_E_sentence(w, x, p, r_tensor, e, alpha, lam) - e)
+            e_next = e + 0.3 * (update_E_sentence(w, x, p, r_tensor, e, alpha, lam)[0] - e)
             step = np.linalg.norm(e_next - e) / np.linalg.norm(e_next)
             e = e_next
             if step < 1e-13:
@@ -298,7 +298,7 @@ class TestAveragedStep:
         p = rng.normal(size=(4, 2))
         r_tensor = np.zeros((1, 2, 2))
         lam = 0.1
-        e_star = update_E_sentence(w, x, p, r_tensor, np.zeros((3, 2)), 1.0, lam)
+        e_star = update_E_sentence(w, x, p, r_tensor, np.zeros((3, 2)), 1.0, lam)[0]
         stepped = averaged_E_step(w, x, p, r_tensor, e_star, 1.0, lam)
         np.testing.assert_allclose(stepped, e_star, rtol=1e-12)
 
@@ -318,8 +318,8 @@ class TestAveragedStep:
         ws, xs, es = random_instance(rng)
         p, r_tensor = rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3))
         for w, x, e in zip(ws, xs, es):
-            e_t = update_E_sentence(w, x, p, r_tensor, e, 0.5, 0.2)
-            e_t1 = update_E_sentence(w, x, p, r_tensor, e_t, 0.5, 0.2)
+            e_t = update_E_sentence(w, x, p, r_tensor, e, 0.5, 0.2)[0]
+            e_t1 = update_E_sentence(w, x, p, r_tensor, e_t, 0.5, 0.2)[0]
             np.testing.assert_array_equal(
                 averaged_E_step(w, x, p, r_tensor, e, 0.5, 0.2), 0.5 * (e_t + e_t1))
 
@@ -330,8 +330,8 @@ class TestAveragedStep:
         p = np.array([[0.0]])
         r_tensor = np.array([[[1.0]]])
         e0 = np.array([[1.0]])
-        raw1 = update_E_sentence(w, x, p, r_tensor, e0, 1.0, 1.0)
-        raw2 = update_E_sentence(w, x, p, r_tensor, raw1, 1.0, 1.0)
+        raw1 = update_E_sentence(w, x, p, r_tensor, e0, 1.0, 1.0)[0]
+        raw2 = update_E_sentence(w, x, p, r_tensor, raw1, 1.0, 1.0)[0]
         assert raw1[0, 0] == pytest.approx(-1.0)
         assert raw2[0, 0] == pytest.approx(1.0)
         avg = averaged_E_step(w, x, p, r_tensor, e0, 1.0, 1.0)

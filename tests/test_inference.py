@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from bove import inference, synth
+from bove import als, encoding, inference, synth
 from bove.als import update_E_sentence
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
+    entry_scatter,
     from_dense,
     reconstruction_loss,
 )
@@ -29,9 +30,9 @@ def record_solves(monkeypatch):
     solves = []
 
     def recorded(w, x, p, r_tensor, e_prev, alpha, lambda_e):
-        e_new = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lambda_e)
+        e_new, gram = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lambda_e)
         solves.append((e_prev, e_new))
-        return e_new
+        return e_new, gram
     monkeypatch.setattr(inference, "update_E_sentence", recorded)
     return solves
 
@@ -86,7 +87,7 @@ class TestInferBove:
         model, hyper = data.model, data.model.hyper
         for _, w, x in data.sentences:
             raw = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
-                                    hyper.alpha, hyper.lambda_e)
+                                    hyper.alpha, hyper.lambda_e)[0]
             np.testing.assert_array_equal(infer_bove(w, x, model, iters=1), raw)
 
     @pytest.mark.parametrize("iters", [1, 2, 30])
@@ -98,6 +99,27 @@ class TestInferBove:
             infer_bove(w, x, data.model, iters=iters)
             assert 1 <= len(solves) <= iters
             assert not solves[0][0].any()  # the first solve refreshes zeros
+
+    def test_each_solve_scatters_once(self, monkeypatch):
+        # the line search reads the system its refresh solved, so Y F^T is
+        # scattered once per solve, by the solve, whichever module calls it
+        solves, scatters = record_solves(monkeypatch), []
+
+        def counted(*args):
+            scatters.append(args)
+            return entry_scatter(*args)
+        for module in (als, encoding):
+            monkeypatch.setattr(module, "entry_scatter", counted)
+        rng = np.random.default_rng(31)
+        searched = 0
+        for _ in range(20):
+            w, x, model = drawn_sentence(rng)
+            solves.clear()
+            scatters.clear()
+            infer_bove(w, x, model)
+            assert len(scatters) == len(solves)
+            searched += len(solves) > 2  # a solve past the second follows a search
+        assert searched
 
     def test_stops_below_the_cap_at_a_fixed_point(self, monkeypatch):
         # the run returns its last refresh, which moved E by at most TOL of
@@ -116,7 +138,7 @@ class TestInferBove:
             want = np.zeros((w.n, hyper.r))
             for step in range(500):
                 refreshed = update_E_sentence(w, x, model.P, model.R, want,
-                                              hyper.alpha, hyper.lambda_e)
+                                              hyper.alpha, hyper.lambda_e)[0]
                 want = refreshed if step == 0 else 0.5 * (want + refreshed)
             assert np.linalg.norm(e - want) <= 1e-7 * np.linalg.norm(want)
 

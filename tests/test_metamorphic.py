@@ -135,7 +135,7 @@ def averaged_step(w, x, model, e_start):
 
 def one_solve(w, x, model, e_start):
     hyper = model.hyper
-    return update_E_sentence(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)
+    return update_E_sentence(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)[0]
 
 
 SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step, one_solve])

@@ -108,7 +108,7 @@ def check_against_dense(ws, xs, es, model):
             pytest.approx(reconstruction_loss_dense(w, x, model.P, model.R, e, hyper.alpha),
                           rel=1e-10)
         assert_matches(
-            update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e),
+            update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)[0],
             update_E_sentence_dense(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e))
 
 
@@ -121,20 +121,26 @@ def test_kernels_match_dense_forms(corpus):
 @settings(max_examples=150, deadline=None)
 @given(instance=instances(), seed=st.integers(0, 2 ** 32 - 1))
 def test_loss_along_is_the_loss_on_the_line(instance, seed):
-    """f(E) + a1 t + a2 t^2 + a3 t^3 + a4 t^4 is the dense loss at E + t D to
-    1e-10 of the larger loss, and a1 is <grad f(E), D> of the loss alone
-    (lambda_e = 0), on sentences drawn as the E solve's metamorphic
-    relations draw them: n = 1, no edge and repeated cells included."""
+    """f(E) + a1 t + a2 t^2 + a3 t^3 + a4 t^4 is the dense E objective f =
+    loss + lambda_e ||E||^2 (lambda_e = 0.1) at E + t D to 1e-10 of the larger
+    value, and a1 is <grad f(E), D>, read from one refresh at E, on sentences
+    drawn as the E solve's metamorphic relations draw them: n = 1, no edge
+    and repeated cells included."""
     w, x, model, e, _, _, _ = instance
     direction = np.random.default_rng(seed).normal(size=e.shape)
-    p, r_tensor, alpha = model.P, model.R, model.hyper.alpha
-    a = loss_along(w, x, p, r_tensor, e, direction, alpha)
-    at_e = reconstruction_loss_dense(w, x, p, r_tensor, e, alpha)
+    p, r_tensor, alpha, lambda_e = model.P, model.R, model.hyper.alpha, model.hyper.lambda_e
+    assert lambda_e > 0
+
+    def objective(e):
+        return reconstruction_loss_dense(w, x, p, r_tensor, e, alpha) + lambda_e * np.sum(e ** 2)
+    refreshed, gram = update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e)
+    a = loss_along(x, r_tensor, e, gram, refreshed - e, direction, alpha)
+    at_e = objective(e)
     for t in (-1.0, 0.5, 1.0, 2.0):
-        along = reconstruction_loss_dense(w, x, p, r_tensor, e + t * direction, alpha)
+        along = objective(e + t * direction)
         assert at_e + np.polyval([*a[::-1], 0.0], t) == \
             pytest.approx(along, rel=0, abs=1e-10 * max(at_e, along))
-    gradient = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lambda_e=0.0)
+    gradient = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lambda_e)
     assert a[0] == pytest.approx(np.sum(gradient * direction), rel=0,
                                  abs=1e-10 * np.linalg.norm(gradient) * np.linalg.norm(direction))
 
@@ -224,6 +230,42 @@ def test_entry_scatter_is_its_dense_form(corpus):
         assert_matches(entry_scatter(*args), entry_scatter_dense(*args))
 
 
+def refreshes(corpus):
+    """(W, X, E, refresh of E, its H, model) for each sentence of corpus."""
+    ws, xs, es, model = corpus
+    hyper = model.hyper
+    for w, x, e in zip(ws, xs, es):
+        yield (w, x, e, *update_E_sentence(w, x, model.P, model.R, e, hyper.alpha,
+                                           hyper.lambda_e), model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+@pinned_entry_examples
+def test_refresh_returns_its_system_and_the_gradient(corpus):
+    # H = P^T P + alpha G(E^T E) + lambda_e I, and the E objective's gradient
+    # at E is -2 (refresh - E) H
+    for w, x, e, refreshed, gram, model in refreshes(corpus):
+        p, r_tensor, hyper = model.P, model.R, model.hyper
+        assert hyper.lambda_e > 0
+        assert_matches(gram, p.T @ p + hyper.alpha * relation_gram(r_tensor, e.T @ e)
+                       + hyper.lambda_e * np.eye(hyper.r))
+        assert_matches(-2.0 * (refreshed - e) @ gram,
+                       loss_gradient_E_dense(w, x, p, r_tensor, e, hyper.alpha, hyper.lambda_e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+@pinned_entry_examples
+def test_the_refresh_step_descends(corpus):
+    # along step = refresh - E the slope is a1 = -2 <step H, step>, negative
+    # unless the step is 0, since H is positive definite
+    for _, x, e, refreshed, gram, model in refreshes(corpus):
+        step = refreshed - e
+        a1 = loss_along(x, model.R, e, gram, step, step, model.hyper.alpha)[0]
+        assert a1 < 0 if step.any() else a1 == 0
+
+
 def relation_gram_by_einsum(r_tensor, m):
     """sum_k R_k M R_k^T + R_k^T M R_k as update_E_sentence's Gram reads it."""
     return (np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
@@ -287,17 +329,18 @@ def test_relation_gram_is_self_adjoint(d, r, zero, seed):
 
 
 def test_loss_along_builds_two_relation_grams(monkeypatch):
-    # G is self-adjoint, so <G(M), S> and <G(M), N> are read as <M, G(S)>
-    # and <M, G(N)>: one call builds G(S) and G(N) only
+    # <G(M), N> is read from the refresh's H, so one call builds G(S) and
+    # G(N) only
     built = []
 
     def counted(r_tensor, m):
         built.append(m)
         return relation_gram(r_tensor, m)
 
-    monkeypatch.setattr(bove.encoding, "relation_gram", counted)
     (w,), (x,), (e,), model = sentence_of_length(12)
-    loss_along(w, x, model.P, model.R, e, e[::-1])
+    refreshed, gram = update_E_sentence(w, x, model.P, model.R, e)
+    monkeypatch.setattr(bove.encoding, "relation_gram", counted)
+    loss_along(x, model.R, e, gram, refreshed - e, e[::-1])
     assert len(built) == 2
 
 
@@ -314,14 +357,19 @@ def test_fortran_ordered_operands_give_the_same_results(corpus):
                    update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows))
     for w, x, e, f_e in zip(ws, xs, es, f_es):
         c_ordered, f_ordered = (w, x, model.P, model.R, e), (w, x, f_p, f_r, f_e)
-        assert_matches(update_E_sentence(*f_ordered, hyper.alpha, hyper.lambda_e),
-                       update_E_sentence(*c_ordered, hyper.alpha, hyper.lambda_e))
+        (f_new, f_gram), (c_new, c_gram) = (
+            update_E_sentence(*operands, hyper.alpha, hyper.lambda_e)
+            for operands in (f_ordered, c_ordered))
+        assert_matches(f_new, c_new)
+        assert_matches(f_gram, c_gram)
         assert reconstruction_loss(*f_ordered, hyper.alpha) == pytest.approx(
             reconstruction_loss(*c_ordered, hyper.alpha), rel=1e-10)
         direction = e[::-1] + 1.0
         assert_matches(
-            np.array(loss_along(*f_ordered, np.asfortranarray(direction), hyper.alpha)),
-            np.array(loss_along(*c_ordered, direction, hyper.alpha)))
+            np.array(loss_along(x, f_r, f_e, np.asfortranarray(f_gram),
+                                np.asfortranarray(f_new - f_e), np.asfortranarray(direction),
+                                hyper.alpha)),
+            np.array(loss_along(x, model.R, e, c_gram, c_new - e, direction, hyper.alpha)))
 
 
 def sentence_of_length(n, c=300, d=40, r=10):
@@ -350,8 +398,9 @@ KERNELS = {
     "corpus_objective": lambda ws, xs, es, model: corpus_objective(ws, xs, es, model),
     "update_E_sentence": lambda ws, xs, es, model: update_E_sentence(
         ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
+    # any r x r H and n x r step do: the kernel's memory is its direction's
     "loss_along": lambda ws, xs, es, model: loss_along(
-        ws[0], xs[0], model.P, model.R, es[0], es[0][::-1]),
+        xs[0], model.R, es[0], model.P.T @ model.P, es[0], es[0][::-1]),
     "entry_rows": lambda ws, xs, es, model: entry_rows(xs[0], model.R, es[0]),
     "entry_scatter": lambda ws, xs, es, model: entry_scatter(
         ws[0], xs[0], model.P, model.R, es[0], model.hyper.alpha),
