@@ -56,12 +56,14 @@ def _spd_solve_right(gram, rhs, ridge, what):
     return np.ascontiguousarray(np.linalg.solve(gram, rhs.T).T)
 
 
-def update_P(ws, es, lambda_p, p_current=None, frozen=None):
-    """Exact minimizer of sum ||W_s - P E_s^T||^2 + lambda_p ||P||^2.
+def update_P(ws, es, model):
+    """Exact minimizer of sum ||W_s - P E_s^T||^2 + lambda_p ||P||^2 under
+    model.hyper.
 
-    Frozen rows of p_current are carried over unchanged; each P row is an
-    independent least-squares problem, so this is exact, not projected.
-    Gram sums are streamed; the corpus-wide concatenation never exists.
+    The rows of model.P marked in model.frozen_p_rows are carried over
+    unchanged; each P row is an independent least-squares problem, so this
+    is exact, not projected.  Gram sums are streamed; the corpus-wide
+    concatenation never exists.
     """
     r = es[0].shape[1]
     c = ws[0].c
@@ -70,11 +72,9 @@ def update_P(ws, es, lambda_p, p_current=None, frozen=None):
     for w, e in zip(ws, es):
         ete += e.T @ e
         add_rows(we, w.rows, w.values[:, None] * e[w.cols])
-    p_new = _spd_solve_right(ete, we, lambda_p, "P update")
-    if frozen is not None and frozen.any():
-        if p_current is None:
-            raise ValueError("frozen rows require the current P")
-        p_new[frozen] = p_current[frozen]
+    p_new = _spd_solve_right(ete, we, model.hyper.lambda_p, "P update")
+    frozen = model.frozen_p_rows
+    p_new[frozen] = model.P[frozen]
     return p_new
 
 
@@ -98,8 +98,9 @@ def _sandwich(a, z, b, left, out):
     return out
 
 
-def update_R(xs, es, lambda_r, alpha=1.0):
-    """Minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2.
+def update_R(xs, es, model):
+    """Minimizer of sum alpha ||X_s - E_s R E_s^T||^2 + lambda_r ||R||^2, with
+    alpha and lambda_r from model.hyper.
 
     Its normal equations, one per relation slice k,
         sum_s G_s R_k G_s + (lambda_r / alpha) R_k = B_k,
@@ -124,6 +125,7 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     identity, as in that example, it is the minimizer of least Frobenius
     norm, with R_k zero off the diagonal.
     """
+    lambda_r, alpha = model.hyper.lambda_r, model.hyper.alpha
     r = es[0].shape[1]
     d = xs[0].d
     grams = np.stack([e.T @ e for e in es])
@@ -180,9 +182,9 @@ def update_R(xs, es, lambda_r, alpha=1.0):
     return z.transpose(1, 0, 2).copy()
 
 
-def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
-    """One linearized least-squares refresh of a sentence's token embeddings,
-    and the system it solved: (E_new, H).
+def update_E_sentence(w, x, model, e_prev):
+    """One linearized least-squares refresh of a sentence's token embeddings
+    under model's P, R and hyper, and the system it solved: (E_new, H).
 
     Solves the three stacked systems (properties, relations with the old E
     on the right, transposed relations likewise), with sqrt(alpha) applied
@@ -192,21 +194,22 @@ def update_E_sentence(w, x, p, r_tensor, e_prev, alpha=1.0, lambda_e=0.0):
     realized without materializing Y or F, Y F^T by encoding.entry_scatter.
     The E objective's gradient at E_prev is -2 (E_new - E_prev) H.
     """
-    p, r_tensor, e_prev = check_operands(w, x, p, r_tensor, e_prev)
+    alpha = model.hyper.alpha
+    p, r_tensor, e_prev = check_operands(w, x, model.P, model.R, e_prev)
     m = e_prev.T @ e_prev
     # F F^T
     gram = p.T @ p
     gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
     gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     rhs = entry_scatter(w, x, p, r_tensor, e_prev, alpha)
-    return _spd_solve_right(gram, rhs, lambda_e, "E update"), gram
+    return _spd_solve_right(gram, rhs, model.hyper.lambda_e, "E update"), gram
 
 
-def averaged_E_step(w, x, p, r_tensor, e_current, alpha=1.0, lambda_e=0.0):
-    """Two consecutive E refreshes with P, R fixed, then their average, which
+def averaged_E_step(w, x, model, e_current):
+    """Two consecutive E refreshes with model fixed, then their average, which
     damps the raw iteration's overcompensation."""
-    e = update_E_sentence(w, x, p, r_tensor, e_current, alpha, lambda_e)[0]
-    return 0.5 * (e + update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e)[0])
+    e = update_E_sentence(w, x, model, e_current)[0]
+    return 0.5 * (e + update_E_sentence(w, x, model, e)[0])
 
 
 def regularize_R_l1(r_tensor, tau):
@@ -237,25 +240,19 @@ R_REGULARIZERS = {
 }
 
 
-def _regularizers(model, es):
-    """Sum of the P, R and E regularizer terms of the training objective."""
+def corpus_objective(ws, xs, es, model):
+    """(data fit, objective) over the corpus under model.hyper: the summed
+    reconstruction losses, and that plus the P, R and E regularizers."""
     hyper = model.hyper
+    data_fit = 0.0
+    for w, x, e in zip(ws, xs, es):
+        data_fit += reconstruction_loss(w, x, model, e)
     penalty, _ = R_REGULARIZERS[hyper.r_regularizer]
-    return (
+    return data_fit, data_fit + (
         hyper.lambda_p * float(np.sum(model.P ** 2))
         + hyper.lambda_r * penalty(model.R)
         + hyper.lambda_e * sum(float(np.sum(e ** 2)) for e in es)
     )
-
-
-def corpus_objective(ws, xs, es, model, data_fit_only=False):
-    """Regularized (or pure data-fit) objective over the corpus, under model.hyper."""
-    data_fit = 0.0
-    for w, x, e in zip(ws, xs, es):
-        data_fit += reconstruction_loss(w, x, model.P, model.R, e, model.hyper.alpha)
-    if data_fit_only:
-        return data_fit
-    return data_fit + _regularizers(model, es)
 
 
 def log_round(log, round_no, trace, seconds, suffix=""):
@@ -295,8 +292,8 @@ def train(ws, xs, model, log=None):
     _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()
     es = [np.zeros((w.n, hyper.r)) for w in ws]
-    data_fit_trace = [corpus_objective(ws, xs, es, model, data_fit_only=True)]
-    trace = [data_fit_trace[0] + _regularizers(model, es)]
+    data_fit, obj = corpus_objective(ws, xs, es, model)
+    data_fit_trace, trace = [data_fit], [obj]
     stopped = False
     for round_no in range(1, hyper.max_rounds + 1):
         t0 = time.perf_counter()
@@ -307,16 +304,12 @@ def train(ws, xs, model, log=None):
         else:
             sweeps = 1
         for _ in range(sweeps):
-            es = [
-                averaged_E_step(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)
-                for w, x, e in zip(ws, xs, es)
-            ]
-        model.P = update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows)
-        model.R = update_R(xs, es, hyper.lambda_r, hyper.alpha)
+            es = [averaged_E_step(w, x, model, e) for w, x, e in zip(ws, xs, es)]
+        model.P = update_P(ws, es, model)
+        model.R = update_R(xs, es, model)
         if shrink is not None:
             model.R = shrink(model.R, hyper.lambda_r)
-        data_fit = corpus_objective(ws, xs, es, model, data_fit_only=True)
-        obj = data_fit + _regularizers(model, es)
+        data_fit, obj = corpus_objective(ws, xs, es, model)
         if not np.isfinite(obj):
             raise DivergenceError("non-finite objective at round %d" % round_no)
         trace.append(obj)

@@ -131,14 +131,14 @@ def runs(keys, count):
         yield int(k), slice(bounds[k], bounds[k + 1])
 
 
-def entry_rows(x, r_tensor, e):
-    """(forward, backward), each nnz x r, from one runs pass: row j is
-    e[heads_j] R_k and e[deps_j] R_k^T for X's entry j of relation k."""
-    forward, backward = np.empty((2, x.nnz, e.shape[1]))
+def entry_rows(x, r_tensor, rows):
+    """rows[j] R_k (nnz x r) for X's entry j of relation k, one product per
+    relation: rows E[heads] with R give each entry's e_h R_k, and rows
+    E[deps] with R.transpose(0, 2, 1) its e_t R_k^T."""
+    out = np.empty(rows.shape)
     for k, at in runs(x.rels, x.d):
-        forward[at] = e[x.heads[at]] @ r_tensor[k]
-        backward[at] = e[x.deps[at]] @ r_tensor[k].T
-    return forward, backward
+        out[at] = rows[at] @ r_tensor[k]
+    return out
 
 
 def add_rows(out, index, rows):
@@ -210,18 +210,19 @@ def _fit(tensor, total, predicted):
     return fit
 
 
-def reconstruction_loss(w, x, p, r_tensor, e, alpha=1.0):
-    """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over every cell, read from the
-    entries: with M = E^T E, the squared predictions sum to <P^T P, M> over W
-    and <relation_gram(R, M), M> / 2 over X; W entry (i, t) is predicted
-    p_i . e_t and X entry (k, h, t) e_h R_k e_t.  Memory is O(nnz r + d r^2)."""
-    p, r_tensor, e = check_operands(w, x, p, r_tensor, e)
+def reconstruction_loss(w, x, model, e):
+    """||W - P E^T||^2 + alpha ||X - E R E^T||^2 over every cell, with P, R and
+    alpha from model, read from the entries: with M = E^T E, the squared
+    predictions sum to <P^T P, M> over W and <relation_gram(R, M), M> / 2
+    over X; W entry (i, t) is predicted p_i . e_t and X entry (k, h, t)
+    e_h R_k e_t.  Memory is O(nnz r + d r^2)."""
+    p, r_tensor, e = check_operands(w, x, model.P, model.R, e)
     m = e.T @ e
     w_fit = _fit(w, float(np.sum((p.T @ p) * m)),
                  np.einsum("ja,ja->j", p[w.rows], e[w.cols]))
     x_fit = _fit(x, 0.5 * float(np.sum(relation_gram(r_tensor, m) * m)),
-                 np.einsum("ja,ja->j", entry_rows(x, r_tensor, e)[0], e[x.deps]))
-    return w_fit + alpha * x_fit
+                 np.einsum("ja,ja->j", entry_rows(x, r_tensor, e[x.heads]), e[x.deps]))
+    return w_fit + model.hyper.alpha * x_fit
 
 
 def relation_gram(r_tensor, m):
@@ -237,27 +238,29 @@ def entry_scatter(w, x, p, r_tensor, e, alpha):
     row h and alpha v e_h R_k to row t for X's (k, h, t)."""
     out = np.zeros(e.shape)  # C-ordered whatever e's order, as add_rows needs
     add_rows(out, w.cols, w.values[:, None] * p[w.rows])
-    forward, backward = entry_rows(x, r_tensor, e)
-    add_rows(out, x.heads, alpha * x.values[:, None] * backward)
-    add_rows(out, x.deps, alpha * x.values[:, None] * forward)
+    weights = alpha * x.values[:, None]
+    add_rows(out, x.heads, weights * entry_rows(x, r_tensor.transpose(0, 2, 1), e[x.deps]))
+    add_rows(out, x.deps, weights * entry_rows(x, r_tensor, e[x.heads]))
     return out
 
 
-def loss_along(x, r_tensor, e, gram, step, direction, alpha=1.0):
+def loss_along(x, model, e, gram, step, direction):
     """(a1, a2, a3, a4) with f(E + t D) - f(E) = a1 t + a2 t^2 + a3 t^3 + a4 t^4
-    for the E objective f = reconstruction_loss + lambda_e ||E||^2 and the
-    direction D, read from one refresh at E: (E_new, H) = update_E_sentence(..., E,
-    ...), gram = H and step = E_new - E.  f's gradient at E is -2 step H, so
-    a1 = -2 <step H, D>.  E + t D has Gram M + t S + t^2 N (S = E^T D + D^T E,
-    N = D^T D), and G = relation_gram is self-adjoint, so a2 = <H, N> +
-    alpha (<G(S), S> / 2 - 2 sum v d_h R_k d_t) over X's entries (k, h, t) of
-    value v, a3 = alpha <G(S), N> and a4 = alpha <G(N), N> / 2.  The
-    coefficients are not a difference of two losses, so a1 keeps its sign for
-    steps far below the rounding of the loss."""
+    for the E objective f = reconstruction_loss + lambda_e ||E||^2 under
+    model and the direction D, read from one refresh at E: (E_new, H) =
+    update_E_sentence(w, x, model, E), gram = H and step = E_new - E.  f's
+    gradient at E is -2 step H, so a1 = -2 <step H, D>.  E + t D has Gram
+    M + t S + t^2 N (S = E^T D + D^T E, N = D^T D), and G = relation_gram is
+    self-adjoint, so a2 = <H, N> + alpha (<G(S), S> / 2 - 2 sum v d_h R_k d_t)
+    over X's entries (k, h, t) of value v, a3 = alpha <G(S), N> and a4 =
+    alpha <G(N), N> / 2.  The coefficients are not a difference of two
+    losses, so a1 keeps its sign for steps far below the rounding of the
+    loss."""
+    r_tensor, alpha = model.R, model.hyper.alpha
     c, n = e.T @ direction, direction.T @ direction
     s = c + c.T
     g_s, g_n = relation_gram(r_tensor, s), relation_gram(r_tensor, n)
-    x_square = np.einsum("j,ja,ja->", x.values, entry_rows(x, r_tensor, direction)[0],
+    x_square = np.einsum("j,ja,ja->", x.values, entry_rows(x, r_tensor, direction[x.heads]),
                          direction[x.deps])
     a1 = -2.0 * np.sum((step @ gram) * direction)
     a2 = np.sum(gram * n) + alpha * (0.5 * np.sum(g_s * s) - 2.0 * x_square)

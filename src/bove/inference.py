@@ -50,8 +50,8 @@ def _quartic_minimizer(a):
     return float(t[np.argmin(np.polyval([a[3], a[2], a[1], a[0], 0.0], t))])
 
 
-def infer_bove(w, x, model, iters=None):
-    """Token embeddings (n x r) for one sentence under model.hyper, P and R fixed.
+def infer_bove(w, x, model):
+    """Token embeddings (n x r) for one sentence under model, P and R fixed.
 
     The first solve is the raw refresh of zeros.  Each later solve refreshes
     the current E; the refresh is returned once it moves E by at most TOL
@@ -61,31 +61,22 @@ def infer_bove(w, x, model, iters=None):
     fall along that line, the history is dropped and E moves the same way
     along step = refresh - E, which descends wherever E is not a fixed point:
     its slope is -2 <step H, step> < 0, H positive definite.  The solve count
-    (hyper.inference_iters unless iters is given) is a cap, at which E is
-    returned; a count below 1 raises ValueError.
+    model.hyper.inference_iters (at least 1) is a cap, at which E is returned.
     """
-    hyper = model.hyper
-    total = iters if iters is not None else hyper.inference_iters
-    if total < 1:
-        raise ValueError("iters must be >= 1, got %d" % total)
-
-    def refresh(e):
-        return update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)
-
-    e = refresh(np.zeros((w.n, hyper.r)))[0]
+    e = update_E_sentence(w, x, model, np.zeros((w.n, model.hyper.r)))[0]
     history = deque(maxlen=DEPTH + 1)
-    for _ in range(total - 1):
-        refreshed, gram = refresh(e)
+    for _ in range(model.hyper.inference_iters - 1):
+        refreshed, gram = update_E_sentence(w, x, model, e)
         step = refreshed - e
         if np.linalg.norm(step) <= TOL * np.linalg.norm(refreshed):
             return refreshed
         history.append((e, step))
         direction = _anderson(history) - e
-        t = _quartic_minimizer(loss_along(x, model.R, e, gram, step, direction, hyper.alpha))
+        t = _quartic_minimizer(loss_along(x, model, e, gram, step, direction))
         if not t:
             history.clear()
             direction = step
-            t = _quartic_minimizer(loss_along(x, model.R, e, gram, step, step, hyper.alpha))
+            t = _quartic_minimizer(loss_along(x, model, e, gram, step, step))
         e = e + t * direction
     return e
 

@@ -10,11 +10,28 @@ The symmetric similarity is also kept in its two-call form, one
 directional score per direction.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 
+from bove.model import Hyperparams, TypeEmbeddings
 from bove.scoring import score_entailment
+
+
+def model_of(p, r_tensor, frozen=None, **weights):
+    """A TypeEmbeddings holding P and R as given (no copy), the frozen rows
+    (none if not given) and Hyperparams(r=P's column count, **weights): a
+    weight not given takes its Hyperparams default, so lambda_e is 0.1."""
+    if frozen is None:
+        frozen = np.zeros(len(p), dtype=bool)
+    return TypeEmbeddings(P=p, R=r_tensor, frozen_p_rows=frozen,
+                          hyper=Hyperparams(r=p.shape[1], **weights))
+
+
+def with_hyper(model, **changes):
+    """model's arrays under its hyperparameters with the named ones changed."""
+    return dataclasses.replace(model, hyper=dataclasses.replace(model.hyper, **changes))
 
 
 def gradient_descent(f, grad, x0, max_iters=200_000, tol=1e-15):

@@ -39,8 +39,10 @@ from oracles import (
     entailment_by_enumeration,
     minimize_p_block,
     minimize_r_block,
+    model_of,
     p_block_objective,
     r_block_objective,
+    with_hyper,
 )
 
 
@@ -67,6 +69,13 @@ def sparse_corpus(ws_dense, xs_dense):
     return [w for w, _ in pairs], [x for _, x in pairs]
 
 
+def block_weights(dims, lam_p, lam_r, alpha):
+    """A model of zero P and R for dims under the block solves' weights."""
+    _, _, r, c, d = dims
+    return model_of(np.zeros((c, r)), np.zeros((d, r, r)), lambda_p=lam_p, lambda_r=lam_r,
+                    alpha=alpha)
+
+
 def rel_frobenius(a, b):
     denom = max(np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
@@ -80,10 +89,11 @@ def test_criterion_01_closed_form_vs_oracle():
         ws_dense, xs_dense, es, dims = random_instance(rng)
         ws, xs = sparse_corpus(ws_dense, xs_dense)
         lam_p, lam_r, alpha = 0.2, 0.3, 0.8
-        p_closed = update_P(ws, es, lam_p)
+        weights = block_weights(dims, lam_p, lam_r, alpha)
+        p_closed = update_P(ws, es, weights)
         p_oracle = minimize_p_block(ws_dense, es, lam_p, dims[3], dims[2])
         worst = max(worst, rel_frobenius(p_closed, p_oracle))
-        r_closed = update_R(xs, es, lam_r, alpha=alpha)
+        r_closed = update_R(xs, es, weights)
         r_oracle = minimize_r_block(xs_dense, es, lam_r, alpha, dims[4], dims[2])
         worst = max(worst, rel_frobenius(r_closed, r_oracle))
     elapsed = time.time() - start
@@ -97,8 +107,9 @@ def test_criterion_02_block_optimality():
     ws_dense, xs_dense, es, dims = random_instance(rng)
     ws, xs = sparse_corpus(ws_dense, xs_dense)
     lam_p, lam_r, alpha = 0.2, 0.3, 0.8
-    p_star = update_P(ws, es, lam_p)
-    r_star = update_R(xs, es, lam_r, alpha=alpha)
+    weights = block_weights(dims, lam_p, lam_r, alpha)
+    p_star = update_P(ws, es, weights)
+    r_star = update_R(xs, es, weights)
     f_p = p_block_objective(p_star, ws_dense, es, lam_p)
     f_r = r_block_objective(r_star, xs_dense, es, lam_r, alpha)
     worst_drop = 0.0
@@ -171,10 +182,10 @@ def test_criterion_05_inference_self_consistency():
                               mode="exact", hyper=hyper)
     worst = 1.0
     for _, w, x in held_out.sentences:
-        e30 = infer_bove(w, x, model, iters=30)
-        e500 = infer_bove(w, x, model, iters=500)
-        l30 = reconstruction_loss(w, x, model.P, model.R, e30, alpha=hyper.alpha)
-        l500 = reconstruction_loss(w, x, model.P, model.R, e500, alpha=hyper.alpha)
+        e30 = infer_bove(w, x, with_hyper(model, inference_iters=30))
+        e500 = infer_bove(w, x, with_hyper(model, inference_iters=500))
+        l30 = reconstruction_loss(w, x, model, e30)
+        l500 = reconstruction_loss(w, x, model, e500)
         if l500 > 0:
             worst = max(worst, l30 / l500)
     ok = worst <= 1.05
@@ -190,13 +201,12 @@ def test_criterion_06_averaging_damping():
                              cols=np.array([], dtype=np.int64))
     x = SparseRelationTensor(d=1, n=1, rels=np.array([0]), heads=np.array([0]),
                              deps=np.array([0]), values=np.array([-1.5]))
-    p = np.zeros((1, 1))
-    r_tensor = np.ones((1, 1, 1))
+    model = model_of(np.zeros((1, 1)), np.ones((1, 1, 1)), alpha=1.0, lambda_e=1.0)
     raw = [np.array([[1.0]])]
     avg = [np.array([[1.0]])]
     for _ in range(10):
-        raw.append(update_E_sentence(w, x, p, r_tensor, raw[-1], 1.0, 1.0)[0])
-        avg.append(averaged_E_step(w, x, p, r_tensor, avg[-1], 1.0, 1.0))
+        raw.append(update_E_sentence(w, x, model, raw[-1])[0])
+        avg.append(averaged_E_step(w, x, model, avg[-1]))
     raw_vals = [float(e[0, 0]) for e in raw]
     avg_err = [abs(float(e[0, 0])) for e in avg]
     oscillates = all(
@@ -259,12 +269,12 @@ def test_criterion_08_cross_trainer_agreement():
     ws = [w for _, w, _ in data.sentences]
     xs = [x for _, _, x in data.sentences]
     als_result = train(ws, xs, init_for_training(12, 3, hyper, seed=0))
-    obj_als = corpus_objective(ws, xs, als_result.e_store, als_result.model)
+    _, obj_als = corpus_objective(ws, xs, als_result.e_store, als_result.model)
     sgd_model, sgd_es, _ = train_sgd(
         ws, xs, init_for_training(12, 3, hyper, seed=0),
         SgdConfig(batch_size=10, learning_rate=0.1, epochs=300, seed=2),
     )
-    obj_sgd = corpus_objective(ws, xs, sgd_es, sgd_model)
+    _, obj_sgd = corpus_objective(ws, xs, sgd_es, sgd_model)
     rel = abs(obj_sgd - obj_als) / obj_als
     ok = rel <= 0.05
     report(8, "cross-trainer agreement", ok,

@@ -20,7 +20,7 @@ from bove.encoding import from_dense, reconstruction_loss
 from bove.errors import BoveError, DimensionMismatch, DivergenceError, SingularSystemError
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
-from oracles import loss_gradient_E_dense, minimize_e_quadratic
+from oracles import loss_gradient_E_dense, minimize_e_quadratic, model_of
 
 
 def sparse_sentence(wd, xd):
@@ -47,6 +47,11 @@ def random_instance(rng, n_sentences=3, n=4, r=3, c=5, d=2, realizable=False):
     return ws, xs, es
 
 
+def zero_model(c, d, r, **weights):
+    """A model of zero P (c x r) and R (d x r x r) under the given weights."""
+    return model_of(np.zeros((c, r)), np.zeros((d, r, r)), **weights)
+
+
 def raises_exactly(error, message):
     return pytest.raises(error, match="^%s$" % re.escape(message))
 
@@ -58,9 +63,9 @@ class TestSolves:
     def test_results_are_c_contiguous(self):
         rng = np.random.default_rng(8)
         ws, xs, es = random_instance(rng)
-        p, r_tensor = rng.normal(size=(5, 3)), 0.5 * rng.normal(size=(2, 3, 3))
-        for result in (update_P(ws, es, 0.1), update_R(xs, es, 0.1),
-                       update_E_sentence(ws[0], xs[0], p, r_tensor, es[0], lambda_e=0.1)[0]):
+        model = model_of(rng.normal(size=(5, 3)), 0.5 * rng.normal(size=(2, 3, 3)))
+        for result in (update_P(ws, es, model), update_R(xs, es, model),
+                       update_E_sentence(ws[0], xs[0], model, es[0])[0]):
             assert result.flags.c_contiguous
 
     @pytest.mark.parametrize("gram, rhs, ridge, error, message", [
@@ -82,30 +87,30 @@ class TestSolves:
 class TestUpdateP:
     def test_scalar_no_ridge(self):
         w, _ = sparse_sentence([[1.0]], np.zeros((1, 1, 1)))
-        p = update_P([w], [np.array([[2.0]])], lambda_p=0.0)
+        p = update_P([w], [np.array([[2.0]])], zero_model(1, 1, 1, lambda_p=0.0))
         assert p[0, 0] == pytest.approx(0.5)
 
     def test_scalar_with_ridge(self):
         w, _ = sparse_sentence([[1.0]], np.zeros((1, 1, 1)))
-        p = update_P([w], [np.array([[2.0]])], lambda_p=1.0)
+        p = update_P([w], [np.array([[2.0]])], zero_model(1, 1, 1, lambda_p=1.0))
         assert p[0, 0] == pytest.approx(0.4)
 
     def test_zero_design_matrix(self):
         w, _ = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
-        p = update_P([w], [np.zeros((3, 2))], lambda_p=0.5)
+        p = update_P([w], [np.zeros((3, 2))], zero_model(2, 1, 2, lambda_p=0.5))
         np.testing.assert_array_equal(p, np.zeros((2, 2)))
 
     def test_singular_without_ridge(self):
         w, _ = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
         with pytest.raises(SingularSystemError, match="regularizer"):
-            update_P([w], [np.zeros((3, 2))], lambda_p=0.0)
+            update_P([w], [np.zeros((3, 2))], zero_model(2, 1, 2, lambda_p=0.0))
 
     def test_frozen_rows_held(self):
         rng = np.random.default_rng(0)
         ws, xs, es = random_instance(rng)
         frozen = np.array([True, False, False, True, False])
         p_current = rng.normal(size=(5, 3))
-        p_new = update_P(ws, es, 0.1, p_current, frozen)
+        p_new = update_P(ws, es, model_of(p_current, np.zeros((2, 3, 3)), frozen, lambda_p=0.1))
         np.testing.assert_array_equal(p_new[frozen], p_current[frozen])
         assert not np.allclose(p_new[~frozen], p_current[~frozen])
 
@@ -114,7 +119,7 @@ class TestUpdateP:
         for trial in range(5):
             ws, xs, es = random_instance(rng, n_sentences=rng.integers(1, 6))
             lam = 0.2
-            p_gram = update_P(ws, es, lam)
+            p_gram = update_P(ws, es, zero_model(5, 2, 3, lambda_p=lam))
             w_cat = np.hstack([w.to_dense() for w in ws])
             e_cat = np.vstack(es)
             p_direct = (
@@ -127,34 +132,35 @@ class TestUpdateR:
     def test_zero_target(self):
         _, x = sparse_sentence(np.zeros((1, 3)), np.zeros((2, 3, 3)))
         r_new = update_R([x], [np.random.default_rng(0).normal(size=(3, 2))],
-                         lambda_r=0.5)
+                         zero_model(1, 2, 2, lambda_r=0.5))
         np.testing.assert_allclose(r_new, np.zeros((2, 2, 2)), atol=1e-12)
 
     def test_identity_design(self):
         rng = np.random.default_rng(2)
         xd = rng.normal(size=(2, 3, 3))
         _, x = sparse_sentence(np.zeros((1, 3)), xd)
-        r_new = update_R([x], [np.eye(3)], lambda_r=0.0, alpha=1.0)
+        r_new = update_R([x], [np.eye(3)], zero_model(1, 2, 3, lambda_r=0.0, alpha=1.0))
         np.testing.assert_allclose(r_new, xd, atol=1e-10)
 
     def test_scalar_least_squares(self):
         # minimize (1 - 2*R*2)^2: the fit is R = 1/4
         _, x = sparse_sentence(np.zeros((1, 1)), [[[1.0]]])
-        r_new = update_R([x], [np.array([[2.0]])], lambda_r=0.0)
+        r_new = update_R([x], [np.array([[2.0]])], zero_model(1, 1, 1, lambda_r=0.0))
         assert r_new[0, 0, 0] == pytest.approx(0.25)
 
     def test_singular_without_ridge(self):
         _, x = sparse_sentence(np.zeros((1, 3)), np.ones((2, 3, 3)))
         with raises_exactly(SingularSystemError,
                             "R update system is singular; set its regularizer > 0"):
-            update_R([x], [np.zeros((3, 2))], lambda_r=0.0)
+            update_R([x], [np.zeros((3, 2))], zero_model(1, 2, 2, lambda_r=0.0))
 
     def test_shared_null_direction_without_ridge(self):
         # no sentence spans the second axis, so the mean Gram is singular
         _, x = sparse_sentence(np.zeros((1, 2)), np.ones((2, 2, 2)))
         with raises_exactly(SingularSystemError,
                             "R update system is singular; set its regularizer > 0"):
-            update_R([x], [np.array([[1.0, 0.0], [2.0, 0.0]])], lambda_r=0.0)
+            update_R([x], [np.array([[1.0, 0.0], [2.0, 0.0]])],
+                     zero_model(1, 2, 2, lambda_r=0.0))
 
     def test_sentence_specific_null_directions_give_the_least_norm_minimizer(self):
         # E_1 = [[1, 0]] and E_2 = [[0, 1]]: the mean Gram is I / 2, but the
@@ -164,7 +170,7 @@ class TestUpdateR:
         x1, x2 = [[[2.0]], [[-1.0]]], [[[0.5]], [[3.0]]]
         xs = [sparse_sentence(np.zeros((1, 1)), xd)[1] for xd in (x1, x2)]
         r_new = update_R(xs, [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])],
-                         lambda_r=0.0, alpha=0.7)
+                         zero_model(1, 2, 2, lambda_r=0.0, alpha=0.7))
         np.testing.assert_allclose(r_new, [np.diag([2.0, 0.5]), np.diag([-1.0, 3.0])],
                                    rtol=0, atol=1e-14)
 
@@ -173,7 +179,8 @@ class TestUpdateR:
     def test_non_finite_system(self, e_bad, x_bad):
         _, x = sparse_sentence(np.zeros((1, 2)), [[[1.0, x_bad], [1.0, 1.0]]])
         with raises_exactly(DivergenceError, "R update system has a non-finite entry"):
-            update_R([x], [np.array([[1.0, e_bad], [3.0, 4.0]])], lambda_r=0.1)
+            update_R([x], [np.array([[1.0, e_bad], [3.0, 4.0]])],
+                     zero_model(1, 1, 2, lambda_r=0.1))
 
     def test_unconverged_iteration_is_a_divergence(self, monkeypatch):
         # stopping after the first step, whose residual is not yet small
@@ -181,7 +188,7 @@ class TestUpdateR:
         rng = np.random.default_rng(4)
         _, xs, es = random_instance(rng)
         with pytest.raises(DivergenceError, match="^R update did not converge: residual"):
-            update_R(xs, es, lambda_r=0.1)
+            update_R(xs, es, zero_model(5, 2, 3, lambda_r=0.1))
 
     def test_kronecker_vec_identity(self):
         rng = np.random.default_rng(3)
@@ -200,8 +207,8 @@ class TestUpdateE:
         rng = np.random.default_rng(4)
         wd = rng.normal(size=(3, 4))
         w, x = sparse_sentence(wd, np.zeros((1, 4, 4)))
-        e_new = update_E_sentence(w, x, np.eye(3), np.zeros((1, 3, 3)),
-                                  np.zeros((4, 3)), alpha=0.7, lambda_e=0.0)[0]
+        model = model_of(np.eye(3), np.zeros((1, 3, 3)), alpha=0.7, lambda_e=0.0)
+        e_new = update_E_sentence(w, x, model, np.zeros((4, 3)))[0]
         np.testing.assert_allclose(e_new, wd.T, atol=1e-10)
 
     def test_zero_previous_ignores_relations(self):
@@ -212,8 +219,8 @@ class TestUpdateE:
         r_tensor = rng.normal(size=(2, 3, 3))
         w, x = sparse_sentence(wd, xd)
         lam = 0.2
-        e_new = update_E_sentence(w, x, p, r_tensor, np.zeros((4, 3)),
-                                  alpha=1.0, lambda_e=lam)[0]
+        e_new = update_E_sentence(w, x, model_of(p, r_tensor, alpha=1.0, lambda_e=lam),
+                                  np.zeros((4, 3)))[0]
         expected = wd.T @ p @ np.linalg.inv(p.T @ p + lam * np.eye(3))
         np.testing.assert_allclose(e_new, expected, rtol=1e-9)
 
@@ -228,7 +235,8 @@ class TestUpdateE:
             e_prev = rng.normal(size=(n, r))
             w, x = sparse_sentence(wd, xd)
             alpha, lam = 0.8, 0.3
-            closed = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lam)[0]
+            model = model_of(p, r_tensor, alpha=alpha, lambda_e=lam)
+            closed = update_E_sentence(w, x, model, e_prev)[0]
             oracle = minimize_e_quadratic(wd, xd, p, r_tensor, e_prev, alpha, lam)
             np.testing.assert_allclose(closed, oracle, rtol=1e-4, atol=1e-6)
 
@@ -236,25 +244,25 @@ class TestUpdateE:
         w, x = sparse_sentence(np.ones((2, 3)), np.ones((1, 3, 3)))
         with raises_exactly(SingularSystemError,
                             "E update system is singular; set its regularizer > 0"):
-            update_E_sentence(w, x, np.zeros((2, 2)), np.zeros((1, 2, 2)),
-                              np.zeros((3, 2)), lambda_e=0.0)
+            update_E_sentence(w, x, zero_model(2, 1, 2, lambda_e=0.0), np.zeros((3, 2)))
 
     def test_dimension_mismatch(self):
         w, x = sparse_sentence(np.zeros((2, 3)), np.zeros((1, 3, 3)))
         with pytest.raises(DimensionMismatch):
-            update_E_sentence(w, x, np.zeros((2, 2)), np.zeros((1, 2, 2)),
-                              np.zeros((4, 2)))
+            update_E_sentence(w, x, zero_model(2, 1, 2, lambda_e=0.0), np.zeros((4, 2)))
 
     def test_token_count_mismatch(self):
         w, _ = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
         _, x = sparse_sentence(np.ones((2, 4)), np.ones((1, 4, 4)))
         with pytest.raises(DimensionMismatch, match="token counts of W, X and E disagree"):
-            update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 2)))
+            update_E_sentence(w, x, model_of(np.ones((2, 2)), np.ones((1, 2, 2)), lambda_e=0.0),
+                              np.ones((3, 2)))
 
     def test_rank_mismatch_names_both_ranks(self):
         w, x = sparse_sentence(np.ones((2, 3)), np.zeros((1, 3, 3)))
         with pytest.raises(DimensionMismatch, match="^E has rank 3 but P has rank 2$"):
-            update_E_sentence(w, x, np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((3, 3)))
+            update_E_sentence(w, x, model_of(np.ones((2, 2)), np.ones((1, 2, 2)), lambda_e=0.0),
+                              np.ones((3, 3)))
 
     def test_loss_gradient_oracle_matches_finite_differences(self):
         rng = np.random.default_rng(15)
@@ -264,7 +272,8 @@ class TestUpdateE:
         alpha, lam, h = 0.7, 0.2, 1e-6
 
         def f(e):
-            return reconstruction_loss(w, x, p, r_tensor, e, alpha) + lam * np.sum(e ** 2)
+            return reconstruction_loss(w, x, model_of(p, r_tensor, alpha=alpha), e) \
+                + lam * np.sum(e ** 2)
 
         fd = (f(e + h * step) - f(e - h * step)) / (2 * h)
         g = loss_gradient_E_dense(w, x, p, r_tensor, e, alpha, lam)
@@ -277,9 +286,10 @@ class TestUpdateE:
         data = synth.generate(3, n_sentences=1, n_tokens=5, c=10, d=2, hyper=Hyperparams(r=4))
         _, w, x = data.sentences[0]
         p, r_tensor, lam = data.model.P, data.model.R, 0.1
+        model = model_of(p, r_tensor, alpha=alpha, lambda_e=lam)
         e = np.zeros((5, 4))
         for _ in range(1000):
-            e_next = e + 0.3 * (update_E_sentence(w, x, p, r_tensor, e, alpha, lam)[0] - e)
+            e_next = e + 0.3 * (update_E_sentence(w, x, model, e)[0] - e)
             step = np.linalg.norm(e_next - e) / np.linalg.norm(e_next)
             e = e_next
             if step < 1e-13:
@@ -297,9 +307,9 @@ class TestAveragedStep:
         w, x = sparse_sentence(wd, np.zeros((1, 3, 3)))
         p = rng.normal(size=(4, 2))
         r_tensor = np.zeros((1, 2, 2))
-        lam = 0.1
-        e_star = update_E_sentence(w, x, p, r_tensor, np.zeros((3, 2)), 1.0, lam)[0]
-        stepped = averaged_E_step(w, x, p, r_tensor, e_star, 1.0, lam)
+        model = model_of(p, r_tensor, alpha=1.0, lambda_e=0.1)
+        e_star = update_E_sentence(w, x, model, np.zeros((3, 2)))[0]
+        stepped = averaged_E_step(w, x, model, e_star)
         np.testing.assert_allclose(stepped, e_star, rtol=1e-12)
 
     def test_relation_free_equals_property_solution(self):
@@ -308,33 +318,32 @@ class TestAveragedStep:
         w, x = sparse_sentence(wd, np.zeros((2, 3, 3)))
         p = rng.normal(size=(4, 2))
         lam = 0.5
-        stepped = averaged_E_step(w, x, p, np.zeros((2, 2, 2)),
-                                  np.zeros((3, 2)), 1.0, lam)
+        stepped = averaged_E_step(w, x, model_of(p, np.zeros((2, 2, 2)), alpha=1.0, lambda_e=lam),
+                                  np.zeros((3, 2)))
         expected = wd.T @ p @ np.linalg.inv(p.T @ p + lam * np.eye(2))
         np.testing.assert_allclose(stepped, expected, rtol=1e-10)
 
     def test_equals_two_refreshes_and_their_midpoint(self):
         rng = np.random.default_rng(15)
         ws, xs, es = random_instance(rng)
-        p, r_tensor = rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3))
+        model = model_of(rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3)),
+                         alpha=0.5, lambda_e=0.2)
         for w, x, e in zip(ws, xs, es):
-            e_t = update_E_sentence(w, x, p, r_tensor, e, 0.5, 0.2)[0]
-            e_t1 = update_E_sentence(w, x, p, r_tensor, e_t, 0.5, 0.2)[0]
-            np.testing.assert_array_equal(
-                averaged_E_step(w, x, p, r_tensor, e, 0.5, 0.2), 0.5 * (e_t + e_t1))
+            e_t = update_E_sentence(w, x, model, e)[0]
+            e_t1 = update_E_sentence(w, x, model, e_t)[0]
+            np.testing.assert_array_equal(averaged_E_step(w, x, model, e), 0.5 * (e_t + e_t1))
 
     def test_oscillator_midpoint(self):
         # scalar instance where the raw refresh alternates +/- e; the
         # averaged step lands at the midpoint (zero), which is the minimizer
         w, x = sparse_sentence([[0.0]], [[[-1.5]]])
-        p = np.array([[0.0]])
-        r_tensor = np.array([[[1.0]]])
+        model = model_of(np.array([[0.0]]), np.array([[[1.0]]]), alpha=1.0, lambda_e=1.0)
         e0 = np.array([[1.0]])
-        raw1 = update_E_sentence(w, x, p, r_tensor, e0, 1.0, 1.0)[0]
-        raw2 = update_E_sentence(w, x, p, r_tensor, raw1, 1.0, 1.0)[0]
+        raw1 = update_E_sentence(w, x, model, e0)[0]
+        raw2 = update_E_sentence(w, x, model, raw1)[0]
         assert raw1[0, 0] == pytest.approx(-1.0)
         assert raw2[0, 0] == pytest.approx(1.0)
-        avg = averaged_E_step(w, x, p, r_tensor, e0, 1.0, 1.0)
+        avg = averaged_E_step(w, x, model, e0)
         assert avg[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -520,9 +529,7 @@ class TestTrain:
         result = train(ws, xs, model)
         assert len(calls) == hyper.max_rounds + 1
         assert len(result.trace) == hyper.max_rounds + 1
-        full = corpus_objective(ws, xs, result.e_store, result.model)
-        fit = corpus_objective(ws, xs, result.e_store, result.model,
-                               data_fit_only=True)
+        fit, full = corpus_objective(ws, xs, result.e_store, result.model)
         assert result.trace[-1] == pytest.approx(full, rel=1e-12)
         assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
 
@@ -578,8 +585,9 @@ def test_corpus_objective_matches_loss_parts():
         P=rng.normal(size=(5, 3)), R=rng.normal(size=(2, 3, 3)),
         frozen_p_rows=np.zeros(5, dtype=bool), hyper=hyper,
     )
-    full = corpus_objective(ws, xs, es, model)
-    fit = corpus_objective(ws, xs, es, model, data_fit_only=True)
+    fit, full = corpus_objective(ws, xs, es, model)
+    assert fit == pytest.approx(sum(reconstruction_loss(w, x, model, e)
+                                    for w, x, e in zip(ws, xs, es)), rel=1e-12)
     reg = (0.1 * np.sum(model.P ** 2) + 0.2 * np.sum(model.R ** 2)
            + 0.3 * sum(np.sum(e ** 2) for e in es))
     assert full == pytest.approx(fit + reg, rel=1e-12)

@@ -24,6 +24,7 @@ import pytest
 from bove import als, inference, model as model_io, scoring, synth
 from bove.cli import EXIT_OK, main
 
+from oracles import with_hyper
 from test_cli import CORPUS, write_config, write_corpus
 
 RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -91,9 +92,9 @@ def test_each_E_schedule_solves_through_its_own_module(monkeypatch, iters):
 
     def solves():
         return calls["inference.update_E_sentence"], calls["als.update_E_sentence"]
-    inference.infer_bove(w, x, data.model, iters=iters)
+    inference.infer_bove(w, x, with_hyper(data.model, inference_iters=iters))
     assert solves() == (iters, 0)
-    als.averaged_E_step(w, x, data.model.P, data.model.R, np.zeros((w.n, 2)))
+    als.averaged_E_step(w, x, data.model, np.zeros((w.n, 2)))
     assert solves() == (iters, 2)
 
 

@@ -18,7 +18,7 @@ from bove.encoding import (
 from bove.errors import BoveError, DimensionMismatch
 from bove.sgd import sample_cells
 
-from oracles import reconstruction_loss_dense
+from oracles import model_of, reconstruction_loss_dense
 
 
 def graph(tokens, relations):
@@ -51,21 +51,21 @@ class TestEncode:
 class TestReconstructionLoss:
     def test_all_zero(self):
         w, x = from_dense(np.zeros((2, 2)), np.zeros((1, 2, 2)))
-        loss = reconstruction_loss(w, x, np.zeros((2, 3)), np.zeros((1, 3, 3)),
+        loss = reconstruction_loss(w, x, model_of(np.zeros((2, 3)), np.zeros((1, 3, 3))),
                                    np.zeros((2, 3)))
         assert loss == 0.0
 
     def test_scalar_exact_fit(self):
         # c=1, n=1, r=1: W=[[1]], P=[[0.5]], E=[[2]] reconstructs exactly
         w, x = from_dense(np.array([[1.0]]), np.zeros((1, 1, 1)))
-        loss = reconstruction_loss(w, x, np.array([[0.5]]),
-                                   np.zeros((1, 1, 1)), np.array([[2.0]]))
+        loss = reconstruction_loss(w, x, model_of(np.array([[0.5]]), np.zeros((1, 1, 1))),
+                                   np.array([[2.0]]))
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
         w, x = from_dense(np.zeros((2, 2)), np.zeros((1, 2, 2)))
         with pytest.raises(DimensionMismatch):
-            reconstruction_loss(w, x, np.zeros((3, 3)), np.zeros((1, 3, 3)),
+            reconstruction_loss(w, x, model_of(np.zeros((3, 3)), np.zeros((1, 3, 3))),
                                 np.zeros((2, 3)))
 
     def test_check_operands_returns_float64(self):
@@ -91,7 +91,7 @@ class TestReconstructionLoss:
             w, x = from_dense(wd, xd)
             alpha = float(rng.random() * 2)
             naive = reconstruction_loss_dense(w, x, p, r_tensor, e, alpha=alpha)
-            sparse = reconstruction_loss(w, x, p, r_tensor, e, alpha=alpha)
+            sparse = reconstruction_loss(w, x, model_of(p, r_tensor, alpha=alpha), e)
             assert sparse == pytest.approx(naive, rel=1e-10)
 
     def test_permutation_invariance(self):
@@ -105,8 +105,9 @@ class TestReconstructionLoss:
         perm = rng.permutation(n)
         w, x = from_dense(wd, xd)
         wp, xp = from_dense(wd[:, perm], xd[:, perm][:, :, perm])
-        base = reconstruction_loss(w, x, p, r_tensor, e)
-        permuted = reconstruction_loss(wp, xp, p, r_tensor, e[perm])
+        model = model_of(p, r_tensor)
+        base = reconstruction_loss(w, x, model, e)
+        permuted = reconstruction_loss(wp, xp, model, e[perm])
         assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_zero_iff_exact(self):
@@ -115,8 +116,9 @@ class TestReconstructionLoss:
         p = rng.normal(size=(4, 2))
         r_tensor = rng.normal(size=(2, 2, 2))
         w, x = from_dense(p @ e.T, np.einsum("ia,kab,jb->kij", e, r_tensor, e))
-        assert reconstruction_loss(w, x, p, r_tensor, e) == pytest.approx(0, abs=1e-18)
-        assert reconstruction_loss(w, x, p, r_tensor, e + 0.01) > 1e-6
+        model = model_of(p, r_tensor)
+        assert reconstruction_loss(w, x, model, e) == pytest.approx(0, abs=1e-18)
+        assert reconstruction_loss(w, x, model, e + 0.01) > 1e-6
 
 
 class TestCoordinateText:

@@ -12,8 +12,9 @@ from bove.encoding import (
 )
 from bove.errors import DimensionMismatch
 from bove.inference import _quartic_minimizer, infer_bove, infer_corpus
-from bove.model import Hyperparams, TypeEmbeddings
+from bove.model import Hyperparams
 
+from oracles import model_of, with_hyper
 from test_metamorphic import sentence_tensors
 
 
@@ -29,8 +30,8 @@ def record_solves(monkeypatch):
     bove.inference's update_E_sentence."""
     solves = []
 
-    def recorded(w, x, p, r_tensor, e_prev, alpha, lambda_e):
-        e_new, gram = update_E_sentence(w, x, p, r_tensor, e_prev, alpha, lambda_e)
+    def recorded(w, x, model, e_prev):
+        e_new, gram = update_E_sentence(w, x, model, e_prev)
         solves.append((e_prev, e_new))
         return e_new, gram
     monkeypatch.setattr(inference, "update_E_sentence", recorded)
@@ -50,21 +51,10 @@ def drawn_sentence(rng):
         if cells and rng.random() < 0.5:
             cells.append(cells[0])
     w, x = sentence_tensors(c, d, n, w_cells, x_cells, rng)
-    model = make_model(rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r),
-                       rng.uniform(-1.0, 1.0, size=(d, r, r)) / r,
-                       Hyperparams(r=r, alpha=rng.uniform(0.5, 1.5), lambda_e=0.1))
+    model = model_of(rng.uniform(-1.0, 1.0, size=(c, r)) / np.sqrt(r),
+                     rng.uniform(-1.0, 1.0, size=(d, r, r)) / r,
+                     alpha=rng.uniform(0.5, 1.5), lambda_e=0.1)
     return w, x, model
-
-
-def make_model(p, r_tensor, hyper):
-    p = np.asarray(p, dtype=np.float64)
-    r_tensor = np.asarray(r_tensor, dtype=np.float64)
-    return TypeEmbeddings(
-        P=p,
-        R=r_tensor,
-        frozen_p_rows=np.zeros(len(p), dtype=bool),
-        hyper=hyper,
-    )
 
 
 class TestInferBove:
@@ -75,20 +65,19 @@ class TestInferBove:
         p = rng.normal(size=(5, 3))
         w, _ = from_dense(rng.normal(size=(5, 4)), np.zeros((1, 4, 4)))
         x = relation_free(4)
-        hyper = Hyperparams(r=3, lambda_e=0.2)
-        model = make_model(p, np.zeros((1, 3, 3)), hyper)
+        model = model_of(p, np.zeros((1, 3, 3)), lambda_e=0.2)
         expect = w.to_dense().T @ p @ np.linalg.inv(p.T @ p + 0.2 * np.eye(3))
         for iters in (1, 2, 7, 30):
-            got = infer_bove(w, x, model, iters=iters)
+            got = infer_bove(w, x, with_hyper(model, inference_iters=iters))
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_one_solve_is_the_raw_refresh(self):
         data = synth.generate(4, n_sentences=3, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3))
-        model, hyper = data.model, data.model.hyper
+        model = data.model
         for _, w, x in data.sentences:
-            raw = update_E_sentence(w, x, model.P, model.R, np.zeros((w.n, 3)),
-                                    hyper.alpha, hyper.lambda_e)[0]
-            np.testing.assert_array_equal(infer_bove(w, x, model, iters=1), raw)
+            raw = update_E_sentence(w, x, model, np.zeros((w.n, 3)))[0]
+            np.testing.assert_array_equal(
+                infer_bove(w, x, with_hyper(model, inference_iters=1)), raw)
 
     @pytest.mark.parametrize("iters", [1, 2, 30])
     def test_solves_never_exceed_the_cap(self, monkeypatch, iters):
@@ -96,7 +85,7 @@ class TestInferBove:
         solves = record_solves(monkeypatch)
         for _, w, x in data.sentences:
             solves.clear()
-            infer_bove(w, x, data.model, iters=iters)
+            infer_bove(w, x, with_hyper(data.model, inference_iters=iters))
             assert 1 <= len(solves) <= iters
             assert not solves[0][0].any()  # the first solve refreshes zeros
 
@@ -137,8 +126,7 @@ class TestInferBove:
             assert np.linalg.norm(e_out - e_in) <= inference.TOL * np.linalg.norm(e_out)
             want = np.zeros((w.n, hyper.r))
             for step in range(500):
-                refreshed = update_E_sentence(w, x, model.P, model.R, want,
-                                              hyper.alpha, hyper.lambda_e)[0]
+                refreshed = update_E_sentence(w, x, model, want)[0]
                 want = refreshed if step == 0 else 0.5 * (want + refreshed)
             assert np.linalg.norm(e - want) <= 1e-7 * np.linalg.norm(want)
 
@@ -146,9 +134,8 @@ class TestInferBove:
         # zero refreshes zero: the step and its bound are both 0, and no
         # ratio of norms is taken (pytest turns warnings into errors)
         empty = SparsePropertyMatrix(c=5, n=3, rows=[], cols=[])
-        hyper = Hyperparams(r=2, lambda_e=0.1)
         rng = np.random.default_rng(5)
-        model = make_model(rng.normal(size=(5, 2)), rng.normal(size=(1, 2, 2)), hyper)
+        model = model_of(rng.normal(size=(5, 2)), rng.normal(size=(1, 2, 2)), lambda_e=0.1)
         solves = record_solves(monkeypatch)
         e = infer_bove(empty, relation_free(3), model)
         np.testing.assert_array_equal(e, np.zeros((3, 2)))
@@ -156,19 +143,17 @@ class TestInferBove:
 
     @pytest.mark.parametrize("iters", [0, -3])
     def test_fewer_than_one_solve_is_refused(self, iters):
-        data = synth.generate(4, n_sentences=1, n_tokens=4, c=6, d=2, hyper=Hyperparams(r=3))
-        _, w, x = data.sentences[0]
-        with pytest.raises(ValueError, match="^iters must be >= 1, got %d$" % iters):
-            infer_bove(w, x, data.model, iters=iters)
+        # the cap is the model's inference_iters, which is at least 1
+        with pytest.raises(ValueError, match="^inference_iters must be >= 1$"):
+            Hyperparams(r=3, inference_iters=iters)
 
     def test_orthonormal_p_no_ridge(self):
         # orthonormal columns and lambda_e=0: E = W^T P exactly
         q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(6, 3)))
         w, _ = from_dense(np.random.default_rng(2).normal(size=(6, 4)),
                           np.zeros((1, 4, 4)))
-        hyper = Hyperparams(r=3, lambda_e=0.0)
-        model = make_model(q, np.zeros((1, 3, 3)), hyper)
-        got = infer_bove(w, relation_free(4), model, iters=1)
+        model = model_of(q, np.zeros((1, 3, 3)), lambda_e=0.0, inference_iters=1)
+        got = infer_bove(w, relation_free(4), model)
         np.testing.assert_allclose(got, w.to_dense().T @ q, atol=1e-12)
 
     def test_token_exchangeability(self):
@@ -180,9 +165,7 @@ class TestInferBove:
         x_dense[0, 0, 1] = x_dense[0, 2, 1] = 1.0
         w, x = from_dense(w_dense, x_dense)
         rng = np.random.default_rng(3)
-        hyper = Hyperparams(r=2)
-        model = make_model(rng.normal(size=(4, 2)),
-                           rng.normal(size=(2, 2, 2)) * 0.3, hyper)
+        model = model_of(rng.normal(size=(4, 2)), rng.normal(size=(2, 2, 2)) * 0.3)
         e = infer_bove(w, x, model)
         np.testing.assert_array_equal(e[0], e[2])
 
@@ -196,9 +179,7 @@ class TestInferBove:
         w, xa = from_dense(w_dense, x_a)
         _, xb = from_dense(w_dense, x_b)
         rng = np.random.default_rng(4)
-        hyper = Hyperparams(r=2)
-        model = make_model(rng.normal(size=(3, 2)),
-                           rng.normal(size=(1, 2, 2)), hyper)
+        model = model_of(rng.normal(size=(3, 2)), rng.normal(size=(1, 2, 2)))
         ea = infer_bove(w, xa, model)
         eb = infer_bove(w, xb, model)
         assert np.max(np.abs(ea - eb)) > 1e-6
@@ -212,11 +193,9 @@ class TestInferBove:
         for _, w, x in data.sentences:
             losses = []
             for iters in range(2, 12):
-                e = infer_bove(w, x, model, iters=iters)
-                losses.append(
-                    reconstruction_loss(w, x, model.P, model.R, e, alpha=hyper.alpha)
-                    + hyper.lambda_e * float(np.sum(e ** 2))
-                )
+                e = infer_bove(w, x, with_hyper(model, inference_iters=iters))
+                losses.append(reconstruction_loss(w, x, model, e)
+                              + hyper.lambda_e * float(np.sum(e ** 2)))
             worst = max(worst, max(np.diff(losses)))
         assert worst <= 1e-9
 
@@ -231,7 +210,7 @@ class TestInferBove:
         for _ in range(500):
             w, x, model = drawn_sentence(rng)
             solves.clear()
-            e = infer_bove(w, x, model, iters=1000)
+            e = infer_bove(w, x, with_hyper(model, inference_iters=1000))
             other += not (len(solves) < 1000 and e is solves[-1][1])
         assert other < 5
 

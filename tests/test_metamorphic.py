@@ -33,6 +33,8 @@ from bove.inference import TOL, infer_bove
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 from bove.sgd import sample_cells, sampled_loss_and_grads
 
+from oracles import model_of, with_hyper
+
 
 def sentence_cells(draw, c, d, n):
     """The W cells and X cells of one sentence of n tokens.  As in a parsed
@@ -125,17 +127,15 @@ INFER_CAP = 1000
 
 
 def infer(w, x, model, e_start):
-    return infer_bove(w, x, model, iters=INFER_CAP)
+    return infer_bove(w, x, with_hyper(model, inference_iters=INFER_CAP))
 
 
 def averaged_step(w, x, model, e_start):
-    hyper = model.hyper
-    return averaged_E_step(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)
+    return averaged_E_step(w, x, model, e_start)
 
 
 def one_solve(w, x, model, e_start):
-    hyper = model.hyper
-    return update_E_sentence(w, x, model.P, model.R, e_start, hyper.alpha, hyper.lambda_e)[0]
+    return update_E_sentence(w, x, model, e_start)[0]
 
 
 SOLVERS = pytest.mark.parametrize("solve", [infer, averaged_step, one_solve])
@@ -202,12 +202,20 @@ def test_predicate_relabeling_leaves_E_unchanged(solve, instance):
 LAMBDA = 0.1
 
 
+def ridge_model(corpus, p, frozen=None):
+    """The P and R steps' model: P with its frozen rows (none if not given),
+    a zero R, lambda_p = lambda_r = LAMBDA and corpus.alpha."""
+    d, r = corpus.xs[0].d, p.shape[1]
+    return model_of(p, np.zeros((d, r, r)), frozen, alpha=corpus.alpha, lambda_p=LAMBDA,
+                    lambda_r=LAMBDA)
+
+
 @settings(max_examples=100, deadline=None)
 @given(corpus=corpora())
 def test_orthogonal_gauge_rotates_P(corpus):
     rotated_es = [e @ corpus.q for e in corpus.es]
-    got = update_P(corpus.ws, rotated_es, LAMBDA, corpus.p @ corpus.q, corpus.frozen)
-    want = update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen)
+    got = update_P(corpus.ws, rotated_es, ridge_model(corpus, corpus.p @ corpus.q, corpus.frozen))
+    want = update_P(corpus.ws, corpus.es, ridge_model(corpus, corpus.p, corpus.frozen))
     assert_close(got, want @ corpus.q)
 
 
@@ -219,18 +227,19 @@ def test_predicate_relabeling_permutes_the_rows_of_P(corpus):
                                        values=w.values) for w in corpus.ws]
     renamed_p, renamed_frozen = np.empty_like(corpus.p), np.empty_like(corpus.frozen)
     renamed_p[perm], renamed_frozen[perm] = corpus.p, corpus.frozen
-    got = update_P(renamed_ws, corpus.es, LAMBDA, renamed_p, renamed_frozen)
-    assert_close(got[perm], update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen))
+    got = update_P(renamed_ws, corpus.es, ridge_model(corpus, renamed_p, renamed_frozen))
+    assert_close(got[perm],
+                 update_P(corpus.ws, corpus.es, ridge_model(corpus, corpus.p, corpus.frozen)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(corpus=corpora())
 def test_frozen_rows_leave_the_other_rows_of_P_to_the_free_solve(corpus):
     """update_P with a frozen mask equals the mask-free solve bit for bit on
-    the unfrozen rows and p_current on the frozen ones: each P row is its
+    the unfrozen rows and the model's P on the frozen ones: each P row is its
     own least-squares problem, so no frozen row's value reaches another's."""
-    free = update_P(corpus.ws, corpus.es, LAMBDA)
-    got = update_P(corpus.ws, corpus.es, LAMBDA, corpus.p, corpus.frozen)
+    free = update_P(corpus.ws, corpus.es, ridge_model(corpus, corpus.p))
+    got = update_P(corpus.ws, corpus.es, ridge_model(corpus, corpus.p, corpus.frozen))
     assert got[~corpus.frozen].tobytes() == free[~corpus.frozen].tobytes()
     assert got[corpus.frozen].tobytes() == corpus.p[corpus.frozen].tobytes()
 
@@ -238,9 +247,9 @@ def test_frozen_rows_leave_the_other_rows_of_P_to_the_free_solve(corpus):
 @settings(max_examples=100, deadline=None)
 @given(corpus=corpora())
 def test_orthogonal_gauge_rotates_R(corpus):
-    q = corpus.q
-    got = update_R(corpus.xs, [e @ q for e in corpus.es], LAMBDA, corpus.alpha)
-    assert_close(got, q.T @ update_R(corpus.xs, corpus.es, LAMBDA, corpus.alpha) @ q)
+    q, model = corpus.q, ridge_model(corpus, corpus.p)
+    got = update_R(corpus.xs, [e @ q for e in corpus.es], model)
+    assert_close(got, q.T @ update_R(corpus.xs, corpus.es, model) @ q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,8 +258,9 @@ def test_relation_relabeling_permutes_the_slices_of_R(corpus):
     perm = corpus.relations
     renamed_xs = [SparseRelationTensor(d=x.d, n=x.n, rels=perm[x.rels], heads=x.heads,
                                        deps=x.deps, values=x.values) for x in corpus.xs]
-    got = update_R(renamed_xs, corpus.es, LAMBDA, corpus.alpha)
-    assert_close(got[perm], update_R(corpus.xs, corpus.es, LAMBDA, corpus.alpha))
+    model = ridge_model(corpus, corpus.p)
+    got = update_R(renamed_xs, corpus.es, model)
+    assert_close(got[perm], update_R(corpus.xs, corpus.es, model))
 
 
 @settings(max_examples=10, deadline=None)

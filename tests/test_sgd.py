@@ -564,8 +564,8 @@ class TestTrainSgd:
         model = init_for_training(4, 2, hyper, seed=8)
         cfg = SgdConfig(epochs=100, seed=1, learning_rate=0.1)
         out, e_store, trace = train_sgd(ws, xs, model, cfg)
-        start = corpus_objective(ws, xs, [np.zeros((3, 2))] * 4, model)
-        end = corpus_objective(ws, xs, e_store, out)
+        _, start = corpus_objective(ws, xs, [np.zeros((3, 2))] * 4, model)
+        _, end = corpus_objective(ws, xs, e_store, out)
         assert end < start
 
     def test_reproduces_recorded_trace(self):

@@ -4,6 +4,8 @@ entry scatter they share) against their dense forms, a guard that they
 never densify W or X, and a contract that their memory grows linearly with
 the entries."""
 
+import dataclasses
+import inspect
 import itertools
 import tracemalloc
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bove.encoding
-from bove.als import corpus_objective, update_E_sentence, update_P, update_R
+from bove.als import averaged_E_step, corpus_objective, update_E_sentence, update_P, update_R
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
@@ -23,11 +25,13 @@ from bove.encoding import (
     reconstruction_loss,
     relation_gram,
 )
+from bove.inference import infer_bove
 from bove.model import Hyperparams, TypeEmbeddings
 from bove.synth import generate
 
 from oracles import (
     loss_gradient_E_dense,
+    model_of,
     reconstruction_loss_dense,
     update_E_sentence_dense,
     update_P_dense,
@@ -99,16 +103,15 @@ def assert_matches(got, want):
 
 def check_against_dense(ws, xs, es, model):
     hyper = model.hyper
-    assert_matches(update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows),
+    assert_matches(update_P(ws, es, model),
                    update_P_dense(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows))
-    assert_matches(update_R(xs, es, hyper.lambda_r, hyper.alpha),
-                   update_R_dense(xs, es, hyper.lambda_r, hyper.alpha))
+    assert_matches(update_R(xs, es, model), update_R_dense(xs, es, hyper.lambda_r, hyper.alpha))
     for w, x, e in zip(ws, xs, es):
-        assert reconstruction_loss(w, x, model.P, model.R, e, hyper.alpha) == \
+        assert reconstruction_loss(w, x, model, e) == \
             pytest.approx(reconstruction_loss_dense(w, x, model.P, model.R, e, hyper.alpha),
                           rel=1e-10)
         assert_matches(
-            update_E_sentence(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e)[0],
+            update_E_sentence(w, x, model, e)[0],
             update_E_sentence_dense(w, x, model.P, model.R, e, hyper.alpha, hyper.lambda_e))
 
 
@@ -133,8 +136,8 @@ def test_loss_along_is_the_loss_on_the_line(instance, seed):
 
     def objective(e):
         return reconstruction_loss_dense(w, x, p, r_tensor, e, alpha) + lambda_e * np.sum(e ** 2)
-    refreshed, gram = update_E_sentence(w, x, p, r_tensor, e, alpha, lambda_e)
-    a = loss_along(x, r_tensor, e, gram, refreshed - e, direction, alpha)
+    refreshed, gram = update_E_sentence(w, x, model, e)
+    a = loss_along(x, model, e, gram, refreshed - e, direction)
     at_e = objective(e)
     for t in (-1.0, 0.5, 1.0, 2.0):
         along = objective(e + t * direction)
@@ -203,11 +206,12 @@ def pinned_entry_examples(test):
 @given(corpus=corpora())
 @pinned_entry_examples
 def test_entry_rows_match_a_loop_over_the_entries(corpus):
-    # both orientations come from the one call
+    # each orientation is one call: E[heads] with R, and E[deps] with R
+    # transposed
     _, xs, es, model = corpus
     for x, e in zip(xs, es):
-        got = entry_rows(x, model.R, e)
-        assert len(got) == 2
+        got = (entry_rows(x, model.R, e[x.heads]),
+               entry_rows(x, model.R.transpose(0, 2, 1), e[x.deps]))
         for rows, want in zip(got, entry_rows_by_entry(x, model.R, e)):
             assert rows.shape == (x.nnz, e.shape[1])
             assert_matches(rows, want)
@@ -233,10 +237,8 @@ def test_entry_scatter_is_its_dense_form(corpus):
 def refreshes(corpus):
     """(W, X, E, refresh of E, its H, model) for each sentence of corpus."""
     ws, xs, es, model = corpus
-    hyper = model.hyper
     for w, x, e in zip(ws, xs, es):
-        yield (w, x, e, *update_E_sentence(w, x, model.P, model.R, e, hyper.alpha,
-                                           hyper.lambda_e), model)
+        yield (w, x, e, *update_E_sentence(w, x, model, e), model)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +264,7 @@ def test_the_refresh_step_descends(corpus):
     # unless the step is 0, since H is positive definite
     for _, x, e, refreshed, gram, model in refreshes(corpus):
         step = refreshed - e
-        a1 = loss_along(x, model.R, e, gram, step, step, model.hyper.alpha)[0]
+        a1 = loss_along(x, model, e, gram, step, step)[0]
         assert a1 < 0 if step.any() else a1 == 0
 
 
@@ -338,9 +340,9 @@ def test_loss_along_builds_two_relation_grams(monkeypatch):
         return relation_gram(r_tensor, m)
 
     (w,), (x,), (e,), model = sentence_of_length(12)
-    refreshed, gram = update_E_sentence(w, x, model.P, model.R, e)
+    refreshed, gram = update_E_sentence(w, x, model, e)
     monkeypatch.setattr(bove.encoding, "relation_gram", counted)
-    loss_along(x, model.R, e, gram, refreshed - e, e[::-1])
+    loss_along(x, model, e, gram, refreshed - e, e[::-1])
     assert len(built) == 2
 
 
@@ -350,26 +352,23 @@ def test_fortran_ordered_operands_give_the_same_results(corpus):
     # the kernels' row scatters need C-ordered targets, whatever the
     # order of the P, R and E they are given
     ws, xs, es, model = corpus
-    hyper = model.hyper
-    f_p, f_r = np.asfortranarray(model.P), np.asfortranarray(model.R)
+    f_model = dataclasses.replace(model, P=np.asfortranarray(model.P),
+                                  R=np.asfortranarray(model.R))
     f_es = [np.asfortranarray(e) for e in es]
-    assert_matches(update_P(ws, f_es, hyper.lambda_p, f_p, model.frozen_p_rows),
-                   update_P(ws, es, hyper.lambda_p, model.P, model.frozen_p_rows))
+    assert_matches(update_P(ws, f_es, f_model), update_P(ws, es, model))
     for w, x, e, f_e in zip(ws, xs, es, f_es):
-        c_ordered, f_ordered = (w, x, model.P, model.R, e), (w, x, f_p, f_r, f_e)
+        c_ordered, f_ordered = (w, x, model, e), (w, x, f_model, f_e)
         (f_new, f_gram), (c_new, c_gram) = (
-            update_E_sentence(*operands, hyper.alpha, hyper.lambda_e)
-            for operands in (f_ordered, c_ordered))
+            update_E_sentence(*operands) for operands in (f_ordered, c_ordered))
         assert_matches(f_new, c_new)
         assert_matches(f_gram, c_gram)
-        assert reconstruction_loss(*f_ordered, hyper.alpha) == pytest.approx(
-            reconstruction_loss(*c_ordered, hyper.alpha), rel=1e-10)
+        assert reconstruction_loss(*f_ordered) == pytest.approx(
+            reconstruction_loss(*c_ordered), rel=1e-10)
         direction = e[::-1] + 1.0
         assert_matches(
-            np.array(loss_along(x, f_r, f_e, np.asfortranarray(f_gram),
-                                np.asfortranarray(f_new - f_e), np.asfortranarray(direction),
-                                hyper.alpha)),
-            np.array(loss_along(x, model.R, e, c_gram, c_new - e, direction, hyper.alpha)))
+            np.array(loss_along(x, f_model, f_e, np.asfortranarray(f_gram),
+                                np.asfortranarray(f_new - f_e), np.asfortranarray(direction))),
+            np.array(loss_along(x, model, e, c_gram, c_new - e, direction)))
 
 
 def sentence_of_length(n, c=300, d=40, r=10):
@@ -393,15 +392,15 @@ def long_sentence():
 
 
 KERNELS = {
-    "update_P": lambda ws, xs, es, model: update_P(ws, es, 0.1),
-    "update_R": lambda ws, xs, es, model: update_R(xs, es, 0.1),
+    "update_P": lambda ws, xs, es, model: update_P(ws, es, model),
+    "update_R": lambda ws, xs, es, model: update_R(xs, es, model),
     "corpus_objective": lambda ws, xs, es, model: corpus_objective(ws, xs, es, model),
     "update_E_sentence": lambda ws, xs, es, model: update_E_sentence(
-        ws[0], xs[0], model.P, model.R, es[0], lambda_e=0.1),
+        ws[0], xs[0], model, es[0]),
     # any r x r H and n x r step do: the kernel's memory is its direction's
     "loss_along": lambda ws, xs, es, model: loss_along(
-        xs[0], model.R, es[0], model.P.T @ model.P, es[0], es[0][::-1]),
-    "entry_rows": lambda ws, xs, es, model: entry_rows(xs[0], model.R, es[0]),
+        xs[0], model, es[0], model.P.T @ model.P, es[0], es[0][::-1]),
+    "entry_rows": lambda ws, xs, es, model: entry_rows(xs[0], model.R, es[0][xs[0].heads]),
     "entry_scatter": lambda ws, xs, es, model: entry_scatter(
         ws[0], xs[0], model.P, model.R, es[0], model.hyper.alpha),
 }
@@ -444,6 +443,11 @@ def test_objective_memory_stays_small_on_a_long_sentence():
     assert traced_peak(KERNELS["corpus_objective"], sentence_of_length(3200)) < 5e6
 
 
+def r_weights(r, d, lambda_r, alpha):
+    """A model carrying update_R's weights; its P and R (zeros) go unread."""
+    return model_of(np.zeros((1, r)), np.zeros((d, r, r)), lambda_r=lambda_r, alpha=alpha)
+
+
 def r_step_corpus(r, d, n_sentences, n_tokens=12, seed=1):
     """n_sentences generated sentences of n_tokens tokens and d relations,
     each with its own E drawn from seed."""
@@ -473,7 +477,8 @@ def test_update_R_peak_is_linear_in_d_and_S():
     r = 30
     for d, n_sentences in ((3, 8), (20, 2)):
         xs, es = r_step_corpus(r, d, n_sentences)
-        assert traced_peak(update_R, (xs, es, 0.1, 0.7)) < 8 * (d + n_sentences) * r ** 2 * 8
+        model = r_weights(r, d, 0.1, 0.7)
+        assert traced_peak(update_R, (xs, es, model)) < 8 * (d + n_sentences) * r ** 2 * 8
 
 
 def test_update_R_runs_above_the_old_rank_cap():
@@ -481,9 +486,10 @@ def test_update_R_runs_above_the_old_rank_cap():
     # its factor would take 2 x 101^4 x 8 bytes, 1.7 GB
     r, d = 101, 2
     xs, es = r_step_corpus(r, d, 4)
-    got = traced_peak(update_R, (xs, es, 0.1, 0.7))
+    model = r_weights(r, d, 0.1, 0.7)
+    got = traced_peak(update_R, (xs, es, model))
     assert got < 8 * (d + len(xs)) * r ** 2 * 8
-    assert normal_equation_residual(xs, es, 0.1, 0.7, update_R(xs, es, 0.1, 0.7)) < 1e-12
+    assert normal_equation_residual(xs, es, 0.1, 0.7, update_R(xs, es, model)) < 1e-12
 
 
 MAGNITUDES = (1e-148, 1.0, 1e100)
@@ -516,4 +522,24 @@ def r_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(r_systems())
 def test_update_R_matches_the_dense_solve(system):
-    assert_matches(update_R(*system), update_R_dense(*system))
+    xs, es, lambda_r, alpha = system
+    assert_matches(update_R(xs, es, r_weights(es[0].shape[1], xs[0].d, lambda_r, alpha)),
+                   update_R_dense(*system))
+
+
+# model.hyper is the one source of the weights, the inference cap and the
+# objective's mode, and the model the one source of P and R
+DUPLICATES = ("alpha", "lambda_p", "lambda_r", "lambda_e", "iters", "p", "r_tensor",
+              "p_current", "frozen", "data_fit_only")
+
+
+@pytest.mark.parametrize("kernel", [
+    update_E_sentence, averaged_E_step, update_P, update_R, reconstruction_loss, loss_along,
+    infer_bove, corpus_objective,
+], ids=lambda kernel: kernel.__name__)
+def test_kernels_take_the_model_and_no_weight_of_their_own(kernel):
+    parameters = inspect.signature(kernel).parameters
+    assert "model" in parameters
+    assert not [name for name in parameters
+                if name in DUPLICATES or name.startswith("lambda_")]
+    assert all(p.default is inspect.Parameter.empty for p in parameters.values())
