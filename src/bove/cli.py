@@ -1,26 +1,19 @@
 """Command-line pipeline: one subcommand per stage, declared in build_parser.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-divergence.  All subcommands are driven by a key=value config file; a few
-global flags override config entries.
+Exit codes (_EXIT_CODES, read in main alone): 0 success, 1 usage/config
+error, 2 data error (an unopenable path too), 3 numerical divergence.  All
+subcommands are driven by a key=value config file; the flags --seed and
+--fail-fast are config lines, read after the file's.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from . import als, conll, encoding, inference, model as model_io, scoring, sgd, synth
 from .config import load_config
-from .errors import (
-    BoveError,
-    ConfigError,
-    ConllParseError,
-    DimensionMismatch,
-    DivergenceError,
-    SingularSystemError,
-    VocabularyError,
-)
+from .errors import (BoveError, ConfigError, DimensionMismatch, DivergenceError,
+                     SingularSystemError)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,19 +29,13 @@ def _require(cfg, *names):
 
 def _read_corpus(cfg):
     _require(cfg, "corpus")
-    try:
-        with open(cfg.corpus, encoding="utf-8") as f:
-            return list(conll.read_conll(f, cfg.columns))
-    except FileNotFoundError:
-        raise ConllParseError("corpus file not found: %s" % cfg.corpus) from None
+    with open(cfg.corpus, encoding="utf-8") as f:
+        return list(conll.read_conll(f, cfg.columns))
 
 
 def _load_vocab(cfg):
     _require(cfg, "vocab")
-    try:
-        return conll.Vocabulary.load(cfg.vocab)
-    except FileNotFoundError:
-        raise VocabularyError("vocabulary file not found: %s" % cfg.vocab) from None
+    return conll.Vocabulary.load(cfg.vocab)
 
 
 def _encoded_sentences(cfg, vocab):
@@ -209,9 +196,10 @@ def build_parser():
         description="Bag-of-vector embeddings of dependency graphs",
     )
     parser.add_argument("--config", required=True, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="abort on the first per-sentence error")
+    parser.add_argument("--seed", dest="lines", action="append", default=[], metavar="N",
+                        type=lambda value: "seed=" + value, help="override config seed")
+    parser.add_argument("--fail-fast", dest="lines", action="append_const",
+                        const="fail_fast=true", help="abort on the first per-sentence error")
     sub = parser.add_subparsers(dest="command", required=True)
     mode = argparse.ArgumentParser(add_help=False)
     mode.add_argument("--mode", choices=("sts", "snli"), required=True)
@@ -228,6 +216,21 @@ def build_parser():
     return parser
 
 
+# error type -> exit code, looked up along the raised error's MRO, so the
+# most specific listed type decides (a ConfigError is a BoveError, and exits 1)
+_EXIT_CODES = {ConfigError: EXIT_USAGE, DivergenceError: EXIT_DIVERGED,
+               SingularSystemError: EXIT_DIVERGED, BoveError: EXIT_DATA,
+               OSError: EXIT_DATA, UnicodeDecodeError: EXIT_DATA}
+
+
+def _describe(exc):
+    if isinstance(exc, UnicodeDecodeError):
+        return "input is not UTF-8 text: %s" % exc
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return "%s: %s" % (exc.filename, exc.strerror)
+    return str(exc)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -235,29 +238,13 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)  # checks the seed's bound
-        if args.fail_fast:
-            cfg.fail_fast = True
+        cfg = load_config(args.config, args.lines)
         if "mode" in args:
             return args.handler(cfg, args.mode)
         return args.handler(cfg)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print("error: file not found: %s" % exc.filename, file=sys.stderr)
-        return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print("error: input is not UTF-8 text: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except (DivergenceError, SingularSystemError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DIVERGED
-    except BoveError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
+    except tuple(_EXIT_CODES) as exc:
+        print("error: %s" % _describe(exc), file=sys.stderr)
+        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ training and inference draw no random numbers.
 
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
-from . import synth
+from . import sgd, synth
 from .conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from .errors import ConfigError
 from .model import Hyperparams, check_bounds
@@ -19,7 +19,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     # paths
     corpus: str = None
@@ -59,10 +59,7 @@ class PipelineConfig:
                ("synth_threshold", 0, 1))
 
     def __post_init__(self):
-        try:
-            check_bounds(self, self._BOUNDS)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_bounds(self, self._BOUNDS)
 
 
 # Flat keys: each names one PipelineConfig field and is coerced by its annotation.
@@ -125,19 +122,19 @@ def parse_config(lines):
         else:
             raise ConfigError("unknown config key %r" % key)
     default = PipelineConfig()
-    for section, changes in overrides.items():
-        try:
+    try:
+        for section, changes in overrides.items():
             flat[section] = replace(flat.get(section, getattr(default, section)), **changes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    cfg = PipelineConfig(**flat)  # checks the flat bounds
-    if cfg.trainer == "sgd" and cfg.hyper.r_regularizer != "l2":
-        # the SGD trainer always applies the L2 penalty to R
-        raise ConfigError("trainer=sgd supports only hyper.r_regularizer=l2, got %r"
-                          % cfg.hyper.r_regularizer)
+        cfg = PipelineConfig(**flat)  # checks the flat bounds
+        if cfg.trainer == "sgd":
+            sgd.check_hyper(cfg.hyper)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
-def load_config(path):
+def load_config(path, overrides=()):
+    """parse_config of the file's lines, then of overrides (more lines, such
+    as the CLI flags'), so a later line sets a key again."""
     with open(path, encoding="utf-8") as f:
-        return parse_config(f)
+        return parse_config([*f, *overrides])

@@ -39,6 +39,14 @@ class SgdConfig:
         check_bounds(self, self._BOUNDS)
 
 
+def check_hyper(hyper):
+    """Raise ValueError unless hyper's R regularizer is l2: the sampled
+    objective and its gradient always apply the L2 penalty to R."""
+    if hyper.r_regularizer != "l2":
+        raise ValueError("trainer=sgd supports only hyper.r_regularizer=l2, got %r"
+                         % hyper.r_regularizer)
+
+
 @dataclass
 class SgdState:
     """Accumulated squared gradients for the adaptive step-size divisor."""
@@ -84,17 +92,19 @@ def sample_cells(w, x, k, rng):
     return _sample(w, k, rng), _sample(x, k, rng)
 
 
-def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
+def sampled_loss_and_grads(batch, samples, model, e_store):
     """Loss and analytic gradients of the sampled objective on one batch.
 
     The objective's weights are model.hyper's.  batch is a list of sentence
-    indices; samples[s] the fixed cell draws for sentence s.  Regularizer
-    terms for P and R are scaled by reg_scale (batch fraction of the corpus)
-    so one epoch applies them once; the E terms of batch sentences enter at
-    full strength.  The per-cell gradient rows scatter through the flat view
-    of each target (`encoding.add_rows`), which matches np.add.at bit for bit.
+    indices into e_store, the whole corpus's E; samples[s] the fixed cell
+    draws for sentence s.  Regularizer terms for P and R are scaled by the
+    batch's share of the corpus, len(batch) / len(e_store), so one epoch
+    applies them once; the E terms of batch sentences enter at full strength.
+    The per-cell gradient rows scatter through the flat view of each target
+    (`encoding.add_rows`), which matches np.add.at bit for bit.
     """
     p, r_tensor, hyper = model.P, model.R, model.hyper
+    reg_scale = len(batch) / len(e_store)
     # the batch sentences' E rows stacked: sentence s owns rows a..b
     e_all = np.concatenate([e_store[s] for s in batch])
     # the regularizer terms; each cell's terms are added to them
@@ -145,7 +155,7 @@ def sampled_loss_and_grads(batch, samples, model, e_store, reg_scale):
     return loss, g_p, g_r, g_e
 
 
-def sgd_step(batch, ws, xs, model, e_store, config, state, rng, reg_scale):
+def sgd_step(batch, ws, xs, model, e_store, config, state, rng):
     """Sample cells for each batch sentence, then one adaptive gradient step.
 
     The step updates model.P, model.R, the batch's e_store rows and state in
@@ -157,7 +167,7 @@ def sgd_step(batch, ws, xs, model, e_store, config, state, rng, reg_scale):
         s: sample_cells(ws[s], xs[s], config.negatives_per_positive, rng)
         for s in batch
     }
-    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
+    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store)
     if not np.isfinite(loss):
         raise DivergenceError("non-finite sampled loss in SGD step")
     steps = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
@@ -181,9 +191,11 @@ def train_sgd(ws, xs, model, config, log=None):
 
     Single-threaded and fully deterministic given config.seed.  The trace
     records the summed sampled batch losses per epoch, under model.hyper;
-    diverges on overflow.  The returned model is a trained copy of model; an
-    empty or uneven corpus is refused.
+    diverges on overflow.  The returned model is a trained copy of model; a
+    model whose R regularizer is not l2 (check_hyper) and an empty or uneven
+    corpus are refused.
     """
+    check_hyper(model.hyper)
     check_corpus(ws, xs)
     model = model.copy()
     rng = np.random.default_rng(config.seed)
@@ -198,9 +210,7 @@ def train_sgd(ws, xs, model, config, log=None):
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = [int(s) for s in order[start:start + config.batch_size]]
-            reg_scale = len(batch) / n
-            epoch_loss += sgd_step(batch, ws, xs, model, e_store, config, state, rng,
-                                   reg_scale)
+            epoch_loss += sgd_step(batch, ws, xs, model, e_store, config, state, rng)
         trace.append(epoch_loss)
         log_round(log, epoch + 1, trace, time.perf_counter() - t0, " sampled=true")
     return model, e_store, trace

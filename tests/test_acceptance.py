@@ -238,7 +238,7 @@ def test_criterion_07_sgd_gradient_check():
         model.R = rng.normal(size=model.R.shape) * 0.3
         e_store = [rng.normal(size=(n, r))]
         samples = {0: sample_cells(w, x, 2, rng)}
-        args = ([0], samples, model, e_store, 1.0)
+        args = ([0], samples, model, e_store)
         _, g_p, g_r, g_e = sampled_loss_and_grads(*args)
 
         def loss():

@@ -1,12 +1,19 @@
+import dataclasses
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
-from bove import als, encoding, model as model_io
+from bove import als, cli, encoding, model as model_io
 from bove.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
-from bove.errors import DivergenceError, ModelFormatError
+from bove.errors import (
+    ConfigError,
+    ConllParseError,
+    DivergenceError,
+    ModelFormatError,
+    SingularSystemError,
+)
 from bove.model import load_model, read_bags, save_model
 
 
@@ -463,6 +470,67 @@ def test_malformed_input_is_a_data_error(workspace, capsys, name):
     (workspace / filename).write_bytes(text.encode("latin-1"))
     assert run(config, *command) == EXIT_DATA
     assert where in capsys.readouterr().err
+
+
+# name -> (command, the config key naming the path, or None for --config
+# itself, and the path in the workspace): a directory, or a path under a
+# regular file, never a file mode, which a root user reads past
+UNOPENABLE_PATHS = {
+    "config is a directory": ("encode", None, lambda ws: ws),
+    "corpus is a directory": ("build-vocab", "paths.corpus", lambda ws: ws),
+    "vocab is a directory": ("encode", "paths.vocab", lambda ws: ws),
+    "model under a regular file": (
+        "train", "paths.model", lambda ws: ws / "corpus.conll" / "model.bin"),
+    "log is a directory": ("train", "paths.log", lambda ws: ws),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNOPENABLE_PATHS))
+def test_unopenable_path_is_a_data_error(workspace, capsys, name):
+    command, key, where = UNOPENABLE_PATHS[name]
+    path = str(where(workspace))
+    assert run(write_config(workspace), "build-vocab") == EXIT_OK  # a vocabulary
+    config = path if key is None else write_config(workspace, name="bad.txt", **{key: path})
+    assert run(config, command) == EXIT_DATA
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: %s: " % path)
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (ConfigError("bad key"), EXIT_USAGE, "bad key"),
+    (ConllParseError("bad column", 3), EXIT_DATA, "line 3: bad column"),
+    (DivergenceError("non-finite"), EXIT_DIVERGED, "non-finite"),
+    (SingularSystemError("singular"), EXIT_DIVERGED, "singular"),
+    (OSError("no path named"), EXIT_DATA, "no path named"),
+    (IsADirectoryError(21, "Is a directory", "some/dir"), EXIT_DATA,
+     "some/dir: Is a directory"),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), EXIT_DATA,
+     "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+], ids=["ConfigError", "ConllParseError", "DivergenceError", "SingularSystemError",
+        "OSError", "IsADirectoryError", "UnicodeDecodeError"])
+def test_each_error_exits_by_the_one_table(workspace, capsys, monkeypatch, error, code,
+                                           message):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    assert run(write_config(workspace), "synth") == code
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_flags_are_config_lines_read_after_the_file(workspace, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda cfg: seen.append(cfg) or EXIT_OK)
+    config = write_config(workspace, seed="2")
+    assert run(config, "synth") == EXIT_OK
+    assert run(config, "--seed", "5", "--fail-fast", "synth") == EXIT_OK
+    assert (seen[0].seed, seen[0].fail_fast) == (2, False)
+    assert seen[1] == dataclasses.replace(seen[0], seed=5, fail_fast=True)
+    # the flag's value is coerced as the config's is
+    assert run(config, "--seed", "x", "synth") == EXIT_USAGE
+    assert "error: expected int, got 'x'" in capsys.readouterr().err
+    assert len(seen) == 2
 
 
 class TestConfigAndUsage:

@@ -317,9 +317,8 @@ def test_sgd_batch_gradients_are_the_sum_of_one_sentence_gradients(corpus, k, se
         hyper=Hyperparams(r=r, alpha=corpus.alpha, lambda_p=0.0, lambda_r=0.0, lambda_e=0.1))
     batch = [int(s) for s in rng.permutation(len(corpus.ws))]
     samples = {s: sample_cells(corpus.ws[s], corpus.xs[s], k, rng) for s in batch}
-    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, corpus.es, 1.0)
-    alone = [sampled_loss_and_grads([s], samples, model, corpus.es, 1.0)
-             for s in batch]
+    loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, corpus.es)
+    alone = [sampled_loss_and_grads([s], samples, model, corpus.es) for s in batch]
     assert loss == pytest.approx(sum(one[0] for one in alone), rel=1e-12, abs=0)
     # the sentences' gradients can cancel, so the sum is held to 1e-12 of
     # the largest term

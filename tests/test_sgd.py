@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import types
 from dataclasses import replace
@@ -32,12 +33,12 @@ def micro_corpus(seed=0, n_sentences=2, n=3, c=4, d=2, r=2, mode="discrete"):
     return ws, xs
 
 
-def finite_difference_check(batch, samples, model, e_store, reg_scale, h=1e-5):
+def finite_difference_check(batch, samples, model, e_store, h=1e-5):
     """Max relative error between analytic and central-difference gradients."""
-    _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
+    _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store)
 
     def loss():
-        return sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)[0]
+        return sampled_loss_and_grads(batch, samples, model, e_store)[0]
 
     worst = 0.0
     arrays = [(model.P, g_p), (model.R, g_r)]
@@ -71,7 +72,7 @@ class TestGradients:
         e_store = [rng.normal(size=(3, 2)) for _ in ws]
         batch = [0, 1]
         samples = {s: sample_cells(ws[s], xs[s], 3, rng) for s in batch}
-        worst = finite_difference_check(batch, samples, model, e_store, reg_scale=1.0)
+        worst = finite_difference_check(batch, samples, model, e_store)
         assert worst < 1e-4
 
     def test_zero_gradient_at_exact_fit(self):
@@ -84,8 +85,7 @@ class TestGradients:
         e_store = [data.e_true[0]]
         rng = np.random.default_rng(0)
         samples = {0: sample_cells(w, x, 0, rng)}
-        loss, g_p, g_r, g_e = sampled_loss_and_grads([0], samples, model, e_store,
-                                                     reg_scale=1.0)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads([0], samples, model, e_store)
         assert loss == pytest.approx(0.0, abs=1e-18)
         np.testing.assert_allclose(g_p, 0, atol=1e-12)
         np.testing.assert_allclose(g_r, 0, atol=1e-12)
@@ -107,7 +107,7 @@ class TestGradients:
 
         def at_k0(w, x):
             samples = {0: sample_cells(w, x, 0, np.random.default_rng(0))}
-            return sampled_loss_and_grads([0], samples, model, e_store, 1.0)
+            return sampled_loss_and_grads([0], samples, model, e_store)
 
         loss, g_p, g_r, g_e = at_k0(w, x)
         w_dense, x_dense = w.to_dense(), x.to_dense()
@@ -129,7 +129,7 @@ class TestGradients:
         model.frozen_p_rows[0] = True
         e_store = [rng.normal(size=(3, 2)) for _ in ws]
         samples = {s: sample_cells(ws[s], xs[s], 2, rng) for s in (0, 1)}
-        _, g_p, _, _ = sampled_loss_and_grads([0, 1], samples, model, e_store, reg_scale=1.0)
+        _, g_p, _, _ = sampled_loss_and_grads([0, 1], samples, model, e_store)
         np.testing.assert_array_equal(g_p[0], 0.0)
 
 
@@ -168,13 +168,14 @@ class TestAgainstCellLoop:
         model.R = data.normal(size=model.R.shape)
         model.frozen_p_rows[:] = frozen[:c]
         e_store = [data.normal(size=(n, r)) for n, _, _ in sentences]
-        batch = [int(s) for s in data.permutation(len(sentences))]
+        # a shuffled batch of some or all of the sentences, so the P and R
+        # terms are scaled by the batch's share of the store, below 1 or at 1
+        size = data.integers(1, len(sentences) + 1)
+        batch = [int(s) for s in data.permutation(len(sentences))[:size]]
         samples = {s: sample_cells(ws[s], xs[s], k, data) for s in batch}
-        reg_scale = data.uniform(0, 1)
-        loss, g_p, g_r, g_e = sampled_loss_and_grads(
-            batch, samples, model, e_store, reg_scale)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store)
         ref_loss, ref_p, ref_r, ref_e = sampled_loss_and_grads_by_cell(
-            batch, samples, model, e_store, reg_scale)
+            batch, samples, model, e_store, size / len(e_store))
         assert loss == pytest.approx(ref_loss, rel=1e-10)
         assert_close(g_p, ref_p)
         assert_close(g_r, ref_r)
@@ -230,7 +231,7 @@ def batch_peak(n):
     """tracemalloc peak of one sampled_loss_and_grads call on
     sampled_batch(n)."""
     args = sampled_batch(n)
-    return traced_peak(lambda: sampled_loss_and_grads(*args, 0.5))
+    return traced_peak(lambda: sampled_loss_and_grads(*args))
 
 
 def step_peak(n):
@@ -242,7 +243,7 @@ def step_peak(n):
                      [np.zeros_like(e) for e in e_store])
     batch = list(range(len(ws)))
     return traced_peak(lambda: sgd_step(batch, ws, xs, model, e_store, SgdConfig(),
-                                        state, rng, 0.5))
+                                        state, rng))
 
 
 class TestBatchScaling:
@@ -269,18 +270,18 @@ class TestAdaptiveStep:
         state = SgdState(np.array(rng.random(model.P.shape), order=order),
                          np.array(rng.random(model.R.shape), order=order),
                          [rng.random(e.shape) for e in e_store])
-        batch, config, reg_scale = [2, 0], SgdConfig(learning_rate=0.3), 0.5
+        batch, config = [2, 0], SgdConfig(learning_rate=0.3)
         ref_rng = np.random.default_rng()
         ref_rng.bit_generator.state = rng.bit_generator.state
         samples = {s: sample_cells(ws[s], xs[s], config.negatives_per_positive, ref_rng)
                    for s in batch}
-        _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, reg_scale)
+        _, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store)
         pairs = [(model.P, state.acc_p, g_p), (model.R, state.acc_r, g_r)]
         pairs += [(e_store[s], state.acc_e[s], g_e[s]) for s in batch]
         expected = [adagrad_step(param, acc, grad, config.learning_rate, sgd.ADAPT_EPS)
                     for param, acc, grad in pairs]
         untouched = e_store[1].copy(), state.acc_e[1].copy()
-        sgd_step(batch, ws, xs, model, e_store, config, state, rng, reg_scale)
+        sgd_step(batch, ws, xs, model, e_store, config, state, rng)
         pairs = [(model.P, state.acc_p), (model.R, state.acc_r)]
         pairs += [(e_store[s], state.acc_e[s]) for s in batch]
         for (param, acc), (ref_param, ref_acc) in zip(pairs, expected, strict=True):
@@ -342,10 +343,10 @@ class TestAddRows:
         # one F-ordered E block stacks to an F-ordered array, yet the
         # gradient targets the rows scatter into are C-ordered
         _, samples, model, e_store = sampled_batch(6, c=7, d=3, r=4, sentences=2)
-        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store, 0.5)
+        loss, g_p, g_r, g_e = sampled_loss_and_grads(batch, samples, model, e_store)
         model.P, model.R = np.asfortranarray(model.P), np.asfortranarray(model.R)
         f_loss, f_p, f_r, f_e = sampled_loss_and_grads(
-            batch, samples, model, [np.asfortranarray(e) for e in e_store], 0.5)
+            batch, samples, model, [np.asfortranarray(e) for e in e_store])
         assert f_loss == pytest.approx(loss, rel=1e-12)
         assert_close(f_p, g_p)
         assert_close(f_r, g_r)
@@ -529,6 +530,17 @@ class TestTrainSgd:
         with pytest.raises(BoveError, match="^%s$" % message):
             train_sgd(ws[:n_w], xs[:n_x], init_for_training(4, 2, hyper, seed=5),
                       SgdConfig(epochs=1))
+
+    @pytest.mark.parametrize("regularizer", ["l1", "nuclear"])
+    def test_refuses_a_non_l2_r_regularizer_before_any_step(self, monkeypatch,
+                                                              regularizer):
+        # the sampled objective and its gradient apply the l2 penalty to R
+        ws, xs = micro_corpus()
+        model = init_for_training(4, 2, Hyperparams(r=2, r_regularizer=regularizer), seed=5)
+        monkeypatch.setattr(sgd, "sgd_step", None)  # a step would fail here
+        message = "trainer=sgd supports only hyper.r_regularizer=l2, got %r" % regularizer
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            train_sgd(ws, xs, model, SgdConfig(epochs=1))
 
     def test_keeps_the_model_hyperparameters(self):
         ws, xs = micro_corpus()

@@ -27,6 +27,7 @@ from bove.encoding import (
 )
 from bove.inference import infer_bove
 from bove.model import Hyperparams, TypeEmbeddings
+from bove.sgd import sampled_loss_and_grads, sgd_step
 from bove.synth import generate
 
 from oracles import (
@@ -528,14 +529,15 @@ def test_update_R_matches_the_dense_solve(system):
 
 
 # model.hyper is the one source of the weights, the inference cap and the
-# objective's mode, and the model the one source of P and R
+# objective's mode, the model the one source of P and R, and an SGD batch
+# and its E store the one source of the batch's share of the corpus
 DUPLICATES = ("alpha", "lambda_p", "lambda_r", "lambda_e", "iters", "p", "r_tensor",
-              "p_current", "frozen", "data_fit_only")
+              "p_current", "frozen", "data_fit_only", "reg_scale")
 
 
 @pytest.mark.parametrize("kernel", [
     update_E_sentence, averaged_E_step, update_P, update_R, reconstruction_loss, loss_along,
-    infer_bove, corpus_objective,
+    infer_bove, corpus_objective, sampled_loss_and_grads, sgd_step,
 ], ids=lambda kernel: kernel.__name__)
 def test_kernels_take_the_model_and_no_weight_of_their_own(kernel):
     parameters = inspect.signature(kernel).parameters
