@@ -1,12 +1,15 @@
 """Command-line pipeline: one subcommand per stage, declared in build_parser.
 
 Exit codes (_EXIT_CODES, read in main alone): 0 success, 1 usage/config
-error, 2 data error (an unopenable path too), 3 numerical divergence.  All
-subcommands are driven by a key=value config file; the flags --seed and
+error, 2 data error (an unopenable path too, and a byte that is not UTF-8
+in a text input, reported at its file and line), 3 numerical divergence.
+train and infer check that their output opens for writing before the work.
+All subcommands are driven by a key=value config file; the flags --seed and
 --fail-fast are config lines, read after the file's.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -27,10 +30,26 @@ def _require(cfg, *names):
             raise ConfigError("config is missing required path 'paths.%s'" % name)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Check that path opens for writing before the work that writes it, so
+    a directory or a path under a regular file fails first, naming the path.
+    Opening to append changes no byte of a file that is there; if the work
+    then fails, a file the check created is removed."""
+    existed = os.path.lexists(path)
+    open(path, "ab").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def _read_corpus(cfg):
     _require(cfg, "corpus")
-    with open(cfg.corpus, encoding="utf-8") as f:
-        return list(conll.read_conll(f, cfg.columns))
+    lines = (line for _, line in encoding.text_lines(cfg.corpus))
+    return list(conll.read_conll(lines, cfg.columns))
 
 
 def _load_vocab(cfg):
@@ -90,7 +109,7 @@ def cmd_train(cfg):
             raise ConfigError("pretrained vectors require a vocabulary, not tensors")
         trained = model_io.load_pretrained(trained, cfg.vectors, vocab)
 
-    with open(cfg.log or os.devnull, "w", encoding="utf-8") as log_file:
+    with _output(cfg.model), open(cfg.log or os.devnull, "w", encoding="utf-8") as log_file:
         def log(line):
             # flushed per line, so a run that fails keeps the rounds before it
             log_file.write(line + "\n")
@@ -100,7 +119,7 @@ def cmd_train(cfg):
             trained = als.train(ws, xs, trained, log=log).model
         else:
             trained, _, _ = sgd.train_sgd(ws, xs, trained, cfg.sgd, log=log)
-    model_io.save_model(trained, cfg.model)
+        model_io.save_model(trained, cfg.model)
     print("wrote %s" % cfg.model)
     return EXIT_OK
 
@@ -115,10 +134,11 @@ def cmd_infer(cfg):
             % (trained.c, trained.d, vocab.c, vocab.d)
         )
     sentences = _encoded_sentences(cfg, vocab)
-    results, failures = inference.infer_corpus(
-        sentences, trained, fail_fast=cfg.fail_fast
-    )
-    model_io.write_bags(cfg.embeddings, [(sid, e) for sid, e in results if e is not None])
+    with _output(cfg.embeddings):
+        results, failures = inference.infer_corpus(
+            sentences, trained, fail_fast=cfg.fail_fast
+        )
+        model_io.write_bags(cfg.embeddings, [(sid, e) for sid, e in results if e is not None])
     for sid, exc in failures:
         print("sentence %s failed: %s" % (sid, exc), file=sys.stderr)
     print("wrote %s (%d sentences, %d failed)"
@@ -220,12 +240,10 @@ def build_parser():
 # most specific listed type decides (a ConfigError is a BoveError, and exits 1)
 _EXIT_CODES = {ConfigError: EXIT_USAGE, DivergenceError: EXIT_DIVERGED,
                SingularSystemError: EXIT_DIVERGED, BoveError: EXIT_DATA,
-               OSError: EXIT_DATA, UnicodeDecodeError: EXIT_DATA}
+               OSError: EXIT_DATA}
 
 
 def _describe(exc):
-    if isinstance(exc, UnicodeDecodeError):
-        return "input is not UTF-8 text: %s" % exc
     if isinstance(exc, OSError) and exc.filename is not None:
         return "%s: %s" % (exc.filename, exc.strerror)
     return str(exc)

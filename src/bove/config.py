@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 
 from . import sgd, synth
 from .conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
+from .encoding import text_lines
 from .errors import ConfigError
 from .model import Hyperparams, check_bounds
 from .sgd import SgdConfig
@@ -136,5 +137,4 @@ def parse_config(lines):
 def load_config(path, overrides=()):
     """parse_config of the file's lines, then of overrides (more lines, such
     as the CLI flags'), so a later line sets a key again."""
-    with open(path, encoding="utf-8") as f:
-        return parse_config([*f, *overrides])
+    return parse_config([*(line for _, line in text_lines(path)), *overrides])

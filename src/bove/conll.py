@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .encoding import text_lines
 from .errors import ConllParseError, VocabularyError
 
 UNKNOWN_POSTAG = "UNKNOWN_POSTAG"
@@ -254,37 +255,52 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by save.  The ids of each space, predicates
+        and relations, must map one to one onto [0, c) or [0, d); a repeated
+        or out-of-range id raises VocabularyError naming its line."""
         vocab = cls()
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
+        id_lines = {"predicate_ids": {}, "relation_ids": {}}  # space -> {id: its line}
+        for line_no, line in text_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                if line.startswith("#thresholds"):
+                    for part in line.split("\t")[1:]:
+                        key, val = part.split("=")
+                        if key not in ("word", "pos", "relation"):
+                            raise VocabularyError("%s line %d: unknown threshold %r"
+                                                  % (path, line_no, key))
+                        setattr(vocab, key + "_threshold", int(val))
                     continue
-                try:
-                    if line.startswith("#thresholds"):
-                        for part in line.split("\t")[1:]:
-                            key, val = part.split("=")
-                            if key not in ("word", "pos", "relation"):
-                                raise VocabularyError("%s line %d: unknown threshold %r"
-                                                      % (path, line_no, key))
-                            setattr(vocab, key + "_threshold", int(val))
-                        continue
-                    ns, label, sid, cnt = line.split("\t")
-                    sid, cnt = int(sid), int(cnt)
-                    name, prefix = _NAMESPACES[ns]
-                except ValueError:
-                    raise VocabularyError(
-                        "%s line %d: malformed vocabulary line %r" % (path, line_no, line)
-                    ) from None
-                except KeyError:
-                    raise VocabularyError(
-                        "%s line %d: unknown namespace %r" % (path, line_no, ns)
-                    ) from None
-                if prefix is None:
-                    getattr(vocab, name)[label] = cnt
-                else:
-                    getattr(vocab, name)[prefix + label] = sid
-                    vocab.counts[ns + ":" + label] = cnt
+                ns, label, sid, cnt = line.split("\t")
+                sid, cnt = int(sid), int(cnt)
+                name, prefix = _NAMESPACES[ns]
+            except ValueError:
+                raise VocabularyError(
+                    "%s line %d: malformed vocabulary line %r" % (path, line_no, line)
+                ) from None
+            except KeyError:
+                raise VocabularyError(
+                    "%s line %d: unknown namespace %r" % (path, line_no, ns)
+                ) from None
+            if prefix is None:
+                getattr(vocab, name)[label] = cnt
+                continue
+            seen = id_lines[name]
+            if sid in seen:
+                raise VocabularyError("%s line %d: %s id %d already given on line %d"
+                                      % (path, line_no, name[:-4], sid, seen[sid]))
+            seen[sid] = line_no
+            getattr(vocab, name)[prefix + label] = sid
+            vocab.counts[ns + ":" + label] = cnt
+        # distinct ids, at least one per label, are onto [0, size) when all lie in it
+        for name, seen in id_lines.items():
+            size = len(getattr(vocab, name))
+            for sid, line_no in seen.items():
+                if not 0 <= sid < size:
+                    raise VocabularyError("%s line %d: %s id %d out of range [0, %d)"
+                                          % (path, line_no, name[:-4], sid, size))
         return vocab
 
 

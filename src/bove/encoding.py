@@ -5,6 +5,8 @@ two unit entries per column: word and PoS predicate) and a relation tensor
 X (d x n x n, one unit entry per labeled directed edge).  Both are stored
 in canonical coordinate form, one entry per cell in cell order; real-valued
 entries are allowed so the loss evaluator also works on synthetic tensors.
+Every text input of the package is read through text_lines, and its real
+numbers are parsed by finite_float.
 """
 
 import math
@@ -313,6 +315,23 @@ def finite_float(raw):
     return value
 
 
+def text_lines(path):
+    """(number, line) for each line of the UTF-8 text file at path, numbered
+    from 1, newlines translated as text mode does.  The one reader of text
+    inputs: a line holding a byte that is not UTF-8 raises BoveError naming
+    the file and that line.  Decoding with surrogateescape keeps each bad
+    byte, as a lone surrogate, in the line that holds it, and only a line
+    that is not ASCII can hold one."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for number, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise BoveError("%s line %d: not UTF-8 text" % (path, number)) from None
+            yield number, line
+
+
 def read_tensor_file(path):
     """Read a coordinate text corpus back; returns (c, d, [(id, W, X), ...])."""
     sentences = []
@@ -330,45 +349,42 @@ def read_tensor_file(path):
                 raise DimensionMismatch("%s line %d: sentence %s: %s"
                                         % (path, line_no, sid, exc)) from None
 
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            tag = parts[0]
-            if tag != "dims" and c is None:
-                raise BoveError("%s line %d: %r before the 'dims c d' header"
-                                % (path, line_no, tag))
-            if tag in _TAGS and current is None:
-                raise BoveError("%s line %d: %s entry before the first 'sentence' line"
-                                % (path, line_no, tag))
-            try:
-                if tag in ("dims", "sentence") and len(parts) > 3:
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag != "dims" and c is None:
+            raise BoveError("%s line %d: %r before the 'dims c d' header"
+                            % (path, line_no, tag))
+        if tag in _TAGS and current is None:
+            raise BoveError("%s line %d: %s entry before the first 'sentence' line"
+                            % (path, line_no, tag))
+        try:
+            if tag in ("dims", "sentence") and len(parts) > 3:
+                raise ValueError("too many fields")
+            if tag == "dims":
+                if c is not None:
+                    raise BoveError("%s line %d: a second 'dims' line" % (path, line_no))
+                c, d = _size(parts[1]), _size(parts[2])
+            elif tag == "sentence":
+                flush()
+                current = (parts[1], _size(parts[2]), line_no,
+                           {t: [[] for _ in range(len(cls.AXES) + 1)]
+                            for t, cls in _TAGS.items()})
+            elif tag in _TAGS:
+                *indices, values = current[3][tag]
+                value_at = len(indices) + 1
+                if len(parts) > value_at + 1:
                     raise ValueError("too many fields")
-                if tag == "dims":
-                    if c is not None:
-                        raise BoveError("%s line %d: a second 'dims' line"
-                                        % (path, line_no))
-                    c, d = _size(parts[1]), _size(parts[2])
-                elif tag == "sentence":
-                    flush()
-                    current = (parts[1], _size(parts[2]), line_no,
-                               {t: [[] for _ in range(len(cls.AXES) + 1)]
-                                for t, cls in _TAGS.items()})
-                elif tag in _TAGS:
-                    *indices, values = current[3][tag]
-                    value_at = len(indices) + 1
-                    if len(parts) > value_at + 1:
-                        raise ValueError("too many fields")
-                    for axis, index in enumerate(indices, start=1):
-                        index.append(int(parts[axis]))
-                    values.append(finite_float(parts[value_at]) if len(parts) > value_at else 1.0)
-                else:
-                    raise BoveError("%s line %d: unknown line tag %r"
-                                    % (path, line_no, tag))
-            except (IndexError, ValueError):
-                raise BoveError("%s line %d: malformed %r line"
-                                % (path, line_no, tag)) from None
+                for axis, index in enumerate(indices, start=1):
+                    index.append(int(parts[axis]))
+                values.append(finite_float(parts[value_at]) if len(parts) > value_at else 1.0)
+            else:
+                raise BoveError("%s line %d: unknown line tag %r" % (path, line_no, tag))
+        except (IndexError, ValueError):
+            raise BoveError("%s line %d: malformed %r line"
+                            % (path, line_no, tag)) from None
     if c is None:
         raise BoveError("%s: missing the 'dims c d' header" % path)
     flush()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, asdict
 import numpy as np
 
 from .als import R_REGULARIZERS
-from .encoding import check_sentence_id, finite_float
+from .encoding import check_sentence_id, finite_float, text_lines
 from .errors import (
     DimensionMismatch,
     ModelChecksumError,
@@ -122,22 +122,23 @@ def read_word_vectors(path):
     A malformed header or line, or a value that is not a finite number,
     raises ModelFormatError naming the file and the line.
     """
-    with open(path, encoding="utf-8") as f:
+    lines = text_lines(path)
+    _, header = next(lines, (1, ""))
+    try:
+        count, dim = (int(v) for v in header.split())
+    except ValueError:
+        raise ModelFormatError("%s line 1: vector file header must be '<count> <dim>'"
+                               % path) from None
+    vectors = {}
+    for line_no, line in lines:
+        word, *values = line.rstrip().split(" ")
         try:
-            count, dim = (int(v) for v in f.readline().split())
-        except ValueError:
-            raise ModelFormatError("%s line 1: vector file header must be '<count> <dim>'"
-                                   % path) from None
-        vectors = {}
-        for line_no, line in enumerate(f, start=2):
-            word, *values = line.rstrip().split(" ")
-            try:
-                if len(values) != dim:
-                    raise ValueError("vector for %r has %d values, expected %d"
-                                     % (word, len(values), dim))
-                vectors[word] = np.array([finite_float(v) for v in values])
-            except ValueError as exc:
-                raise ModelFormatError("%s line %d: %s" % (path, line_no, exc)) from None
+            if len(values) != dim:
+                raise ValueError("vector for %r has %d values, expected %d"
+                                 % (word, len(values), dim))
+            vectors[word] = np.array([finite_float(v) for v in values])
+        except ValueError as exc:
+            raise ModelFormatError("%s line %d: %s" % (path, line_no, exc)) from None
     if len(vectors) != count:
         raise ModelFormatError(
             "%s: vector file header promised %d words, found %d" % (path, count, len(vectors))

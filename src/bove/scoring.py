@@ -8,11 +8,12 @@ there).  The pair file and scores file formats are read and written here.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import finite_float
+from .encoding import finite_float, text_lines
 from .errors import BoveError, DimensionMismatch
 
 ENTAILMENT_LABELS = ("entailment", "neutral", "contradiction")
@@ -96,27 +97,23 @@ def pearson(gold, pred):
     return float(gc @ pc) / np.sqrt(vg * vp)
 
 
-def average_precision(ranked_labels):
-    """Mean precision at the rank of each positive in a ranked boolean list.
-
-    Input must already be in descending score order; score ties keep the
-    caller's stable input order (AP is tie-sensitive).
+def average_precision(scores, positives):
+    """Average precision of the ranking by descending score, positives
+    marked true.  Each distinct score is one threshold, so tied pairs count
+    as one block and their order does not matter: AP = sum over thresholds
+    of (recall_i - recall_{i-1}) precision_i.  With no ties this is the mean
+    precision at the rank of each positive.
     """
-    ranked = [bool(x) for x in ranked_labels]
-    if not any(ranked):
+    pairs_at = Counter(scores)
+    positives_at = Counter(score for score, positive in zip(scores, positives) if positive)
+    if not positives_at:
         raise BoveError("average precision undefined with no positives")
-    hits = 0
-    total = 0.0
-    for rank, label in enumerate(ranked, start=1):
-        if label:
-            hits += 1
-            total += hits / rank
-    return total / hits
-
-
-def rank_descending(pairs):
-    """Pairs sorted by score descending, stable in input order on ties."""
-    return sorted(pairs, key=lambda p: -p.score)
+    ap, seen, found = 0.0, 0, 0
+    for score in sorted(pairs_at, reverse=True):
+        seen += pairs_at[score]
+        found += positives_at[score]
+        ap += positives_at[score] * (found / seen)
+    return ap / found
 
 
 def evaluate_sts(pairs):
@@ -137,21 +134,21 @@ def evaluate_sts(pairs):
 
 
 def evaluate_snli(pairs):
-    """Average precision of the score-descending ranking, entailment positive.
+    """Average precision of the score-descending ranking, entailment
+    positive, with tied scores as one threshold (average_precision).
 
     Gold may be a 3-way label string (neutral and contradiction both count
     as non-entailment) or a boolean.
     """
-    ranked = rank_descending(pairs)
-    labels = []
-    for pair in ranked:
+    positives = []
+    for pair in pairs:
         if isinstance(pair.gold, str):
             if pair.gold not in ENTAILMENT_LABELS:
                 raise BoveError("unknown entailment label %r" % pair.gold)
-            labels.append(pair.gold == "entailment")
+            positives.append(pair.gold == "entailment")
         else:
-            labels.append(bool(pair.gold))
-    return average_precision(labels)
+            positives.append(bool(pair.gold))
+    return average_precision([pair.score for pair in pairs], positives)
 
 
 def _read_rows(path, what, columns, numbers):
@@ -162,23 +159,22 @@ def _read_rows(path, what, columns, numbers):
     names the file and the line.
     """
     least, most = columns
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if not least <= len(cols) <= most:
-                raise BoveError("%s: %s line %d: expected %s tab-separated columns, got %d"
-                                % (path, what, line_no, least if least == most
-                                   else "at least %d" % least, len(cols)))
-            for index, name in numbers.items():
-                try:
-                    cols[index] = finite_float(cols[index])
-                except ValueError:
-                    raise BoveError("%s: %s line %d: %s must be a finite number, got %r"
-                                    % (path, what, line_no, name, cols[index])) from None
-            yield cols
+    for line_no, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if not least <= len(cols) <= most:
+            raise BoveError("%s: %s line %d: expected %s tab-separated columns, got %d"
+                            % (path, what, line_no, least if least == most
+                               else "at least %d" % least, len(cols)))
+        for index, name in numbers.items():
+            try:
+                cols[index] = finite_float(cols[index])
+            except ValueError:
+                raise BoveError("%s: %s line %d: %s must be a finite number, got %r"
+                                % (path, what, line_no, name, cols[index])) from None
+        yield cols
 
 
 def read_pairs(path, mode):

@@ -291,7 +291,7 @@ def test_criterion_09_scoring_oracles():
         worst = max(worst, abs(score_entailment(s1, s2)
                                - entailment_by_enumeration(s1, s2)))
     pearson_gap = abs(pearson([0, 1, 1], [0, 0, 1]) - 0.5)
-    ap_gap = abs(average_precision([True, False, True]) - 5.0 / 6.0)
+    ap_gap = abs(average_precision([3, 2, 1], [True, False, True]) - 5.0 / 6.0)
     ok = worst <= 1e-12 and pearson_gap <= 1e-12 and ap_gap <= 1e-12
     report(9, "scoring oracles", ok,
            "entailment gap %.3g, pearson gap %.3g, AP gap %.3g"

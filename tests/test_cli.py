@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from bove import als, cli, encoding, model as model_io
+from bove import als, cli, conll, encoding, inference, model as model_io
 from bove.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from bove.errors import (
     ConfigError,
@@ -283,7 +283,8 @@ class TestScoreAndEval:
 
     def test_score_report_equals_eval_of_written_scores(self, workspace):
         # cos(a, c) = 1 - 5e-15 < cos(a, b) = 1, but both are 1 to 10 digits,
-        # so in the scores file the pairs tie and keep their file order
+        # so in the scores file the pairs tie: one threshold holding one
+        # positive of two, AP 0.5, where the unrounded scores would give 1
         config = write_config(workspace)
         model_io.write_bags(workspace / "bags.bin", [
             ("a", np.array([[1.0, 0.0]])), ("b", np.array([[1.0, 0.0]])),
@@ -295,7 +296,7 @@ class TestScoreAndEval:
         (workspace / "report.txt").unlink()
         assert run(config, "eval", "--mode", "snli") == EXIT_OK
         assert (workspace / "report.txt").read_bytes() == from_score
-        assert b"subset=mean metric=ap value=1.000000 n=2" in from_score
+        assert b"subset=mean metric=ap value=0.500000 n=2" in from_score
 
     def test_missing_sentence_id(self, workspace, capsys):
         config = self.infer_bags(workspace)
@@ -450,6 +451,12 @@ MALFORMED_INPUTS = {
         "vectors.txt line 3", VECTORS),
     "vector header not a number": (
         "vectors.txt", "two 4\ncat 1 0 0 0\n", ("train",), "vectors.txt line 1", VECTORS),
+    "vocabulary id out of range": (
+        "vocab.txt", "w\tcat\t0\t3\nw\tdog\t999\t1\n", ("encode",),
+        "vocab.txt line 2: predicate id 999 out of range [0, 2)"),
+    "repeated vocabulary id": (
+        "vocab.txt", "w\tcat\t0\t3\np\tNN\t0\t1\n", ("encode",),
+        "vocab.txt line 2: predicate id 0 already given on line 1"),
     "model r disagrees with its hyperparameters": (
         "model.bin", model_file(model_io.TypeEmbeddings(
             P=np.zeros((12, 6)), R=np.zeros((3, 6, 6)), frozen_p_rows=np.zeros(12, dtype=bool),
@@ -481,19 +488,101 @@ UNOPENABLE_PATHS = {
     "vocab is a directory": ("encode", "paths.vocab", lambda ws: ws),
     "model under a regular file": (
         "train", "paths.model", lambda ws: ws / "corpus.conll" / "model.bin"),
+    "embeddings under a regular file": (
+        "infer", "paths.embeddings", lambda ws: ws / "corpus.conll" / "bags.bin"),
     "log is a directory": ("train", "paths.log", lambda ws: ws),
 }
 
 
+def untrained_model(workspace):
+    """Save, at model.bin, a model that fits the workspace's vocabulary."""
+    vocab = conll.Vocabulary.load(workspace / "vocab.txt")
+    save_model(model_io.init_for_training(vocab.c, vocab.d, model_io.Hyperparams(r=4), 0),
+               workspace / "model.bin")
+
+
+def record_work(monkeypatch):
+    """Names of the training and inference calls made from now on; each call
+    raises, as a run failing after its output check does."""
+    work = []
+
+    def stand_in(name):
+        def fail(*args, **kwargs):
+            work.append(name)
+            raise DivergenceError("%s failed" % name)
+        return fail
+
+    monkeypatch.setattr(als, "train", stand_in("train"))
+    monkeypatch.setattr(inference, "infer_corpus", stand_in("infer"))
+    return work
+
+
 @pytest.mark.parametrize("name", sorted(UNOPENABLE_PATHS))
-def test_unopenable_path_is_a_data_error(workspace, capsys, name):
+def test_unopenable_path_is_a_data_error(workspace, capsys, monkeypatch, name):
     command, key, where = UNOPENABLE_PATHS[name]
     path = str(where(workspace))
     assert run(write_config(workspace), "build-vocab") == EXIT_OK  # a vocabulary
+    untrained_model(workspace)  # and a model, for infer
+    work = record_work(monkeypatch)
     config = path if key is None else write_config(workspace, name="bad.txt", **{key: path})
     assert run(config, command) == EXIT_DATA
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: %s: " % path)
+    assert work == []  # the output is checked before the work
+
+
+@pytest.mark.parametrize("command, output", [("train", "model.bin"), ("infer", "bags.bin")])
+@pytest.mark.parametrize("before", [None, b"an earlier output"], ids=["absent", "present"])
+def test_a_failed_run_leaves_its_output_as_it_found_it(workspace, monkeypatch, command,
+                                                       output, before):
+    assert run(write_config(workspace), "build-vocab") == EXIT_OK
+    untrained_model(workspace)  # infer reads it; train writes over it
+    target = workspace / output
+    if before is None:
+        target.unlink(missing_ok=True)
+    else:
+        target.write_bytes(before)
+    work = record_work(monkeypatch)
+    assert run(write_config(workspace), command) == EXIT_DIVERGED
+    assert work == [command]
+    if before is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == before
+
+
+# name -> (command, the config key naming the text input, or None for
+# --config itself, the input's leading text, and a line it may repeat)
+TEXT_INPUTS = {
+    "corpus via build-vocab": (("build-vocab",), "paths.corpus", "", "# a comment\n"),
+    "corpus via infer": (("infer",), "paths.corpus", "", "# a comment\n"),
+    "vocabulary via encode": (("encode",), "paths.vocab", "", "\n"),
+    "tensor dump via train": (("train",), "paths.tensors", "dims 3 2\n", "\n"),
+    "vectors via train": (("train",), "paths.vectors", "1 4\n", "cat 1 0 0 0\n"),
+    "pairs via score": (("score", "--mode", "sts"), "paths.pairs", "", "# a comment\n"),
+    "scores via eval": (("eval", "--mode", "sts"), "paths.scores", "", "# a comment\n"),
+    "config": (("build-vocab",), None, None, "# a comment\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_INPUTS))
+def test_a_byte_that_is_not_utf8_is_located(workspace, capsys, name):
+    # the bad byte lies past the first 8 KiB, which text mode decodes ahead
+    # of the line being read, and valid lines follow it
+    command, key, head, filler = TEXT_INPUTS[name]
+    assert run(write_config(workspace), "build-vocab") == EXIT_OK  # a vocabulary
+    untrained_model(workspace)  # a model, for infer
+    (workspace / "bags.bin").write_bytes(b"")  # no bags, for score
+    path = workspace / "input.txt"
+    if key is None:
+        config, head = str(path), (workspace / "config.txt").read_text()
+    else:
+        config = write_config(workspace, name="bad.txt", **{key: str(path)})
+    padding = filler * (8192 // len(filler) + 1)
+    path.write_bytes((head + padding).encode() + b"caf\xff\n" + padding.encode())
+    assert run(config, *command) == EXIT_DATA
+    line = (head + padding).count("\n") + 1
+    assert capsys.readouterr().err == "error: %s line %d: not UTF-8 text\n" % (path, line)
 
 
 @pytest.mark.parametrize("error, code, message", [
@@ -504,11 +593,8 @@ def test_unopenable_path_is_a_data_error(workspace, capsys, name):
     (OSError("no path named"), EXIT_DATA, "no path named"),
     (IsADirectoryError(21, "Is a directory", "some/dir"), EXIT_DATA,
      "some/dir: Is a directory"),
-    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), EXIT_DATA,
-     "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
-     "invalid start byte"),
 ], ids=["ConfigError", "ConllParseError", "DivergenceError", "SingularSystemError",
-        "OSError", "IsADirectoryError", "UnicodeDecodeError"])
+        "OSError", "IsADirectoryError"])
 def test_each_error_exits_by_the_one_table(workspace, capsys, monkeypatch, error, code,
                                            message):
     def fail(cfg):

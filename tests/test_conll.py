@@ -228,6 +228,32 @@ class TestBuildVocabulary:
                            match=re.escape("vocab.txt line 2: unknown threshold %r" % key)):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("w\tcat\t0\t3\np\tNN\t1\t3\np\tDT\t0\t2\n",
+         "vocab.txt line 3: predicate id 0 already given on line 1"),
+        ("w\tcat\t0\t3\nr\tADJ\t0\t1\nr\tSBJ\t0\t1\n",
+         "vocab.txt line 3: relation id 0 already given on line 2"),
+    ], ids=["predicate", "relation"])
+    def test_a_repeated_id_is_refused_at_its_line(self, tmp_path, text, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(VocabularyError, match=re.escape(message)):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("w\tcat\t0\t3\nw\tdog\t999\t1\n",
+         "vocab.txt line 2: predicate id 999 out of range [0, 2)"),
+        ("p\tNN\t-1\t3\n", "vocab.txt line 1: predicate id -1 out of range [0, 1)"),
+        ("r\tADJ\t0\t1\nr\tSBJ\t2\t1\n", "vocab.txt line 2: relation id 2 out of range [0, 2)"),
+        # a label listed twice keeps one id, so its two ids cannot both be in range
+        ("w\tcat\t0\t3\nw\tcat\t1\t3\n", "vocab.txt line 2: predicate id 1 out of range [0, 1)"),
+    ], ids=["above", "negative", "relation", "label-listed-twice"])
+    def test_an_id_out_of_range_is_refused_at_its_line(self, tmp_path, text, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text)
+        with pytest.raises(VocabularyError, match=re.escape(message)):
+            Vocabulary.load(path)
+
 
 # Vocabulary.save output for small_vocab(), recorded before the namespace
 # table drove save and load; the file format must not drift.

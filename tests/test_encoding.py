@@ -13,6 +13,7 @@ from bove.encoding import (
     from_dense,
     read_tensor_file,
     reconstruction_loss,
+    text_lines,
     write_tensor_file,
 )
 from bove.errors import BoveError, DimensionMismatch
@@ -191,6 +192,44 @@ class TestCoordinateText:
                         "sentence s1 1\nW 4 0 1\n")
         with pytest.raises(BoveError, match="line 4: a second 'dims' line"):
             read_tensor_file(path)
+
+
+class TestTextLines:
+    def test_lines_are_numbered_and_newlines_translated(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes("a\r\nb\rc\n\n\u00e9t\u00e9".encode())
+        assert list(text_lines(path)) == [(1, "a\n"), (2, "b\n"), (3, "c\n"), (4, "\n"),
+                                          (5, "\u00e9t\u00e9")]
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"],
+                             ids=["invalid-start", "truncated", "surrogate", "overlong"])
+    def test_a_byte_that_is_not_utf8_is_located_at_its_line(self, tmp_path, bad):
+        # 2,000 lines of 5 bytes come first, past the 8 KiB text mode decodes
+        # ahead; every line before the bad one is read, none after it
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"line\n" * 2000 + b"caf" + bad + b"\n" + b"line\n" * 1000)
+        read = []
+        with pytest.raises(BoveError) as caught:
+            for number, _ in text_lines(path):
+                read.append(number)
+        assert str(caught.value) == "%s line 2001: not UTF-8 text" % path
+        assert read == list(range(1, 2001))
+
+    def test_a_bad_byte_on_the_last_line_without_a_newline(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"a\nb\xe9")
+        with pytest.raises(BoveError, match="input.txt line 2: not UTF-8 text"):
+            list(text_lines(path))
+
+    def test_a_character_across_the_read_boundary_is_one_character(self, tmp_path):
+        # "\u00e9" is 2 bytes; the first lies at byte 8191, the second at 8192
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"x" * 8191 + "\u00e9\n".encode() + b"y\n")
+        assert list(text_lines(path)) == [(1, "x" * 8191 + "\u00e9\n"), (2, "y\n")]
+
+    def test_an_unopenable_path_raises_its_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            list(text_lines(tmp_path / "missing.txt"))
 
 
 @st.composite

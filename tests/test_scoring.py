@@ -14,7 +14,6 @@ from bove.scoring import (
     evaluate_sts,
     format_report,
     pearson,
-    rank_descending,
     read_pairs,
     read_scores,
     score_entailment,
@@ -275,18 +274,18 @@ class TestPearson:
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision([True, True, False, False]) == pytest.approx(1.0)
+        assert average_precision([4, 3, 2, 1], [True, True, False, False]) == pytest.approx(1.0)
 
     def test_interleaved(self):
         # precisions at positive ranks 1 and 3: (1 + 2/3) / 2
-        assert average_precision([True, False, True]) == pytest.approx(5.0 / 6.0)
+        assert average_precision([3, 2, 1], [True, False, True]) == pytest.approx(5.0 / 6.0)
 
     def test_single_positive_last(self):
-        assert average_precision([False, False, True, False]) == pytest.approx(1 / 3)
+        assert average_precision([4, 3, 2, 1], [False, False, True, False]) == pytest.approx(1 / 3)
 
     def test_no_positives(self):
         with pytest.raises(BoveError):
-            average_precision([False, False])
+            average_precision([2, 1], [False, False])
 
     def test_monotone_transform_invariance(self):
         pairs = [ScoredPair(str(i), s, g) for i, (s, g) in enumerate(
@@ -296,17 +295,25 @@ class TestAveragePrecision:
                     for p in pairs]
         assert evaluate_snli(pairs) == pytest.approx(evaluate_snli(squashed))
 
+    def test_a_tie_block_is_one_threshold(self):
+        # thresholds 0.9 (1 of 1 positive) and 0.5 (2 of 4 positive):
+        # recall 1/3 at precision 1, then 2/3 more at precision 3/5
+        scores = [0.9, 0.5, 0.5, 0.5, 0.5]
+        positives = [True, False, True, False, True]
+        assert average_precision(scores, positives) == pytest.approx(1 / 3 + 2 / 3 * 3 / 5)
 
-class TestRanking:
-    def test_descending(self):
-        pairs = [ScoredPair("a", 0.1, 1), ScoredPair("b", 0.9, 2),
-                 ScoredPair("c", 0.5, 3)]
-        assert [p.id for p in rank_descending(pairs)] == ["b", "c", "a"]
-
-    def test_stable_ties(self):
-        pairs = [ScoredPair("a", 0.5, 1), ScoredPair("b", 0.5, 2),
-                 ScoredPair("c", 0.9, 3)]
-        assert [p.id for p in rank_descending(pairs)] == ["c", "a", "b"]
+    @given(st.lists(st.tuples(st.sampled_from([0.1, 0.5, 0.9]), st.booleans()),
+                    min_size=1, max_size=12).filter(lambda drawn: any(p for _, p in drawn)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_permuting_tied_pairs_leaves_ap_unchanged(self, drawn, rnd):
+        # few distinct scores, so most pairs tie; evaluate_snli reads the
+        # pairs in the order given, and any order gives the same AP
+        pairs = [ScoredPair(str(i), score, positive)
+                 for i, (score, positive) in enumerate(drawn)]
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        assert evaluate_snli(shuffled) == evaluate_snli(pairs)
 
 
 class TestEvaluate:
