@@ -2,8 +2,8 @@
 
 P's closed-form update streams Gram sums over the sentences; R's normal
 equations are solved for every relation slice at once by preconditioned
-conjugate gradients; each sentence's E is refreshed by a damped (averaged)
-pair of least-squares solves.
+conjugate gradients; each sentence's E takes one least-squares refresh,
+then an exact line search along it (averaged_E_step).
 """
 
 import time
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import add_rows, check_operands, entry_scatter, reconstruction_loss, runs
+from .encoding import (add_rows, check_operands, entry_scatter, loss_along, quartic_minimizer,
+                       reconstruction_loss, runs)
 from .errors import BoveError, DivergenceError, SingularSystemError
 
 # update_R's conjugate gradients stop at a residual this small relative to
@@ -206,10 +207,17 @@ def update_E_sentence(w, x, model, e_prev):
 
 
 def averaged_E_step(w, x, model, e_current):
-    """Two consecutive E refreshes with model fixed, then their average, which
-    damps the raw iteration's overcompensation."""
-    e = update_E_sentence(w, x, model, e_current)[0]
-    return 0.5 * (e + update_E_sentence(w, x, model, e)[0])
+    """One E refresh (Z, H) = update_E_sentence(w, x, model, E) with model
+    fixed, then the exactly weighted average (1 - t) E + t Z: t minimizes the
+    sentence's E objective on the line E + t (Z - E), a quartic in t whose
+    coefficients loss_along reads from (H, Z - E), as infer_bove's fallback
+    step does.  The weight damps the raw refresh's overcompensation, and the
+    step never raises the E objective: along Z - E its slope is
+    -2 <(Z - E) H, Z - E> < 0 wherever E is not a fixed point (t = 0 there)."""
+    refreshed, gram = update_E_sentence(w, x, model, e_current)
+    step = refreshed - e_current
+    t = quartic_minimizer(loss_along(x, model, e_current, gram, step, step))
+    return e_current + t * step
 
 
 def regularize_R_l1(r_tensor, tau):
@@ -280,11 +288,12 @@ class TrainResult:
 def train(ws, xs, model, log=None):
     """Full ALS loop under model.hyper: E sweeps, P and R updates, stopping rule.
 
-    E starts at zero (matching the test-time setting).  Every e_reinit_period
-    rounds E is reset to zeros and e_reinit_burst E-only averaged sweeps run
-    instead of that round's single sweep.  Training stops when the relative
-    objective improvement over one round drops to rel_improvement_stop, or at
-    max_rounds; it diverges on overflow.  It returns a trained copy of model.
+    E starts at zero (matching the test-time setting).  A round's E sweep
+    moves every sentence's E by one averaged_E_step (one solve each).  Every
+    e_reinit_period rounds E is reset to zeros and e_reinit_burst E sweeps
+    run, with P and R fixed, instead of that round's single sweep.  Training
+    stops when the relative objective improvement over one round drops to
+    rel_improvement_stop, or at max_rounds; it diverges on overflow.  It returns a trained copy of model.
     An empty or uneven corpus is refused before any work.
     """
     check_corpus(ws, xs)

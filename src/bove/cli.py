@@ -49,7 +49,7 @@ def _output(path):
 def _read_corpus(cfg):
     _require(cfg, "corpus")
     lines = (line for _, line in encoding.text_lines(cfg.corpus))
-    return list(conll.read_conll(lines, cfg.columns))
+    return list(conll.read_conll(lines, cfg.columns, cfg.corpus))
 
 
 def _load_vocab(cfg):

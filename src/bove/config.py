@@ -1,6 +1,7 @@
 """Pipeline configuration: flat key=value text with dotted section prefixes.
 
-Unknown keys are rejected so a typo never silently falls back to a default.
+Unknown keys are rejected so a typo never silently falls back to a default,
+and an error in a line of the config file names that file and line.
 Two seeds drive all randomness: the top-level ``seed`` (which ``--seed``
 overrides) draws the initial P for ``train`` and the data of ``synth``, and
 ``sgd.seed`` drives the SGD trainer's batch order and cell sampling.  ALS
@@ -99,42 +100,72 @@ def _coerce(raw, target_type):
         raise ConfigError("expected %s, got %r" % (target_type.__name__, raw)) from None
 
 
-def parse_config(lines):
-    """Build a PipelineConfig from an iterable of "section.key=value" lines."""
-    flat = {}
-    overrides = {section: {} for section in _SECTIONS}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key=value, got %r" % (line_no, line))
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError("%s must be %s" % (key, " or ".join(map(repr, _CHOICES[key]))))
-        if key == "columns.layout":
-            if value not in _LAYOUTS:
-                raise ConfigError("unknown column layout %r" % value)
-            flat["columns"] = _LAYOUTS[value]
-        elif key in _KEYS:
-            section, target = _KEYS[key]
-            changes = flat if section is None else overrides[section]
-            changes[target.name] = _coerce(value, target.type)
-        else:
-            raise ConfigError("unknown config key %r" % key)
-    default = PipelineConfig()
-    try:
-        for section, changes in overrides.items():
-            flat[section] = replace(flat.get(section, getattr(default, section)), **changes)
-        cfg = PipelineConfig(**flat)  # checks the flat bounds
-        if cfg.trainer == "sgd":
-            sgd.check_hyper(cfg.hyper)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _entry(line):
+    """(section or None for a flat key, field name, value) that one config
+    line sets, or None for a blank or comment line.  A malformed line, an
+    unknown key or a value that does not parse raises ConfigError."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    if "=" not in line:
+        raise ConfigError("expected key=value, got %r" % line)
+    key, value = (part.strip() for part in line.split("=", 1))
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError("%s must be %s" % (key, " or ".join(map(repr, _CHOICES[key]))))
+    if key == "columns.layout":
+        if value not in _LAYOUTS:
+            raise ConfigError("unknown column layout %r" % value)
+        return None, "columns", _LAYOUTS[value]
+    if key not in _KEYS:
+        raise ConfigError("unknown config key %r" % key)
+    section, target = _KEYS[key]
+    return section, target.name, _coerce(value, target.type)
+
+
+def _located(where, message):
+    return ConfigError(message if where is None else "%s: %s" % (where, message))
+
+
+def parse_config(lines, path=None, overrides=()):
+    """Build a PipelineConfig from "section.key=value" lines, then from
+    overrides (more lines, such as the CLI flags'), so a later line sets a
+    key again.  The values are checked against their bounds once every line
+    is read.  An error in one of lines, or a value out of bounds that one of
+    lines set last, names that line: "<path> line <N>: ..." ("line <N>: ..."
+    without a path); an override's is reported as it is."""
+    where = "line" if path is None else "%s line" % path
+    changes = {section: {} for section in (None, *_SECTIONS)}
+    set_at = {}  # (section, field name) -> the line that set it last, None for an override
+    numbered = [("%s %d" % (where, n), line) for n, line in enumerate(lines, start=1)]
+    for at, line in [*numbered, *((None, line) for line in overrides)]:
+        try:
+            entry = _entry(line)
+        except ConfigError as exc:
+            raise _located(at, str(exc)) from None
+        if entry is not None:
+            section, name, value = entry
+            changes[section][name] = value
+            set_at[section, name] = at
+
+    def checked(section, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise _located(set_at.get((section, getattr(exc, "field", None))),
+                           str(exc)) from None
+
+    flat, default = changes[None], PipelineConfig()
+    for section in _SECTIONS:
+        flat[section] = checked(section, replace, flat.get(section, getattr(default, section)),
+                                **changes[section])
+    cfg = checked(None, PipelineConfig, **flat)
+    if cfg.trainer == "sgd":
+        checked(None, sgd.check_hyper, cfg.hyper)
     return cfg
 
 
 def load_config(path, overrides=()):
-    """parse_config of the file's lines, then of overrides (more lines, such
-    as the CLI flags'), so a later line sets a key again."""
-    return parse_config([*(line for _, line in text_lines(path)), *overrides])
+    """parse_config of the file's lines, located at the file, then of
+    overrides (more lines, such as the CLI flags'), so a later line sets a
+    key again."""
+    return parse_config((line for _, line in text_lines(path)), path, overrides)

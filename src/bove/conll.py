@@ -77,12 +77,12 @@ def _word_class(form, pos):
     return None
 
 
-def read_conll(stream, columns=CONLL09_COLUMNS):
+def read_conll(stream, columns=CONLL09_COLUMNS, path=None):
     """Yield one list of RawToken per sentence from a CoNLL text stream.
 
     Sentences are separated by blank lines; lines starting with '#' are
-    skipped.  Raises ConllParseError (with line number) on malformed lines
-    and out-of-range heads.
+    skipped.  Raises ConllParseError on malformed lines and out-of-range
+    heads, naming the line and path, the file the stream reads, if given.
     """
     need = columns.max_column() + 1
     tokens, token_lines = [], []
@@ -91,7 +91,7 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
         line = line.rstrip("\n")
         if not line.strip():
             if tokens:
-                _check_sentence(tokens, token_lines)
+                _check_sentence(tokens, token_lines, path)
                 yield tokens
                 tokens, token_lines = [], []
             continue
@@ -102,7 +102,7 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
             raise ConllParseError(
                 "expected at least %d tab-separated columns, got %d"
                 % (need, len(cols)),
-                line_no,
+                line_no, path,
             )
         try:
             index = int(cols[columns.id])
@@ -111,14 +111,14 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
             raise ConllParseError(
                 "non-numeric token id or head: %r / %r"
                 % (cols[columns.id], cols[columns.head]),
-                line_no,
+                line_no, path,
             ) from None
         if index < 1:
-            raise ConllParseError("token id must be >= 1, got %d" % index, line_no)
+            raise ConllParseError("token id must be >= 1, got %d" % index, line_no, path)
         if head < 0:
-            raise ConllParseError("head must be >= 0, got %d" % head, line_no)
+            raise ConllParseError("head must be >= 0, got %d" % head, line_no, path)
         if head == index:
-            raise ConllParseError("token %d heads itself" % index, line_no)
+            raise ConllParseError("token %d heads itself" % index, line_no, path)
         token_lines.append(line_no)
         tokens.append(
             RawToken(
@@ -131,19 +131,19 @@ def read_conll(stream, columns=CONLL09_COLUMNS):
         )
 
 
-def _check_sentence(tokens, token_lines):
+def _check_sentence(tokens, token_lines, path):
     n = len(tokens)
     for position, (tok, line_no) in enumerate(zip(tokens, token_lines), start=1):
         if tok.index != position:
             raise ConllParseError(
                 "token ids not consecutive from 1 (found %d at position %d)"
                 % (tok.index, position),
-                line_no,
+                line_no, path,
             )
         if tok.head > n:
             raise ConllParseError(
                 "head %d out of range for %d-token sentence" % (tok.head, n),
-                line_no,
+                line_no, path,
             )
 
 

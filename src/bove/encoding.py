@@ -270,6 +270,20 @@ def loss_along(x, model, e, gram, step, direction):
     return float(a1), float(a2), float(a3), float(a4)
 
 
+def quartic_minimizer(a):
+    """The t > 0 that minimizes a1 t + a2 t^2 + a3 t^3 + a4 t^4 for a = (a1,
+    a2, a3, a4), taken among the real parts of the roots of its derivative;
+    0 where it does not descend: a1 >= 0, or a coefficient is not finite
+    (np.roots refuses a NaN)."""
+    if not (np.isfinite(a).all() and a[0] < 0):
+        return 0.0
+    t = np.roots([4.0 * a[3], 3.0 * a[2], 2.0 * a[1], a[0]]).real
+    t = t[t > 0]
+    if not len(t):
+        return 0.0
+    return float(t[np.argmin(np.polyval([a[3], a[2], a[1], a[0], 0.0], t))])
+
+
 # Tensor dump: "dims c d", then per sentence "sentence <id> <n>" followed by
 # one "<tag> <index per axis> <value>" line per entry of W and of X.
 _TAGS = {"W": SparsePropertyMatrix, "X": SparseRelationTensor}

@@ -10,11 +10,14 @@ class DimensionMismatch(BoveError):
 
 
 class ConllParseError(BoveError):
-    """Malformed CoNLL input."""
+    """Malformed CoNLL input, located as "<path> line <N>: ", or "line <N>: "
+    without a path."""
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
         if line_number is not None:
             message = "line %d: %s" % (line_number, message)
+            if path is not None:
+                message = "%s %s" % (path, message)
         super().__init__(message)
         self.line_number = line_number
 

@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 
 from .als import update_E_sentence
-from .encoding import loss_along
+from .encoding import loss_along, quartic_minimizer
 
 TOL = 1e-8  # converged: the refresh moves E by at most TOL of its norm
 DEPTH = 5  # Anderson history: step differences kept
@@ -36,20 +36,6 @@ def _anderson(history):
     return e + MIXING * step - np.tensordot(gamma, d_e + MIXING * d_step, axes=1)
 
 
-def _quartic_minimizer(a):
-    """The t > 0 that minimizes a1 t + a2 t^2 + a3 t^3 + a4 t^4 for a = (a1,
-    a2, a3, a4), taken among the real parts of the roots of its derivative;
-    0 where it does not descend: a1 >= 0, or a coefficient is not finite
-    (np.roots refuses a NaN)."""
-    if not (np.isfinite(a).all() and a[0] < 0):
-        return 0.0
-    t = np.roots([4.0 * a[3], 3.0 * a[2], 2.0 * a[1], a[0]]).real
-    t = t[t > 0]
-    if not len(t):
-        return 0.0
-    return float(t[np.argmin(np.polyval([a[3], a[2], a[1], a[0], 0.0], t))])
-
-
 def infer_bove(w, x, model):
     """Token embeddings (n x r) for one sentence under model, P and R fixed.
 
@@ -58,10 +44,13 @@ def infer_bove(w, x, model):
     of its norm.  Otherwise E moves along the line to the Anderson candidate,
     to the minimum of the E objective on that line, a quartic in the step
     (encoding.loss_along on the refresh's system).  If the objective does not
-    fall along that line, the history is dropped and E moves the same way
-    along step = refresh - E, which descends wherever E is not a fixed point:
-    its slope is -2 <step H, step> < 0, H positive definite.  The solve count
-    model.hyper.inference_iters (at least 1) is a cap, at which E is returned.
+    fall along that line, the history is cut to its newest pair and E moves
+    the same way along step = refresh - E, which descends wherever E is not
+    a fixed point: its slope is -2 <step H, step> < 0, H positive definite.
+    The kept pair lets the next candidate extrapolate across that move;
+    emptying the history instead can alternate the two searches in a zigzag
+    of hundreds of solves.  The solve count model.hyper.inference_iters (at
+    least 1) is a cap, at which E is returned.
     """
     e = update_E_sentence(w, x, model, np.zeros((w.n, model.hyper.r)))[0]
     history = deque(maxlen=DEPTH + 1)
@@ -72,11 +61,12 @@ def infer_bove(w, x, model):
             return refreshed
         history.append((e, step))
         direction = _anderson(history) - e
-        t = _quartic_minimizer(loss_along(x, model, e, gram, step, direction))
+        t = quartic_minimizer(loss_along(x, model, e, gram, step, direction))
         if not t:
-            history.clear()
+            while len(history) > 1:
+                history.popleft()
             direction = step
-            t = _quartic_minimizer(loss_along(x, model, e, gram, step, step))
+            t = quartic_minimizer(loss_along(x, model, e, gram, step, step))
         e = e + t * direction
     return e
 

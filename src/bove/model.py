@@ -27,22 +27,30 @@ MAGIC = b"BOVE"
 FORMAT_VERSION = 1
 
 
+class FieldError(ValueError):
+    """A dataclass field holds a value it refuses; field is the field's name."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 def check_bounds(config, bounds):
-    """Raise ValueError unless every float field of the dataclass instance
+    """Raise FieldError unless every float field of the dataclass instance
     config is finite and each field in bounds lies within its limits.  An
     entry of bounds is (field, lowest) or (field, lowest, highest), both
-    limits allowed values; an entry of any other length raises.  A NaN
-    fails every bound."""
+    limits allowed values; an entry of any other length raises ValueError.
+    A NaN fails every bound."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type is float and not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (f.name, value))
+            raise FieldError(f.name, "%s must be finite, got %r" % (f.name, value))
     for entry in bounds:
         name, lowest, highest = entry if len(entry) == 3 else (*entry, math.inf)
         if not lowest <= getattr(config, name) <= highest:
             bound = ("in [%s, %s]" % (lowest, highest) if highest < math.inf
                      else ">= %s" % lowest)
-            raise ValueError("%s must be %s" % (name, bound))
+            raise FieldError(name, "%s must be %s" % (name, bound))
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class Hyperparams:
     rel_improvement_stop: float = 0.001
     max_rounds: int = 200
     e_reinit_period: int = 10
-    e_reinit_burst: int = 5
+    e_reinit_burst: int = 10
 
     _BOUNDS = (("r", 1), ("alpha", 0), ("lambda_p", 0), ("lambda_r", 0), ("lambda_e", 0),
                ("inference_iters", 1), ("max_rounds", 0), ("e_reinit_period", 0),
@@ -74,7 +82,8 @@ class Hyperparams:
     def __post_init__(self):
         check_bounds(self, self._BOUNDS)
         if self.r_regularizer not in R_REGULARIZERS:
-            raise ValueError("r_regularizer must be one of %s" % (tuple(R_REGULARIZERS),))
+            raise FieldError("r_regularizer", "r_regularizer must be one of %s"
+                             % (tuple(R_REGULARIZERS),))
 
 
 @dataclass

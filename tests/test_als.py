@@ -16,7 +16,7 @@ from bove.als import (
     update_P,
     update_R,
 )
-from bove.encoding import from_dense, reconstruction_loss
+from bove.encoding import from_dense, loss_along, quartic_minimizer, reconstruction_loss
 from bove.errors import BoveError, DimensionMismatch, DivergenceError, SingularSystemError
 from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 
@@ -323,15 +323,16 @@ class TestAveragedStep:
         expected = wd.T @ p @ np.linalg.inv(p.T @ p + lam * np.eye(2))
         np.testing.assert_allclose(stepped, expected, rtol=1e-10)
 
-    def test_equals_two_refreshes_and_their_midpoint(self):
+    def test_equals_one_refresh_and_its_exact_line_search(self):
         rng = np.random.default_rng(15)
         ws, xs, es = random_instance(rng)
         model = model_of(rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 3)),
                          alpha=0.5, lambda_e=0.2)
         for w, x, e in zip(ws, xs, es):
-            e_t = update_E_sentence(w, x, model, e)[0]
-            e_t1 = update_E_sentence(w, x, model, e_t)[0]
-            np.testing.assert_array_equal(averaged_E_step(w, x, model, e), 0.5 * (e_t + e_t1))
+            z, h = update_E_sentence(w, x, model, e)
+            t = quartic_minimizer(loss_along(x, model, e, h, z - e, z - e))
+            assert 0 < t
+            np.testing.assert_array_equal(averaged_E_step(w, x, model, e), e + t * (z - e))
 
     def test_oscillator_midpoint(self):
         # scalar instance where the raw refresh alternates +/- e; the
@@ -532,6 +533,28 @@ class TestTrain:
         fit, full = corpus_objective(ws, xs, result.e_store, result.model)
         assert result.trace[-1] == pytest.approx(full, rel=1e-12)
         assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
+
+    def test_one_E_solve_per_sentence_per_sweep(self, monkeypatch):
+        # an ordinary round sweeps once and a reinit round (round 3 here)
+        # e_reinit_burst times, each sweep one solve per sentence
+        ws, xs = self.make_corpus()
+        hyper = Hyperparams(r=3, max_rounds=4, rel_improvement_stop=-1.0,
+                            e_reinit_period=3, e_reinit_burst=4)
+        solves, per_round = [], []
+
+        def counted_solve(*args):
+            solves.append(1)
+            return update_E_sentence(*args)
+
+        def counted_p(*args):
+            per_round.append(len(solves) - sum(per_round))
+            return update_P(*args)
+
+        monkeypatch.setattr(als, "update_E_sentence", counted_solve)
+        monkeypatch.setattr(als, "update_P", counted_p)
+        train(ws, xs, init_for_training(8, 2, hyper, seed=7))
+        s = len(ws)
+        assert per_round == [s, s, s * hyper.e_reinit_burst, s]
 
     @pytest.mark.parametrize("value", [1e100, 1e140, 1e200, np.inf])
     def test_overflowing_corpus_diverges(self, value):

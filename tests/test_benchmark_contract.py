@@ -95,7 +95,7 @@ def test_each_E_schedule_solves_through_its_own_module(monkeypatch, iters):
     inference.infer_bove(w, x, with_hyper(data.model, inference_iters=iters))
     assert solves() == (iters, 0)
     als.averaged_E_step(w, x, data.model, np.zeros((w.n, 2)))
-    assert solves() == (iters, 2)
+    assert solves() == (iters, 1)
 
 
 @pytest.mark.parametrize("mode, gold, calls", [

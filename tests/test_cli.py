@@ -585,6 +585,30 @@ def test_a_byte_that_is_not_utf8_is_located(workspace, capsys, name):
     assert capsys.readouterr().err == "error: %s line %d: not UTF-8 text\n" % (path, line)
 
 
+# a malformed corpus line -> the message after "<corpus path> line <N>: "
+MALFORMED_CORPUS_LINES = {
+    "too few columns": ("1\tcat", "expected at least 11 tab-separated columns, got 2"),
+    "head out of range": (conll_line(1, "cat", "NN", 5, "SBJ"),
+                          "head 5 out of range for 1-token sentence"),
+}
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "infer"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_CORPUS_LINES))
+def test_a_malformed_corpus_line_is_located(workspace, capsys, command, name):
+    line, message = MALFORMED_CORPUS_LINES[name]
+    config = write_config(workspace)
+    assert run(config, "build-vocab") == EXIT_OK  # a vocabulary
+    untrained_model(workspace)  # a model, for infer
+    corpus = workspace / "corpus.conll"
+    text = corpus.read_text()
+    corpus.write_text(text + line + "\n")
+    capsys.readouterr()
+    assert run(config, command) == EXIT_DATA
+    assert capsys.readouterr().err == "error: %s line %d: %s\n" % (
+        corpus, text.count("\n") + 1, message)
+
+
 @pytest.mark.parametrize("error, code, message", [
     (ConfigError("bad key"), EXIT_USAGE, "bad key"),
     (ConllParseError("bad column", 3), EXIT_DATA, "line 3: bad column"),
@@ -605,6 +629,23 @@ def test_each_error_exits_by_the_one_table(workspace, capsys, monkeypatch, error
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("line, message", [
+    ("paths.corpus", "expected key=value, got 'paths.corpus'"),
+    ("hyper.banana=1", "unknown config key 'hyper.banana'"),
+    ("hyper.r=abc", "expected int, got 'abc'"),
+    ("trainer=adam", "trainer must be 'als' or 'sgd'"),
+    ("hyper.r=0", "r must be >= 1"),
+], ids=["malformed", "unknown-key", "not-a-number", "not-a-choice", "out-of-bounds"])
+def test_a_config_line_error_names_the_file_and_line(workspace, capsys, line, message):
+    config = write_config(workspace)
+    path = workspace / "config.txt"
+    path.write_text(path.read_text() + "# a comment\n%s\n" % line)
+    number = path.read_text().count("\n")
+    assert run(config, "build-vocab") == EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s line %d: %s\n" % (config, number, message)
+    assert not (workspace / "vocab.txt").exists()
+
+
 def test_flags_are_config_lines_read_after_the_file(workspace, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_synth", lambda cfg: seen.append(cfg) or EXIT_OK)
@@ -615,7 +656,9 @@ def test_flags_are_config_lines_read_after_the_file(workspace, capsys, monkeypat
     assert seen[1] == dataclasses.replace(seen[0], seed=5, fail_fast=True)
     # the flag's value is coerced as the config's is
     assert run(config, "--seed", "x", "synth") == EXIT_USAGE
-    assert "error: expected int, got 'x'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: expected int, got 'x'\n"
+    assert run(config, "--seed", "-1", "synth") == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert len(seen) == 2
 
 

@@ -142,7 +142,7 @@ ERROR_CASES = [
     ("sgd.adapt_eps=1e-6", "unknown config key 'sgd.adapt_eps'"),
     ("hyper=1", "unknown config key 'hyper'"),
     ("columns=1", "unknown config key 'columns'"),
-    ("paths.corpus", "line 1: expected key=value, got 'paths.corpus'"),
+    ("paths.corpus", "expected key=value, got 'paths.corpus'"),
     ("hyper.r=abc", "expected int, got 'abc'"),
     ("hyper.r=1.5", "expected int, got '1.5'"),
     ("hyper.r=4 # comment", "expected int, got '4 # comment'"),
@@ -190,7 +190,7 @@ ERROR_CASES = [
 def test_each_error_is_a_config_error(line, message):
     with pytest.raises(ConfigError) as info:
         parse_config([line])
-    assert str(info.value) == message
+    assert str(info.value) == "line 1: " + message
 
 
 @pytest.mark.parametrize("entry", [("seed",), ("seed", 0, 1, 2)])
@@ -202,7 +202,7 @@ def test_a_bounds_entry_of_another_length_raises(entry):
 def test_first_bad_line_is_reported():
     with pytest.raises(ConfigError) as info:
         parse_config(["# header", "seed=1", "trainer=adam", "hyper.r=abc"])
-    assert str(info.value) == "trainer must be 'als' or 'sgd'"
+    assert str(info.value) == "line 3: trainer must be 'als' or 'sgd'"
     with pytest.raises(ConfigError) as info:
         parse_config(["seed=1", "", "nonsense"])
     assert str(info.value) == "line 3: expected key=value, got 'nonsense'"
@@ -211,10 +211,29 @@ def test_first_bad_line_is_reported():
 def test_section_values_are_checked_after_every_line_is_read():
     with pytest.raises(ConfigError) as info:
         parse_config(["hyper.r=0", "sgd.batch_size=0", "columns.head=1"])
-    assert str(info.value) == "r must be >= 1"
+    assert str(info.value) == "line 1: r must be >= 1"
     with pytest.raises(ConfigError) as info:
         parse_config(["hyper.r=0", "seed=x"])
-    assert str(info.value) == "expected int, got 'x'"
+    assert str(info.value) == "line 2: expected int, got 'x'"
+
+
+@pytest.mark.parametrize("lines, overrides, message", [
+    (["seed=1", "", "hyper.r=0"], [], "cfg.txt line 3: r must be >= 1"),
+    (["hyper.r=0", "hyper.r=-1"], [], "cfg.txt line 2: r must be >= 1"),
+    (["seed=1", "sgd.seed=-1"], [], "cfg.txt line 2: seed must be >= 0"),
+    (["sgd.seed=1", "seed=-1"], [], "cfg.txt line 2: seed must be >= 0"),
+    (["hyper.banana=1"], [], "cfg.txt line 1: unknown config key 'hyper.banana'"),
+    (["seed=1"], ["seed=x"], "expected int, got 'x'"),
+    (["seed=-1"], ["seed=-2"], "seed must be >= 0"),
+    (["trainer=sgd", "hyper.r_regularizer=l1"], [],
+     "trainer=sgd supports only hyper.r_regularizer=l2, got 'l1'"),
+], ids=["bound", "bound-set-last", "section-seed", "flat-seed", "unknown-key",
+        "override", "bound-override", "across-two-lines"])
+def test_an_error_names_the_line_that_set_it(lines, overrides, message):
+    # an override (a CLI flag's line) and a rule across two keys name no line
+    with pytest.raises(ConfigError) as info:
+        parse_config(lines, "cfg.txt", overrides)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("lines", [

@@ -144,6 +144,17 @@ class TestReadConll:
         with pytest.raises(ConllParseError, match="^line %d: head 9" % bad_line):
             list(read_conll(io.StringIO("\n".join(lines) + "\n")))
 
+    @pytest.mark.parametrize("line, message", [
+        ("1\ta", "line 2: expected at least 11 tab-separated columns, got 2"),
+        ("1\ta\t_\t_\tNN\t_\t_\t_\t9\t_\tOBJ", "line 2: head 9 out of range for 1-token sentence"),
+    ], ids=["in-read", "in-sentence-check"])
+    def test_a_path_prefixes_the_line(self, line, message):
+        text = "# header\n" + line + "\n"
+        with pytest.raises(ConllParseError, match="^%s$" % message):
+            list(read_conll(io.StringIO(text)))
+        with pytest.raises(ConllParseError, match="^corpus.conll %s" % message):
+            list(read_conll(io.StringIO(text), path="corpus.conll"))
+
     def test_non_numeric_head(self):
         text = self.make_line(1, "a", "DT", 0, "ROOT").replace("\t0\t", "\tx\t")
         with pytest.raises(ConllParseError, match="line 1"):

@@ -8,10 +8,11 @@ from bove.encoding import (
     SparseRelationTensor,
     entry_scatter,
     from_dense,
+    quartic_minimizer,
     reconstruction_loss,
 )
 from bove.errors import DimensionMismatch
-from bove.inference import _quartic_minimizer, infer_bove, infer_corpus
+from bove.inference import infer_bove, infer_corpus
 from bove.model import Hyperparams
 
 from oracles import model_of, with_hyper
@@ -214,6 +215,41 @@ class TestInferBove:
             other += not (len(solves) < 1000 and e is solves[-1][1])
         assert other < 5
 
+    @pytest.mark.parametrize("perm", [[0, 1], [1, 0]])
+    def test_a_valley_is_crossed_in_few_solves(self, monkeypatch, perm):
+        # an instances() draw (n = 2, r = 4, one W and one X entry) on which
+        # the Anderson direction fails to descend every other solve: when
+        # each failure emptied the history, the two searches zigzagged for
+        # 880 solves, and past 1,000 with the tokens renamed
+        perm = np.array(perm)
+        w = SparsePropertyMatrix(c=1, n=2, rows=np.array([0]), cols=perm[[0]],
+                                 values=np.array([12.865529470588072]))
+        x = SparseRelationTensor(d=2, n=2, rels=np.array([0]), heads=perm[[0]],
+                                 deps=perm[[1]], values=np.array([1.3899892489201555]))
+        p = np.array([[0.3202638168251756, -0.49737415297512133, -0.15432476913201565,
+                       -0.11753976710475167]])
+        r_tensor = np.array([
+            [[0.14695561219790576, -0.1755711500070838, -0.17870694832536788,
+              -0.11970868307376648],
+             [-0.016500983101955136, -0.20883128496416598, -0.12890350039069876,
+              0.12727469303046018],
+             [0.003302845480971983, -0.06520928767848622, 0.23532524527262477,
+              -0.05691732373850916],
+             [-0.023688957154114565, 0.0162167179090677, -0.21109217246319845,
+              0.07740089225980451]],
+            [[-0.07462793751518643, 0.18710515322551408, 0.20727128757148222,
+              0.13551267625082947],
+             [0.1279680321691828, -0.20681325873580308, -0.07097261672494043,
+              -0.034450039326415716],
+             [-0.07360238252205253, 0.09470293021795012, 0.10095262502905727,
+              0.1369470550829267],
+             [0.12050415058165936, -0.2053455785071539, -0.07293784009527887,
+              0.16435734993238554]]])
+        model = model_of(p, r_tensor, alpha=1.3744610556003165, lambda_e=0.1)
+        solves = record_solves(monkeypatch)
+        e = infer_bove(w, x, with_hyper(model, inference_iters=1000))
+        assert len(solves) < 250 and e is solves[-1][1]
+
     def test_dimension_mismatch(self):
         data = synth.generate(7, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
         _, w, x = data.sentences[0]
@@ -226,22 +262,22 @@ class TestInferBove:
 class TestQuarticMinimizer:
     def test_no_descent_is_no_step(self):
         for a1 in (0.0, 1.0):
-            assert _quartic_minimizer((a1, -1.0, 0.0, 1.0)) == 0.0
+            assert quartic_minimizer((a1, -1.0, 0.0, 1.0)) == 0.0
 
     def test_non_finite_coefficients_are_no_step(self):
         # np.roots raises LinAlgError on a NaN coefficient
         for bad in (np.nan, np.inf):
-            assert _quartic_minimizer((-1.0, bad, 0.0, 1.0)) == 0.0
-            assert _quartic_minimizer((bad, 1.0, 0.0, 1.0)) == 0.0
+            assert quartic_minimizer((-1.0, bad, 0.0, 1.0)) == 0.0
+            assert quartic_minimizer((bad, 1.0, 0.0, 1.0)) == 0.0
 
     def test_pure_quadratic_steps_to_its_vertex(self):
-        assert _quartic_minimizer((-3.0, 2.0, 0.0, 0.0)) == pytest.approx(0.75, rel=1e-15)
+        assert quartic_minimizer((-3.0, 2.0, 0.0, 0.0)) == pytest.approx(0.75, rel=1e-15)
 
     def test_the_lower_of_two_minima(self):
         # the derivative of t^4 - 8 t^3 + 22 t^2 - 24 t is 4 (t - 1)(t - 2)(t - 3):
         # equal minima at 1 and 3, and a slope of -0.1 more makes 3's the lower
-        assert 3.0 < _quartic_minimizer((-24.1, 22.0, -8.0, 1.0)) < 3.1
-        assert _quartic_minimizer((-23.9, 22.0, -8.0, 1.0)) < 1.0
+        assert 3.0 < quartic_minimizer((-24.1, 22.0, -8.0, 1.0)) < 3.1
+        assert quartic_minimizer((-23.9, 22.0, -8.0, 1.0)) < 1.0
 
 
 class TestInferCorpus:

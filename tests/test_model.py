@@ -57,7 +57,7 @@ class TestHyperparams:
         assert h.inference_iters == 30
         assert h.rel_improvement_stop == pytest.approx(0.001)
         assert h.e_reinit_period == 10
-        assert h.e_reinit_burst == 5
+        assert h.e_reinit_burst == 10
 
     @pytest.mark.parametrize(
         "kwargs",

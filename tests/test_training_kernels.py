@@ -269,6 +269,31 @@ def test_the_refresh_step_descends(corpus):
         assert a1 < 0 if step.any() else a1 == 0
 
 
+def e_objective(w, x, model, e):
+    return reconstruction_loss(w, x, model, e) + model.hyper.lambda_e * float(np.sum(e ** 2))
+
+
+# criterion 06's oscillator: the raw refresh flips E between 1 and -1 forever
+oscillator = (
+    [SparsePropertyMatrix(c=1, n=1, rows=[], cols=[])],
+    [SparseRelationTensor(d=1, n=1, rels=[0], heads=[0], deps=[0], values=[-1.5])],
+    [np.array([[1.0]])],
+    model_of(np.zeros((1, 1)), np.ones((1, 1, 1)), alpha=1.0, lambda_e=1.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+@pinned_entry_examples
+@example(corpus=oscillator)
+def test_the_averaged_step_never_raises_the_E_objective(corpus):
+    # the pinned examples hold n = 1, sentences with no X entry and a frozen P row
+    ws, xs, es, model = corpus
+    for w, x, e in zip(ws, xs, es):
+        before = e_objective(w, x, model, e)
+        assert e_objective(w, x, model, averaged_E_step(w, x, model, e)) <= before * (1 + 1e-12)
+
+
 def relation_gram_by_einsum(r_tensor, m):
     """sum_k R_k M R_k^T + R_k^T M R_k as update_E_sentence's Gram reads it."""
     return (np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
