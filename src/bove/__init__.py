@@ -30,7 +30,6 @@ from .model import (
 )
 from .als import (
     averaged_E_step,
-    regularize_R_nuclear,
     train,
     update_E_sentence,
     update_P,

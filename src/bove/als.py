@@ -3,7 +3,8 @@
 P's closed-form update streams Gram sums over the sentences; R's normal
 equations are solved for every relation slice at once by preconditioned
 conjugate gradients; each sentence's E takes one least-squares refresh,
-then an exact line search along it (averaged_E_step).
+then an exact line search along it (averaged_E_step).  Each block step
+minimizes the objective over its block, so no round raises it (train).
 """
 
 import time
@@ -22,13 +23,16 @@ from .errors import BoveError, DivergenceError, SingularSystemError
 _CG_TOL = 1e-15
 _CG_PATIENCE = 100
 _CG_ACCEPT = 1e-8
+# an ALS round may raise the objective by rounding alone: by at most this
+# much relative to the round before
+_RISE_TOL = 1e-12
 
 
 @contextmanager
 def numeric_errors_as(error, what):
     """Raise error("<what>: ...") at the first numpy overflow or invalid
-    operation (inf - inf).  In a trainer this is a divergence, stopped
-    before an inf reaches a solver."""
+    operation (inf - inf).  In training or inference this is a divergence,
+    stopped before an inf reaches a solver."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -220,34 +224,6 @@ def averaged_E_step(w, x, model, e_current):
     return e_current + t * step
 
 
-def regularize_R_l1(r_tensor, tau):
-    """Entrywise soft-thresholding of R (proximal step for the L1 penalty)."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return np.sign(r_tensor) * np.maximum(np.abs(r_tensor) - tau, 0.0)
-
-
-def regularize_R_nuclear(r_tensor, tau):
-    """Singular-value soft-thresholding of every relation slice.
-
-    Each slice becomes U soft(S, tau) V^T; shrinking singular values toward
-    zero regularizes the rank of each relation matrix.
-    """
-    u, s, vt = np.linalg.svd(r_tensor, full_matrices=False)
-    return (u * regularize_R_l1(s, tau)[:, None, :]) @ vt
-
-
-# Each R regularizer by name: (pen, shrink).  The objective adds
-# lambda_r * pen(R); after its ridge R solve, train sets R to
-# shrink(R, lambda_r), unless shrink is None.
-R_REGULARIZERS = {
-    "l2": (lambda r_tensor: float(np.sum(r_tensor ** 2)), None),
-    "l1": (lambda r_tensor: float(np.sum(np.abs(r_tensor))), regularize_R_l1),
-    "nuclear": (lambda r_tensor: float(np.sum(np.linalg.svd(r_tensor, compute_uv=False))),
-                regularize_R_nuclear),
-}
-
-
 def corpus_objective(ws, xs, es, model):
     """(data fit, objective) over the corpus under model.hyper: the summed
     reconstruction losses, and that plus the P, R and E regularizers."""
@@ -255,10 +231,9 @@ def corpus_objective(ws, xs, es, model):
     data_fit = 0.0
     for w, x, e in zip(ws, xs, es):
         data_fit += reconstruction_loss(w, x, model, e)
-    penalty, _ = R_REGULARIZERS[hyper.r_regularizer]
     return data_fit, data_fit + (
         hyper.lambda_p * float(np.sum(model.P ** 2))
-        + hyper.lambda_r * penalty(model.R)
+        + hyper.lambda_r * float(np.sum(model.R ** 2))
         + hyper.lambda_e * sum(float(np.sum(e ** 2)) for e in es)
     )
 
@@ -288,17 +263,18 @@ class TrainResult:
 def train(ws, xs, model, log=None):
     """Full ALS loop under model.hyper: E sweeps, P and R updates, stopping rule.
 
-    E starts at zero (matching the test-time setting).  A round's E sweep
-    moves every sentence's E by one averaged_E_step (one solve each).  Every
-    e_reinit_period rounds E is reset to zeros and e_reinit_burst E sweeps
-    run, with P and R fixed, instead of that round's single sweep.  Training
-    stops when the relative objective improvement over one round drops to
-    rel_improvement_stop, or at max_rounds; it diverges on overflow.  It returns a trained copy of model.
-    An empty or uneven corpus is refused before any work.
+    E starts at zero (matching the test-time setting).  A round moves every
+    sentence's E by one averaged_E_step (one solve each), then solves P and
+    R.  Each of these block steps minimizes the objective over its block
+    (the E line search exactly, P exactly, R to update_R's tolerance), so no
+    round raises it: a round whose objective rises by more than _RISE_TOL
+    relative raises DivergenceError, as overflow does.  Training stops when
+    the relative objective improvement over one round drops to
+    rel_improvement_stop, or at max_rounds.  It returns a trained copy of
+    model.  An empty or uneven corpus is refused before any work.
     """
     check_corpus(ws, xs)
     hyper = model.hyper
-    _, shrink = R_REGULARIZERS[hyper.r_regularizer]
     model = model.copy()
     es = [np.zeros((w.n, hyper.r)) for w in ws]
     data_fit, obj = corpus_objective(ws, xs, es, model)
@@ -306,24 +282,18 @@ def train(ws, xs, model, log=None):
     stopped = False
     for round_no in range(1, hyper.max_rounds + 1):
         t0 = time.perf_counter()
-        reinit = hyper.e_reinit_period > 0 and round_no % hyper.e_reinit_period == 0
-        if reinit:
-            es = [np.zeros_like(e) for e in es]
-            sweeps = hyper.e_reinit_burst
-        else:
-            sweeps = 1
-        for _ in range(sweeps):
-            es = [averaged_E_step(w, x, model, e) for w, x, e in zip(ws, xs, es)]
+        es = [averaged_E_step(w, x, model, e) for w, x, e in zip(ws, xs, es)]
         model.P = update_P(ws, es, model)
         model.R = update_R(xs, es, model)
-        if shrink is not None:
-            model.R = shrink(model.R, hyper.lambda_r)
         data_fit, obj = corpus_objective(ws, xs, es, model)
         if not np.isfinite(obj):
             raise DivergenceError("non-finite objective at round %d" % round_no)
         trace.append(obj)
         data_fit_trace.append(data_fit)
         rel = log_round(log, round_no, trace, time.perf_counter() - t0)
+        if rel < -_RISE_TOL:
+            raise DivergenceError("objective rose by %.3g relative at round %d, to %.10g"
+                                  % (-rel, round_no, obj))
         if rel <= hyper.rel_improvement_stop:
             stopped = True
             break

@@ -1,8 +1,9 @@
 """Command-line pipeline: one subcommand per stage, declared in build_parser.
 
-Exit codes (_EXIT_CODES, read in main alone): 0 success, 1 usage/config
-error, 2 data error (an unopenable path too, and a byte that is not UTF-8
-in a text input, reported at its file and line), 3 numerical divergence.
+Exit codes (_EXIT_CODES, looked up by _exit_code for main's error and for
+infer's first failed sentence): 0 success, 1 usage/config error, 2 data
+error (an unopenable path too, and a byte that is not UTF-8 in a text
+input, reported at its file and line), 3 numerical divergence.
 train and infer check that their output opens for writing before the work.
 All subcommands are driven by a key=value config file; the flags --seed and
 --fail-fast are config lines, read after the file's.
@@ -143,7 +144,7 @@ def cmd_infer(cfg):
         print("sentence %s failed: %s" % (sid, exc), file=sys.stderr)
     print("wrote %s (%d sentences, %d failed)"
           % (cfg.embeddings, len(results) - len(failures), len(failures)))
-    return EXIT_DATA if failures else EXIT_OK
+    return _exit_code(failures[0][1]) if failures else EXIT_OK
 
 
 # a bag, score or gold value too large to square is a data error, not a NaN score
@@ -243,6 +244,12 @@ _EXIT_CODES = {ConfigError: EXIT_USAGE, DivergenceError: EXIT_DIVERGED,
                OSError: EXIT_DATA}
 
 
+def _exit_code(exc):
+    """exc's exit code: the entry of the most specific type along its MRO
+    that _EXIT_CODES lists, or EXIT_DATA where it lists none."""
+    return next((_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES), EXIT_DATA)
+
+
 def _describe(exc):
     if isinstance(exc, OSError) and exc.filename is not None:
         return "%s: %s" % (exc.filename, exc.strerror)
@@ -262,7 +269,7 @@ def main(argv=None):
         return args.handler(cfg)
     except tuple(_EXIT_CODES) as exc:
         print("error: %s" % _describe(exc), file=sys.stderr)
-        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ training and inference draw no random numbers.
 
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
-from . import sgd, synth
+from . import synth
 from .conll import CONLL06_COLUMNS, CONLL09_COLUMNS, ColumnMap
 from .encoding import text_lines
 from .errors import ConfigError
-from .model import Hyperparams, check_bounds
+from .model import FieldError, Hyperparams, check_bounds
 from .sgd import SgdConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -150,18 +150,14 @@ def parse_config(lines, path=None, overrides=()):
     def checked(section, make, *args, **kwargs):
         try:
             return make(*args, **kwargs)
-        except ValueError as exc:
-            raise _located(set_at.get((section, getattr(exc, "field", None))),
-                           str(exc)) from None
+        except FieldError as exc:
+            raise _located(set_at.get((section, exc.field)), str(exc)) from None
 
     flat, default = changes[None], PipelineConfig()
     for section in _SECTIONS:
         flat[section] = checked(section, replace, flat.get(section, getattr(default, section)),
                                 **changes[section])
-    cfg = checked(None, PipelineConfig, **flat)
-    if cfg.trainer == "sgd":
-        checked(None, sgd.check_hyper, cfg.hyper)
-    return cfg
+    return checked(None, PipelineConfig, **flat)
 
 
 def load_config(path, overrides=()):

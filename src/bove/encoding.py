@@ -273,12 +273,21 @@ def loss_along(x, model, e, gram, step, direction):
 def quartic_minimizer(a):
     """The t > 0 that minimizes a1 t + a2 t^2 + a3 t^3 + a4 t^4 for a = (a1,
     a2, a3, a4), taken among the real parts of the roots of its derivative;
-    0 where it does not descend: a1 >= 0, or a coefficient is not finite
-    (np.roots refuses a NaN)."""
+    0 where it does not descend: a1 >= 0, a coefficient is not finite
+    (np.roots refuses a NaN), or a1 is too small for np.roots to divide by.
+    np.roots places roots to about eps times the largest, so the derivative
+    is rooted in u = 1 / t, a1 u^3 + 2 a2 u^2 + 3 a3 u + 4 a4: the roots
+    nearest t = 0, where the first minimum lies, stay accurate beside a far
+    one (a3 and a4 of rounding beside a2), and a u below 1e-12 of the
+    largest, a root too far to place, is dropped."""
     if not (np.isfinite(a).all() and a[0] < 0):
         return 0.0
-    t = np.roots([4.0 * a[3], 3.0 * a[2], 2.0 * a[1], a[0]]).real
-    t = t[t > 0]
+    derivative = [a[0], 2.0 * a[1], 3.0 * a[2], 4.0 * a[3]]  # in u = 1 / t
+    if -a[0] < max(map(abs, derivative)) / np.finfo(float).max:
+        return 0.0
+    u = np.roots(derivative)
+    u = u[np.abs(u) > 1e-12 * np.abs(u).max()].real
+    t = 1.0 / u[u > 0]
     if not len(t):
         return 0.0
     return float(t[np.argmin(np.polyval([a[3], a[2], a[1], a[0], 0.0], t))])

@@ -16,12 +16,16 @@ from collections import deque
 
 import numpy as np
 
-from .als import update_E_sentence
+from .als import numeric_errors_as, update_E_sentence
 from .encoding import loss_along, quartic_minimizer
+from .errors import DivergenceError
 
 TOL = 1e-8  # converged: the refresh moves E by at most TOL of its norm
 DEPTH = 5  # Anderson history: step differences kept
 MIXING = 0.5  # Anderson mixing; with no history the candidate is the midpoint
+# Anderson fit: directions of the step differences below RCOND of the
+# largest are rounding, and fitting them scales it by up to 1 / RCOND
+RCOND = 1e-10
 
 
 def _anderson(history):
@@ -32,7 +36,7 @@ def _anderson(history):
     if len(history) == 1:
         return e + MIXING * step
     d_e, d_step = np.diff(es, axis=0), np.diff(steps, axis=0)
-    gamma = np.linalg.lstsq(d_step.reshape(len(d_step), -1).T, step.ravel(), rcond=None)[0]
+    gamma = np.linalg.lstsq(d_step.reshape(len(d_step), -1).T, step.ravel(), rcond=RCOND)[0]
     return e + MIXING * step - np.tensordot(gamma, d_e + MIXING * d_step, axes=1)
 
 
@@ -76,13 +80,16 @@ def infer_corpus(sentences, model, fail_fast=False):
 
     Returns (results, failures): results is a list of (sentence_id, E or
     None) aligned with the input; failures lists (sentence_id, exception).
-    With fail_fast the first error is raised instead.
+    A numpy overflow or invalid operation is that sentence's
+    DivergenceError, not a warning.  With fail_fast the first error is
+    raised instead.
     """
     results = []
     failures = []
     for sid, w, x in sentences:
         try:
-            results.append((sid, infer_bove(w, x, model)))
+            with numeric_errors_as(DivergenceError, "inference diverged"):
+                results.append((sid, infer_bove(w, x, model)))
         except Exception as exc:  # noqa: BLE001 - reported per sentence
             if fail_fast:
                 raise

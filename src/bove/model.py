@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .als import R_REGULARIZERS
 from .encoding import check_sentence_id, finite_float, text_lines
 from .errors import (
     DimensionMismatch,
@@ -57,10 +56,11 @@ def check_bounds(config, bounds):
 class Hyperparams:
     """Training and inference hyperparameters.
 
-    alpha weighs relation loss against property loss; lambda_* are
-    regularizer strengths.  r_regularizer selects how R is regularized
-    (plain ridge, entrywise soft-thresholding, or singular-value
-    soft-thresholding per relation slice).
+    alpha weighs relation loss against property loss; lambda_p, lambda_r
+    and lambda_e weigh the squared Frobenius norms of P, R and each E in
+    the objective.  ALS stops at max_rounds, or once a round improves the
+    objective by at most rel_improvement_stop relative; inference_iters
+    caps the E solves of one sentence's inference.
     """
 
     r: int
@@ -68,22 +68,15 @@ class Hyperparams:
     lambda_p: float = 0.1
     lambda_r: float = 0.1
     lambda_e: float = 0.1
-    r_regularizer: str = "l2"
     inference_iters: int = 30
     rel_improvement_stop: float = 0.001
     max_rounds: int = 200
-    e_reinit_period: int = 10
-    e_reinit_burst: int = 10
 
     _BOUNDS = (("r", 1), ("alpha", 0), ("lambda_p", 0), ("lambda_r", 0), ("lambda_e", 0),
-               ("inference_iters", 1), ("max_rounds", 0), ("e_reinit_period", 0),
-               ("e_reinit_burst", 1))
+               ("inference_iters", 1), ("max_rounds", 0))
 
     def __post_init__(self):
         check_bounds(self, self._BOUNDS)
-        if self.r_regularizer not in R_REGULARIZERS:
-            raise FieldError("r_regularizer", "r_regularizer must be one of %s"
-                             % (tuple(R_REGULARIZERS),))
 
 
 @dataclass

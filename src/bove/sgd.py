@@ -39,14 +39,6 @@ class SgdConfig:
         check_bounds(self, self._BOUNDS)
 
 
-def check_hyper(hyper):
-    """Raise ValueError unless hyper's R regularizer is l2: the sampled
-    objective and its gradient always apply the L2 penalty to R."""
-    if hyper.r_regularizer != "l2":
-        raise ValueError("trainer=sgd supports only hyper.r_regularizer=l2, got %r"
-                         % hyper.r_regularizer)
-
-
 @dataclass
 class SgdState:
     """Accumulated squared gradients for the adaptive step-size divisor."""
@@ -191,11 +183,9 @@ def train_sgd(ws, xs, model, config, log=None):
 
     Single-threaded and fully deterministic given config.seed.  The trace
     records the summed sampled batch losses per epoch, under model.hyper;
-    diverges on overflow.  The returned model is a trained copy of model; a
-    model whose R regularizer is not l2 (check_hyper) and an empty or uneven
-    corpus are refused.
+    diverges on overflow.  The returned model is a trained copy of model; an
+    empty or uneven corpus is refused.
     """
-    check_hyper(model.hyper)
     check_corpus(ws, xs)
     model = model.copy()
     rng = np.random.default_rng(config.seed)

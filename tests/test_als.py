@@ -6,11 +6,8 @@ import pytest
 
 from bove import als, synth
 from bove.als import (
-    R_REGULARIZERS,
     averaged_E_step,
     corpus_objective,
-    regularize_R_l1,
-    regularize_R_nuclear,
     train,
     update_E_sentence,
     update_P,
@@ -348,66 +345,6 @@ class TestAveragedStep:
         assert avg[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
-class TestRRegularizers:
-    def test_nuclear_diagonal_slice(self):
-        r_tensor = np.array([np.diag([3.0, 0.5])])
-        out = regularize_R_nuclear(r_tensor, tau=1.0)
-        np.testing.assert_allclose(out[0], np.diag([2.0, 0.0]), atol=1e-12)
-
-    def test_nuclear_tau_zero_identity(self):
-        rng = np.random.default_rng(9)
-        r_tensor = rng.normal(size=(3, 4, 4))
-        out = regularize_R_nuclear(r_tensor, tau=0.0)
-        np.testing.assert_allclose(out, r_tensor, atol=1e-10)
-
-    def test_nuclear_full_shrinkage(self):
-        rng = np.random.default_rng(10)
-        r_tensor = rng.normal(size=(2, 3, 3))
-        tau = max(
-            np.linalg.svd(r_tensor[k], compute_uv=False).max() for k in range(2)
-        )
-        out = regularize_R_nuclear(r_tensor, tau=tau)
-        np.testing.assert_allclose(out, np.zeros_like(r_tensor), atol=1e-12)
-
-    def test_nuclear_shrinks_singular_values(self):
-        rng = np.random.default_rng(11)
-        r_tensor = rng.normal(size=(1, 4, 4))
-        out = regularize_R_nuclear(r_tensor, tau=0.3)
-        s_in = np.linalg.svd(r_tensor[0], compute_uv=False)
-        s_out = np.linalg.svd(out[0], compute_uv=False)
-        np.testing.assert_allclose(s_out, np.maximum(s_in - 0.3, 0.0), atol=1e-10)
-
-    def test_l1_soft_threshold(self):
-        r_tensor = np.array([[[0.5, -2.0], [0.05, 0.0]]])
-        out = regularize_R_l1(r_tensor, tau=0.1)
-        np.testing.assert_allclose(out, [[[0.4, -1.9], [0.0, 0.0]]], atol=1e-12)
-
-    @pytest.mark.parametrize("d, r", [(3, 4), (12, 20), (40, 50)])
-    def test_nuclear_shrink_matches_per_slice_svds(self, d, r):
-        r_tensor = np.random.default_rng(d).normal(size=(d, r, r))
-        expected = np.empty_like(r_tensor)
-        for k in range(d):
-            u, s, vt = np.linalg.svd(r_tensor[k], full_matrices=False)
-            expected[k] = (u * np.maximum(s - 0.5, 0.0)) @ vt
-        np.testing.assert_array_equal(regularize_R_nuclear(r_tensor, tau=0.5), expected)
-
-    @pytest.mark.parametrize("d, r", [(1, 1), (3, 4), (12, 20)])
-    def test_nuclear_penalty_is_the_sum_of_slice_nuclear_norms(self, d, r):
-        r_tensor = np.random.default_rng(r).normal(size=(d, r, r))
-        penalty, _ = R_REGULARIZERS["nuclear"]
-        expected = sum(float(np.sum(np.linalg.svd(r_tensor[k], compute_uv=False)))
-                       for k in range(d))
-        assert penalty(r_tensor) == pytest.approx(expected, rel=1e-12)
-
-    def test_penalties_and_shrinks(self):
-        r_tensor = np.array([[[3.0, 0.0], [0.0, -0.5]]])
-        values = {name: penalty(r_tensor) for name, (penalty, _) in R_REGULARIZERS.items()}
-        assert values == {"l2": 9.25, "l1": 3.5, "nuclear": pytest.approx(3.5)}
-        assert R_REGULARIZERS["l2"][1] is None
-        assert R_REGULARIZERS["l1"][1] is regularize_R_l1
-        assert R_REGULARIZERS["nuclear"][1] is regularize_R_nuclear
-
-
 class TestTrain:
     def make_corpus(self, seed=0):
         data = synth.generate(seed, n_sentences=6, n_tokens=4, c=8, d=2, hyper=Hyperparams(r=3))
@@ -535,11 +472,9 @@ class TestTrain:
         assert result.data_fit_trace[-1] == pytest.approx(fit, rel=1e-12)
 
     def test_one_E_solve_per_sentence_per_sweep(self, monkeypatch):
-        # an ordinary round sweeps once and a reinit round (round 3 here)
-        # e_reinit_burst times, each sweep one solve per sentence
+        # every round sweeps once, one solve per sentence
         ws, xs = self.make_corpus()
-        hyper = Hyperparams(r=3, max_rounds=4, rel_improvement_stop=-1.0,
-                            e_reinit_period=3, e_reinit_burst=4)
+        hyper = Hyperparams(r=3, max_rounds=4, rel_improvement_stop=-1.0)
         solves, per_round = [], []
 
         def counted_solve(*args):
@@ -554,7 +489,28 @@ class TestTrain:
         monkeypatch.setattr(als, "update_P", counted_p)
         train(ws, xs, init_for_training(8, 2, hyper, seed=7))
         s = len(ws)
-        assert per_round == [s, s, s * hyper.e_reinit_burst, s]
+        assert per_round == [s] * hyper.max_rounds
+
+    @pytest.mark.parametrize("rise", [2e-12, 0.5e-12])
+    def test_a_round_that_raises_the_objective_diverges(self, monkeypatch, rise):
+        # every step of a round runs; the objective it reads is scripted, and
+        # a rise within the rounding tolerance of 1e-12 relative passes
+        ws, xs = self.make_corpus()
+        script = iter([10.0, 9.0, 9.0 * (1 + rise), 8.0])
+        monkeypatch.setattr(als, "corpus_objective", lambda *args: (0.0, next(script)))
+        hyper = Hyperparams(r=3, max_rounds=3, rel_improvement_stop=-1.0)
+        lines = []
+
+        def run():
+            return train(ws, xs, init_for_training(8, 2, hyper, seed=7), log=lines.append)
+
+        if rise > 1e-12:
+            with pytest.raises(DivergenceError, match="^objective rose by 2e-12 relative at "
+                                                      "round 2, to 9$"):
+                run()
+            assert [line.split()[0] for line in lines] == ["round=1", "round=2"]
+        else:
+            assert run().trace == [10.0, 9.0, 9.0 * (1 + rise), 8.0]
 
     @pytest.mark.parametrize("value", [1e100, 1e140, 1e200, np.inf])
     def test_overflowing_corpus_diverges(self, value):
@@ -567,37 +523,6 @@ class TestTrain:
         hyper = Hyperparams(r=3, lambda_p=0.1, max_rounds=5)
         with pytest.raises(DivergenceError):
             train(ws, xs, init_for_training(8, 2, hyper, seed=0))
-
-    def test_nuclear_regularizer_low_rank(self):
-        ws, xs = self.make_corpus()
-        hyper = Hyperparams(r=3, max_rounds=15, r_regularizer="nuclear",
-                            lambda_r=0.5, rel_improvement_stop=0.0)
-        model = init_for_training(8, 2, hyper, seed=6)
-        result = train(ws, xs, model)
-        hyper_l2 = Hyperparams(r=3, max_rounds=15, lambda_r=0.5,
-                               rel_improvement_stop=0.0)
-        result_l2 = train(ws, xs, init_for_training(8, 2, hyper_l2, 6))
-        nuc = sum(np.linalg.svd(result.model.R[k], compute_uv=False).sum()
-                  for k in range(2))
-        l2 = sum(np.linalg.svd(result_l2.model.R[k], compute_uv=False).sum()
-                 for k in range(2))
-        assert nuc <= l2 + 1e-9
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
-    def test_l1_and_nuclear_R_steps_never_raise_the_objective(self):
-        """The l1 and nuclear R steps ridge-solve R at lambda_r, then shrink it
-        by lambda_r, while the objective counts lambda_r pen(R) once.  Here
-        the l1 trace reads 278.02, 135.50, 112.01, 125.86 and the nuclear
-        one 278.02, 119.01, 90.62, 103.30; each run then stops on the rise."""
-        data = synth.generate(9, n_sentences=6, n_tokens=5, c=10, d=2,
-                              hyper=Hyperparams(r=4), mode="discrete")
-        ws = [w for _, w, _ in data.sentences]
-        xs = [x for _, _, x in data.sentences]
-        for regularizer in ("l1", "nuclear"):
-            hyper = Hyperparams(r=4, r_regularizer=regularizer, lambda_r=0.1,
-                                max_rounds=10, rel_improvement_stop=0.0)
-            trace = train(ws, xs, init_for_training(10, 2, hyper, seed=0)).trace
-            assert all(b <= a for a, b in zip(trace, trace[1:])), (regularizer, trace)
 
 
 def test_corpus_objective_matches_loss_parts():

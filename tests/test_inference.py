@@ -263,6 +263,8 @@ class TestQuarticMinimizer:
     def test_no_descent_is_no_step(self):
         for a1 in (0.0, 1.0):
             assert quartic_minimizer((a1, -1.0, 0.0, 1.0)) == 0.0
+        # a slope np.roots cannot divide by: the vertex would be at 5e-321
+        assert quartic_minimizer((-1e-320, 1.0, 0.0, 0.0)) == 0.0
 
     def test_non_finite_coefficients_are_no_step(self):
         # np.roots raises LinAlgError on a NaN coefficient
@@ -272,6 +274,19 @@ class TestQuarticMinimizer:
 
     def test_pure_quadratic_steps_to_its_vertex(self):
         assert quartic_minimizer((-3.0, 2.0, 0.0, 0.0)) == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [
+        (-1.843077493059708e-4, 9.21538746529854e-5, -2.7654513296261995e-203,
+         7.585469338954674e-206),
+        (-0.002468555738271875, 0.0012342778691359375, 5e-324, 0.0),
+    ], ids=["tiny-cubic-and-quartic", "subnormal-cubic"])
+    def test_terms_of_rounding_keep_the_quadratic_vertex(self, a):
+        # two ALS E steps' quartics with R near 1e-99: quadratics to double
+        # precision, vertex at t = 1.  Rooting the derivative in t placed that
+        # root at 0 beside a complex pair of modulus 2e100 (real part 137), or
+        # overflowed dividing by the subnormal a3
+        with np.errstate(over="raise", invalid="raise"):
+            assert quartic_minimizer(a) == pytest.approx(-a[0] / (2 * a[1]), rel=1e-12)
 
     def test_the_lower_of_two_minima(self):
         # the derivative of t^4 - 8 t^3 + 22 t^2 - 24 t is 4 (t - 1)(t - 2)(t - 3):

@@ -56,8 +56,6 @@ class TestHyperparams:
         h = Hyperparams(r=4)
         assert h.inference_iters == 30
         assert h.rel_improvement_stop == pytest.approx(0.001)
-        assert h.e_reinit_period == 10
-        assert h.e_reinit_burst == 10
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,7 +64,6 @@ class TestHyperparams:
             {"r": 2, "alpha": -1.0},
             {"r": 2, "lambda_p": -0.1},
             {"r": 2, "inference_iters": 0},
-            {"r": 2, "r_regularizer": "bogus"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -75,12 +72,8 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("field, value, message", [
         ("max_rounds", -1, "max_rounds must be >= 0"),
-        ("e_reinit_period", -1, "e_reinit_period must be >= 0"),
-        ("e_reinit_burst", 0, "e_reinit_burst must be >= 1"),
     ])
     def test_round_schedule_bounds(self, field, value, message):
-        # an e_reinit_burst of 0 would reset E and run no sweep, so P and R
-        # would be solved against an all-zero E
         with pytest.raises(ValueError, match="^%s$" % message):
             Hyperparams(r=2, **{field: value})
         with pytest.raises(ModelFormatError, match=message):
@@ -228,10 +221,12 @@ class TestPersistence:
             load_model(path)
 
     def test_unknown_hyper_keys_ignored(self):
-        # files written before iters_count_raw_solves and als_r_cap were
-        # removed hold those keys
+        # files written before iters_count_raw_solves, als_r_cap,
+        # r_regularizer and the E re-initialization were removed hold those keys
         hyper = Hyperparams(r=3, inference_iters=7)
-        blob = _hyper_to_bytes(hyper) + b"\niters_count_raw_solves=True\nals_r_cap=100"
+        blob = _hyper_to_bytes(hyper) + (b"\niters_count_raw_solves=True\nals_r_cap=100"
+                                         b"\nr_regularizer=nuclear\ne_reinit_period=10"
+                                         b"\ne_reinit_burst=10")
         assert _hyper_from_bytes(blob) == hyper
 
     @pytest.mark.parametrize("block", [b"r=abc", b"r=0", b"garbage", b"alpha=1.0", b"",

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import tracemalloc
 import types
 from dataclasses import replace
@@ -530,17 +529,6 @@ class TestTrainSgd:
         with pytest.raises(BoveError, match="^%s$" % message):
             train_sgd(ws[:n_w], xs[:n_x], init_for_training(4, 2, hyper, seed=5),
                       SgdConfig(epochs=1))
-
-    @pytest.mark.parametrize("regularizer", ["l1", "nuclear"])
-    def test_refuses_a_non_l2_r_regularizer_before_any_step(self, monkeypatch,
-                                                              regularizer):
-        # the sampled objective and its gradient apply the l2 penalty to R
-        ws, xs = micro_corpus()
-        model = init_for_training(4, 2, Hyperparams(r=2, r_regularizer=regularizer), seed=5)
-        monkeypatch.setattr(sgd, "sgd_step", None)  # a step would fail here
-        message = "trainer=sgd supports only hyper.r_regularizer=l2, got %r" % regularizer
-        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            train_sgd(ws, xs, model, SgdConfig(epochs=1))
 
     def test_keeps_the_model_hyperparameters(self):
         ws, xs = micro_corpus()

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bove.encoding
-from bove.als import averaged_E_step, corpus_objective, update_E_sentence, update_P, update_R
+from bove.als import (averaged_E_step, corpus_objective, train, update_E_sentence, update_P,
+                      update_R)
 from bove.encoding import (
     SparsePropertyMatrix,
     SparseRelationTensor,
@@ -26,7 +27,7 @@ from bove.encoding import (
     relation_gram,
 )
 from bove.inference import infer_bove
-from bove.model import Hyperparams, TypeEmbeddings
+from bove.model import Hyperparams, TypeEmbeddings, init_for_training
 from bove.sgd import sampled_loss_and_grads, sgd_step
 from bove.synth import generate
 
@@ -292,6 +293,45 @@ def test_the_averaged_step_never_raises_the_E_objective(corpus):
     for w, x, e in zip(ws, xs, es):
         before = e_objective(w, x, model, e)
         assert e_objective(w, x, model, averaged_E_step(w, x, model, e)) <= before * (1 + 1e-12)
+
+
+def discrete_corpus():
+    """The corpus on which the deleted l1 R step raised the objective
+    (278.02, 135.50, 112.01, 125.86), with the model it trained from."""
+    data = generate(9, n_sentences=6, n_tokens=5, c=10, d=2, hyper=Hyperparams(r=4),
+                    mode="discrete")
+    return ([w for _, w, _ in data.sentences], [x for _, _, x in data.sentences], None,
+            init_for_training(10, 2, Hyperparams(r=4), seed=0))
+
+
+# R near 1e-99 makes the E line search's a3 and a4 rounding-sized beside a2:
+# rooting its derivative in t moved E to t = 137 and raised the objective
+# 0.476 -> 2.17 in round 2 (encoding.quartic_minimizer now roots in 1 / t)
+tiny_relation = (
+    [SparsePropertyMatrix(c=2, n=3, rows=[0], cols=[0], values=[1.0])],
+    [SparseRelationTensor(d=1, n=3, rels=[0], heads=[0], deps=[0], values=[3.29247867e-99])],
+    None,
+    TypeEmbeddings(P=np.array([[-0.56776961], [-0.45264929]]), R=np.array([[[-0.21559716]]]),
+                   frozen_p_rows=np.array([False, True]),
+                   hyper=Hyperparams(r=1, alpha=1.4956965876775077, lambda_p=0.2023048179292631,
+                                     lambda_r=0.4521053714460959)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora())
+@pinned_entry_examples
+@example(corpus=discrete_corpus())
+@example(corpus=tiny_relation)
+def test_no_als_round_raises_the_objective(corpus):
+    # each block step (the E line search, P, R) minimizes the objective over
+    # its block, so train never raises DivergenceError for a rise; the
+    # pinned examples hold n = 1, a sentence with no X entry and a frozen P row
+    ws, xs, _, model = corpus
+    hyper = dataclasses.replace(model.hyper, max_rounds=6, rel_improvement_stop=-1.0)
+    trace = train(ws, xs, dataclasses.replace(model, hyper=hyper)).trace
+    assert len(trace) == 7
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
 
 
 def relation_gram_by_einsum(r_tensor, m):
