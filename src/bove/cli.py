@@ -36,14 +36,18 @@ def _output(path):
     """Check that path opens for writing before the work that writes it, so
     a directory or a path under a regular file fails first, naming the path.
     Opening to append changes no byte of a file that is there; if the work
-    then fails, a file the check created is removed."""
+    then fails, or calls the yielded discard() because it writes nothing, a
+    file the check created is removed."""
     existed = os.path.lexists(path)
     open(path, "ab").close()
-    try:
-        yield
-    except BaseException:
+
+    def discard():
         if not existed:
             os.remove(path)
+    try:
+        yield discard
+    except BaseException:
+        discard()
         raise
 
 
@@ -135,15 +139,18 @@ def cmd_infer(cfg):
             % (trained.c, trained.d, vocab.c, vocab.d)
         )
     sentences = _encoded_sentences(cfg, vocab)
-    with _output(cfg.embeddings):
-        results, failures = inference.infer_corpus(
-            sentences, trained, fail_fast=cfg.fail_fast
-        )
-        model_io.write_bags(cfg.embeddings, [(sid, e) for sid, e in results if e is not None])
+    with _output(cfg.embeddings) as discard:
+        results, failures = inference.infer_corpus(sentences, trained, fail_fast=cfg.fail_fast)
+        bags = [(sid, e) for sid, e in results if e is not None]
+        written = bool(bags) or not failures  # a run whose every sentence failed writes none
+        if written:
+            model_io.write_bags(cfg.embeddings, bags)
+        else:
+            discard()
     for sid, exc in failures:
         print("sentence %s failed: %s" % (sid, exc), file=sys.stderr)
-    print("wrote %s (%d sentences, %d failed)"
-          % (cfg.embeddings, len(results) - len(failures), len(failures)))
+    if written:
+        print("wrote %s (%d sentences, %d failed)" % (cfg.embeddings, len(bags), len(failures)))
     return _exit_code(failures[0][1]) if failures else EXIT_OK
 
 

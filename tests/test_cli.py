@@ -246,20 +246,31 @@ class TestInfer:
     def test_a_diverging_sentence_exits_3_with_no_numpy_warning(self, workspace):
         # every sentence overflows: its failure is a DivergenceError, so infer
         # exits by the one table; run as a process, where numpy would print
-        # its RuntimeWarning to stderr
+        # its RuntimeWarning to stderr.  A run in which every sentence failed
+        # leaves the bag path as it found it: none is created, and a file
+        # that is there keeps its bytes
         config = trained_workspace(workspace)
         model = load_model(str(workspace / "model.bin"))
         model.P *= 1e200
         save_model(model, str(workspace / "model.bin"))
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        result = subprocess.run([sys.executable, "-m", "bove.cli", "--config", config, "infer"],
-                                env=dict(os.environ, PYTHONPATH=src),
-                                capture_output=True, text=True, check=False)
-        assert result.returncode == EXIT_DIVERGED
-        assert result.stderr.splitlines() == [
-            "sentence %d failed: inference diverged: overflow encountered in matmul" % i
-            for i in range(len(CORPUS))]
-        assert read_bags(str(workspace / "bags.bin")) == []
+        bags = workspace / "bags.bin"
+        for before in (None, b"bags of an earlier run\n"):
+            if before is not None:
+                bags.write_bytes(before)
+            result = subprocess.run(
+                [sys.executable, "-m", "bove.cli", "--config", config, "infer"],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                check=False)
+            assert result.returncode == EXIT_DIVERGED
+            assert result.stderr.splitlines() == [
+                "sentence %d failed: inference diverged: overflow encountered in matmul" % i
+                for i in range(len(CORPUS))]
+            assert result.stdout == ""
+            if before is None:
+                assert not os.path.lexists(bags)
+            else:
+                assert bags.read_bytes() == before
 
     def test_identical_sentences_identical_bags(self, workspace):
         config = trained_workspace(workspace)

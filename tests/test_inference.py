@@ -215,12 +215,27 @@ class TestInferBove:
             other += not (len(solves) < 1000 and e is solves[-1][1])
         assert other < 5
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_synth_sentences_stop_at_a_fixed_point_under_the_default_cap(self, monkeypatch,
+                                                                          seed):
+        # r = 20 and noisy targets: every sentence reaches its fixed point
+        # within the default cap of 30 solves, where a direction
+        # extrapolated from the last five steps left 1 or 2 of these 12
+        data = synth.generate(seed, n_sentences=12, n_tokens=8, c=12, d=4, noise=0.1,
+                              hyper=Hyperparams(r=20))
+        solves = record_solves(monkeypatch)
+        for _, w, x in data.sentences:
+            solves.clear()
+            e = infer_bove(w, x, data.model)
+            assert e is solves[-1][1]
+
     @pytest.mark.parametrize("perm", [[0, 1], [1, 0]])
     def test_a_valley_is_crossed_in_few_solves(self, monkeypatch, perm):
-        # an instances() draw (n = 2, r = 4, one W and one X entry) on which
-        # the Anderson direction fails to descend every other solve: when
-        # each failure emptied the history, the two searches zigzagged for
-        # 880 solves, and past 1,000 with the tokens renamed
+        # an instances() draw (n = 2, r = 4, one W and one X entry) whose
+        # E objective is a narrow curved valley: descent along the refresh's
+        # step alone does not cross it in 1,000 solves, and the conjugate
+        # direction without Powell's restart took 238; with the restart it
+        # takes 64 in either token order
         perm = np.array(perm)
         w = SparsePropertyMatrix(c=1, n=2, rows=np.array([0]), cols=perm[[0]],
                                  values=np.array([12.865529470588072]))
@@ -248,7 +263,7 @@ class TestInferBove:
         model = model_of(p, r_tensor, alpha=1.3744610556003165, lambda_e=0.1)
         solves = record_solves(monkeypatch)
         e = infer_bove(w, x, with_hyper(model, inference_iters=1000))
-        assert len(solves) < 250 and e is solves[-1][1]
+        assert len(solves) < 100 and e is solves[-1][1]
 
     def test_dimension_mismatch(self):
         data = synth.generate(7, n_sentences=1, n_tokens=3, c=6, d=2, hyper=Hyperparams(r=3))
