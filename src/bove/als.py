@@ -198,14 +198,20 @@ def update_E_sentence(w, x, model, e_prev):
         E_new = Y F^T H^-1,  H = F F^T + lambda_e I
     realized without materializing Y or F, Y F^T by encoding.entry_scatter.
     The E objective's gradient at E_prev is -2 (E_new - E_prev) H.
+
+    F F^T is P^T P + alpha sum_k (R_k M R_k^T + R_k^T M R_k), M = E_prev^T
+    E_prev.  The relation term is formed only where alpha > 0 and M is not
+    zero: from E_prev = 0 (ALS's first round, inference's first solve) or
+    at alpha = 0 it is exactly zero, and H = P^T P + lambda_e I.
     """
     alpha = model.hyper.alpha
     p, r_tensor, e_prev = check_operands(w, x, model.P, model.R, e_prev)
     m = e_prev.T @ e_prev
     # F F^T
     gram = p.T @ p
-    gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
-    gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
+    if alpha > 0 and m.any():
+        gram += alpha * np.einsum("kab,bc,kdc->ad", r_tensor, m, r_tensor)
+        gram += alpha * np.einsum("kba,bc,kcd->ad", r_tensor, m, r_tensor)
     rhs = entry_scatter(w, x, p, r_tensor, e_prev, alpha)
     return _spd_solve_right(gram, rhs, model.hyper.lambda_e, "E update"), gram
 

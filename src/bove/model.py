@@ -15,6 +15,7 @@ import numpy as np
 
 from .encoding import check_sentence_id, finite_float, text_lines
 from .errors import (
+    BoveError,
     DimensionMismatch,
     ModelChecksumError,
     ModelFormatError,
@@ -266,10 +267,15 @@ def load_model(path):
 
 def write_bags(path, bags):
     """Write (sentence_id, E) pairs as an embedding-bag file.  Every id is
-    checked (encoding.check_sentence_id), and every E for the n x r shape,
-    n and r at least 1, that read_bags accepts, before the file is opened."""
+    checked (encoding.check_sentence_id) and for a repeat, and every E for
+    the n x r shape, n and r at least 1, that read_bags accepts, before the
+    file is opened."""
+    seen = set()
     for sid, e in bags:
         check_sentence_id(sid)
+        if str(sid) in seen:
+            raise BoveError("bag %s is given twice; sentence ids must be unique" % sid)
+        seen.add(str(sid))
         shape = np.shape(e)
         if len(shape) != 2 or min(shape) < 1:
             raise DimensionMismatch("bag %s has shape %s; it must be n x r with n and r "
@@ -282,8 +288,9 @@ def write_bags(path, bags):
 
 
 def read_bags(path):
-    """Read an embedding-bag file back as a list of (sentence_id, E)."""
-    bags = []
+    """Read an embedding-bag file back as a list of (sentence_id, E); a
+    sentence id that repeats an earlier record's is a ModelFormatError."""
+    bags, seen = [], set()
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size if f.seekable() else math.inf  # unknown for a pipe
         while True:
@@ -303,6 +310,10 @@ def read_bags(path):
                     "bag record %d: n and r must be at least 1, got %r"
                     % (len(bags) + 1, header)
                 )
+            if sid in seen:
+                raise ModelFormatError("bag record %d repeats sentence id %s"
+                                       % (len(bags) + 1, sid))
+            seen.add(sid)
             size = n * r * 8
             left -= len(header) + size  # checked before a read of that size
             if left < 0 or len(raw := f.read(size)) != size:

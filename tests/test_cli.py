@@ -325,6 +325,32 @@ class TestScoreAndEval:
         assert run(config, "eval", "--mode", "sts") == EXIT_OK
         assert (workspace / "report.txt").read_text() == original
 
+    def test_a_repeated_bag_id_is_a_data_error(self, workspace, capsys):
+        # scoring would otherwise read the last of the two bags for "a"
+        config = write_config(workspace)
+        part = workspace / "part.bin"
+        model_io.write_bags(part, [("a", np.array([[1.0, 0.0]])), ("b", np.array([[0.0, 1.0]]))])
+        model_io.write_bags(workspace / "bags.bin", [("a", np.array([[0.0, 1.0]]))])
+        (workspace / "bags.bin").write_bytes(part.read_bytes()
+                                             + (workspace / "bags.bin").read_bytes())
+        (workspace / "pairs.tsv").write_text("p1\ta\tb\t4.0\n")
+        assert run(config, "score", "--mode", "sts") == EXIT_DATA
+        assert "bag record 3 repeats sentence id a" in capsys.readouterr().err
+        assert not (workspace / "scores.tsv").exists()
+
+    def test_a_w_only_model_runs_end_to_end(self, workspace):
+        # alpha = 0: no relation term in training or inference
+        config = write_config(workspace, **{"hyper.alpha": "0"})
+        for command in ("build-vocab", "train", "infer"):
+            assert run(config, command) == EXIT_OK
+        assert load_model(str(workspace / "model.bin")).hyper.alpha == 0
+        bags = read_bags(str(workspace / "bags.bin"))
+        assert len(bags) == len(CORPUS)
+        assert all(np.all(np.isfinite(e)) for _, e in bags)
+        (workspace / "pairs.tsv").write_text("p1\t0\t1\t4.0\np2\t0\t2\t3.0\n")
+        assert run(config, "score", "--mode", "sts") == EXIT_OK
+        assert len((workspace / "scores.tsv").read_text().splitlines()) == 2
+
     def test_score_report_equals_eval_of_written_scores(self, workspace):
         # cos(a, c) = 1 - 5e-15 < cos(a, b) = 1, but both are 1 to 10 digits,
         # so in the scores file the pairs tie: one threshold holding one

@@ -297,6 +297,23 @@ class TestBags:
             write_bags(path, [("s0", np.ones((1, 2))), ("s1", np.zeros(shape))])
         assert not path.exists()
 
+    @pytest.mark.parametrize("ids", [["s0", "s1", "s0"], [0, "0"]])
+    def test_repeated_id_is_refused_before_writing(self, tmp_path, ids):
+        # the header holds the id as text, so 0 and "0" are one id
+        path = tmp_path / "bags.bin"
+        with pytest.raises(BoveError, match="^bag %s is given twice; sentence ids must be "
+                           "unique$" % ids[-1]):
+            write_bags(path, [(sid, np.ones((1, 2))) for sid in ids])
+        assert not path.exists()
+
+    def test_repeated_id_is_refused_on_reading(self, tmp_path):
+        part = tmp_path / "part.bin"
+        write_bags(part, [("s0", np.ones((1, 2))), ("s1", np.ones((2, 2)))])
+        path = tmp_path / "bags.bin"
+        path.write_bytes(part.read_bytes() * 2)
+        with pytest.raises(ModelFormatError, match="^bag record 3 repeats sentence id s0$"):
+            read_bags(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "bags.bin"
         write_bags(path, [("s0", np.zeros((3, 3)))])

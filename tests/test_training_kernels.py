@@ -150,15 +150,17 @@ def test_loss_along_is_the_loss_on_the_line(instance, seed):
                                  abs=1e-10 * np.linalg.norm(gradient) * np.linalg.norm(direction))
 
 
-def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2, sentences=1):
-    """One sentence, or `sentences` copies of it, each with its own E."""
+def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2, sentences=1,
+                 alpha=0.7, zero_e=False):
+    """One sentence, or `sentences` copies of it, each with its own E (all
+    zeros with zero_e)."""
     rng = np.random.default_rng(7)
     w, x = sentence(c, d, n, w_cells, w_values, x_cells, x_values)
     model = TypeEmbeddings(P=rng.normal(size=(c, r)), R=rng.normal(size=(d, r, r)),
                            frozen_p_rows=np.array([True] + [False] * (c - 1)),
-                           hyper=Hyperparams(r=r, alpha=0.7))
-    return ([w] * sentences, [x] * sentences,
-            [rng.normal(size=(n, r)) for _ in range(sentences)], model)
+                           hyper=Hyperparams(r=r, alpha=alpha))
+    es = [rng.normal(size=(n, r)) for _ in range(sentences)]
+    return [w] * sentences, [x] * sentences, [np.zeros_like(e) if zero_e else e for e in es], model
 
 
 @pytest.mark.parametrize("corpus", [
@@ -173,9 +175,17 @@ def fixed_corpus(w_cells, w_values, x_cells, x_values, n=3, c=3, d=2, r=2, sente
                  np.linspace(2, 0, 18)),
     fixed_corpus([(0, 0), (1, 1), (2, 2)], [1.0, 1.0, 1.0],
                  [(0, 0, 1), (1, 1, 2)], [1.0, 0.5], r=3, sentences=12),
+    fixed_corpus(list(itertools.product(range(3), range(3))), np.linspace(-1, 1, 9),
+                 list(itertools.product(range(2), range(3), range(3))),
+                 np.linspace(2, 0, 18), zero_e=True),
+    fixed_corpus(list(itertools.product(range(3), range(3))), np.linspace(-1, 1, 9),
+                 list(itertools.product(range(2), range(3), range(3))),
+                 np.linspace(2, 0, 18), alpha=0.0),
 ], ids=["repeated-coordinates", "stored-zeros", "n=1", "no-relations",
-        "every-row-and-relation", "every-cell", "12-sentences-at-r=3"])
+        "every-row-and-relation", "every-cell", "12-sentences-at-r=3", "E=0", "alpha=0"])
 def test_edge_cases_match_dense_forms(corpus):
+    # E = 0 and alpha = 0 are the two cases where the E solve forms no
+    # relation Gram
     check_against_dense(*corpus)
 
 
